@@ -96,7 +96,10 @@ class FactorModel:
             raise ValueError("user factor rows do not match user ids")
         if len(self.item_factors) != len(self.items):
             raise ValueError("item factor rows do not match item ids")
-        if len(self.loss_trace) > 1 and np.any(np.diff(self.loss_trace) > 1e-8):
+        # roundoff in a loss of magnitude L is O(L * eps), so the allowed rise
+        # scales with the loss
+        trace = np.asarray(self.loss_trace, dtype=np.float64)
+        if np.any(np.diff(trace) > 1e-8 + 1e-9 * np.abs(trace[:-1])):
             raise ValueError("loss trace must be non-increasing")
         object.__setattr__(self, "user_index", {u: i for i, u in enumerate(self.users)})
         object.__setattr__(self, "item_index", {m: i for i, m in enumerate(self.items)})

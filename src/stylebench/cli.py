@@ -75,15 +75,17 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _split_config(raw: dict) -> tuple[dict, dict, dict]:
-    """Partition a flat config into evaluate, synth, and path keys."""
-    synth = {k: v for k, v in raw.items() if k in _SYNTH_KEYS}
+def _split_config(raw: dict) -> tuple[dict, dict]:
+    """Partition a flat config into evaluate and path keys, dropping the
+    generator's ``synth_*`` keys."""
     paths = {k: v for k, v in raw.items() if k in _PATH_KEYS}
     rest = {k: v for k, v in raw.items() if k not in _SYNTH_KEYS | _PATH_KEYS}
-    return rest, synth, paths
+    return rest, paths
 
 
 def _synth_config(raw: dict, args) -> SynthConfig:
+    """Generator config from the ``synth_*`` keys and ``seed`` of a flat
+    config, overridden by flags."""
     new = raw.get("synth_segment_new", 0.70)
     view = raw.get("synth_segment_view", 0.22)
     sale = raw.get("synth_segment_sale", 0.08)
@@ -158,8 +160,8 @@ def _input_digests(data_path: Path) -> dict:
 
 def _cmd_synth(args) -> int:
     raw_all = _load_config(args.config)
-    _, synth_raw, paths = _split_config(raw_all)
-    cfg = _synth_config(synth_raw, args)
+    _, paths = _split_config(raw_all)
+    cfg = _synth_config(raw_all, args)
     out_dir = Path(_flag(args, "out", paths.get("out")) or "synth_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate_dataset(cfg)
@@ -190,7 +192,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_stats(args) -> int:
     raw_all = _load_config(args.config)
-    raw, _, paths = _split_config(raw_all)
+    raw, paths = _split_config(raw_all)
     data_path = Path(_require(args.data or paths.get("data"), "--data"))
     data = load_events(data_path)
     boundary = _resolve_boundary(args, raw, data_path)
@@ -218,7 +220,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_split(args) -> int:
     raw_all = _load_config(args.config)
-    raw, _, paths = _split_config(raw_all)
+    raw, paths = _split_config(raw_all)
     data_path = Path(_require(args.data or paths.get("data"), "--data"))
     out_dir = Path(_require(_flag(args, "out", paths.get("out")), "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,7 +238,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     raw_all = _load_config(args.config)
-    raw, _, paths = _split_config(raw_all)
+    raw, paths = _split_config(raw_all)
     data_path = Path(_require(args.data or paths.get("data"), "--data"))
     out_path = Path(_require(_flag(args, "out", paths.get("out")), "--out"))
     data = load_events(data_path)
@@ -273,7 +275,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     raw_all = _load_config(args.config)
-    raw, _, paths = _split_config(raw_all)
+    raw, paths = _split_config(raw_all)
     data_path = Path(_require(args.data or paths.get("data"), "--data"))
     out_dir = Path(_flag(args, "out", paths.get("out")) or "eval_out")
     if not data_path.exists():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -379,19 +380,25 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
                     path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}"
                 )
             ids.append(row[0])
-            for j, cell in enumerate(row[1:]):
-                raw_cols[j].append(cell)
+            for j, ((name, kind), cell) in enumerate(zip(specs, row[1:])):
+                raw_cols[j].append(
+                    _numeric_cell(cell, name, path, line_no) if kind == "numeric" else cell
+                )
     columns: dict[str, FeatureColumn] = {}
     for (name, kind), raw in zip(specs, raw_cols):
-        if kind == "numeric":
-            try:
-                values = np.array([float(v) for v in raw], dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedRecord(path, 0, f"column {name!r}: {exc}") from None
-        else:
-            values = np.array(raw, dtype=object)
-        columns[name] = FeatureColumn(kind=kind, values=values)
+        dtype = np.float64 if kind == "numeric" else object
+        columns[name] = FeatureColumn(kind=kind, values=np.array(raw, dtype=dtype))
     return FeatureTable(ids=tuple(ids), columns=columns)
+
+
+def _numeric_cell(cell: str, name: str, path: Path, line_no: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise MalformedRecord(path, line_no, f"column {name!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise MalformedRecord(path, line_no, f"column {name!r}: non-finite value {cell!r}")
+    return value
 
 
 def sidecar_paths(path: str | Path) -> tuple[Path, Path]:

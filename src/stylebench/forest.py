@@ -269,198 +269,299 @@ def _mask_seed(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
-def _best_numeric_split(col, y, sum_y, min_leaf):
-    """Best threshold by the S_L^2/n_L + S_R^2/n_R criterion, or None."""
-    n = len(col)
-    order = np.argsort(col, kind="stable")
-    cs = col[order]
-    if cs[0] == cs[-1]:
-        return None
-    ys = y[order]
-    left_sums = np.cumsum(ys)[:-1]
-    left_n = np.arange(1, n)
-    valid = (cs[1:] > cs[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    if not valid.any():
-        return None
-    crit = np.where(
-        valid,
-        left_sums**2 / left_n + (sum_y - left_sums) ** 2 / (n - left_n),
-        -np.inf,
-    )
-    t = int(np.argmax(crit))
-    return float(crit[t]), float((cs[t] + cs[t + 1]) / 2.0)
+@dataclass(frozen=True, eq=False)
+class _FitState:
+    """What every tree of one ``fit_forest`` call reads, built once per call.
 
-
-def _best_categorical_split(codes, y, sum_y, min_leaf, n_levels):
-    """Best level-subset split: exact enumeration up to 12 present levels,
-    else prefix splits along levels ordered by mean label.
-    Returns (crit, left_codes) or None.
+    ``codes`` holds a categorical column as its level codes and a numeric
+    column as the index of each value in ``values``, the concatenation of
+    every numeric column's sorted distinct values. Within one column that
+    index is a dense rank, so a split search only counts (node, code) keys,
+    and a threshold is the midpoint of two adjacent values present in the
+    node.
     """
-    n = len(codes)
-    counts = np.bincount(codes, minlength=n_levels)
-    sums = np.bincount(codes, weights=y, minlength=n_levels)
-    present = np.flatnonzero(counts)
-    k = len(present)
-    if k < 2:
-        return None
-    p_counts = counts[present].astype(np.float64)
-    p_sums = sums[present]
-    if k <= _EXACT_SUBSET_LEVELS:
-        masks = np.arange(1, 2 ** (k - 1), dtype=np.uint64)
-        bits = ((masks[:, None] >> np.arange(k, dtype=np.uint64)) & 1).astype(bool)
-        n_left = bits @ p_counts
-        s_left = bits @ p_sums
-        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        if not valid.any():
-            return None
-        crit = np.where(
-            valid,
-            s_left**2 / np.maximum(n_left, 1)
-            + (sum_y - s_left) ** 2 / np.maximum(n - n_left, 1),
-            -np.inf,
-        )
-        best = int(np.argmax(crit))
-        left_codes = present[bits[best]]
-        return float(crit[best]), left_codes
-    # many levels: order by mean label (ties by code) and scan prefixes
-    means = p_sums / p_counts
-    order = np.lexsort((present, means))
-    oc = p_counts[order]
-    os_ = p_sums[order]
-    n_left = np.cumsum(oc)[:-1]
-    s_left = np.cumsum(os_)[:-1]
-    valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    if not valid.any():
-        return None
-    crit = np.where(
-        valid, s_left**2 / n_left + (sum_y - s_left) ** 2 / (n - n_left), -np.inf
-    )
-    t = int(np.argmax(crit))
-    left_codes = present[order[: t + 1]]
-    return float(crit[t]), left_codes
 
+    x: np.ndarray
+    y: np.ndarray
+    cfg: ForestConfig
+    n_split_features: int
+    is_cat: np.ndarray
+    codes: np.ndarray
+    values: np.ndarray
+    n_codes: int  # every code is below this
+    max_levels: int
 
-class _TreeBuilder:
-    """Grows one tree depth-first into flat node arrays."""
-
-    def __init__(self, x, y, schema: FeatureSchema, cfg: ForestConfig, rng, n_split_features):
-        self.x = x
-        self.y = y
-        self.cfg = cfg
-        self.rng = rng
-        self.n_split_features = n_split_features
-        self.is_cat = np.array([s.kind == "categorical" for s in schema.specs])
-        self.n_levels = [len(s.levels) if s.levels else 0 for s in schema.specs]
-        self.max_levels = schema.max_levels()
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.members: list[np.ndarray | None] = []
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(float("nan"))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float("nan"))
-        self.members.append(None)
-        return len(self.feature) - 1
-
-    def build(self, idx: np.ndarray) -> int:
-        node = self._new_node()
-        self._grow(node, idx, depth=0)
-        return node
-
-    def _grow(self, node: int, idx: np.ndarray, depth: int) -> None:
-        y_node = self.y[idx]
-        n = len(idx)
-        sum_y = float(y_node.sum())
-        mean = sum_y / n
-        sse = float((y_node**2).sum()) - sum_y * mean
-        if depth >= self.cfg.max_depth or n < 2 * self.cfg.min_leaf or sse <= _ZERO_SSE:
-            self.value[node] = mean
-            return
-        n_feat = self.x.shape[1]
-        chosen = self.rng.choice(n_feat, size=self.n_split_features, replace=False)
-        baseline = sum_y * mean
-        best_crit = baseline + _ZERO_SSE
-        best: tuple | None = None
-        for f in chosen:
-            f = int(f)
-            col = self.x[idx, f]
-            if self.is_cat[f]:
-                found = _best_categorical_split(
-                    col.astype(np.int64), y_node, sum_y, self.cfg.min_leaf, self.n_levels[f]
-                )
-                if found is not None and found[0] > best_crit:
-                    best_crit = found[0]
-                    best = (f, None, found[1])
+    @classmethod
+    def build(cls, table: AugmentedTable, cfg: ForestConfig) -> "_FitState":
+        x = table.features
+        codes = np.empty(x.shape, dtype=np.int64)
+        values: list[np.ndarray] = []
+        n_values = 0
+        for f, spec in enumerate(table.schema.specs):
+            if spec.kind == "categorical":
+                codes[:, f] = x[:, f]
+                if np.any(codes[:, f] != x[:, f]) or not (
+                    0 <= codes[:, f].min() and codes[:, f].max() < len(spec.levels or ())
+                ):
+                    raise ValueError(f"feature {spec.name!r} holds values that are not level codes")
             else:
-                found = _best_numeric_split(col, y_node, sum_y, self.cfg.min_leaf)
-                if found is not None and found[0] > best_crit:
-                    best_crit = found[0]
-                    best = (f, found[1], None)
-        if best is None:
-            self.value[node] = mean
-            return
-        f, thr, left_codes = best
-        col = self.x[idx, f]
-        if left_codes is not None:
-            member = np.zeros(self.max_levels, dtype=bool)
-            member[left_codes] = True
-            go_left = member[col.astype(np.int64)]
-            self.members[node] = member
-        else:
-            go_left = col <= thr
-            self.threshold[node] = thr
-        self.feature[node] = f
-        left_node = self._new_node()
-        right_node = self._new_node()
-        self.left[node] = left_node
-        self.right[node] = right_node
-        self._grow(left_node, idx[go_left], depth + 1)
-        self._grow(right_node, idx[~go_left], depth + 1)
-
-    def finish(self) -> Tree:
-        n_nodes = len(self.feature)
-        members = np.zeros((n_nodes, self.max_levels), dtype=bool)
-        for i, m in enumerate(self.members):
-            if m is not None:
-                members[i] = m
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value, dtype=np.float64),
-            is_cat=self.is_cat[np.maximum(self.feature, 0)]
-            & (np.array(self.feature) >= 0),
-            members=members,
+                distinct, rank = np.unique(x[:, f], return_inverse=True)
+                codes[:, f] = n_values + rank
+                values.append(distinct)
+                n_values += len(distinct)
+        max_levels = table.schema.max_levels()
+        return cls(
+            x=x,
+            y=table.labels,
+            cfg=cfg,
+            n_split_features=cfg.resolved_features_per_split(x.shape[1]),
+            is_cat=np.array([spec.kind == "categorical" for spec in table.schema.specs]),
+            codes=codes,
+            values=np.concatenate(values) if values else np.empty(0),
+            n_codes=max(n_values, max_levels),
+            max_levels=max_levels,
         )
 
 
-_FIT_CONTEXT: dict = {}
+def _runs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index of each run of equal values in sorted ``seg``, and the
+    run number of every element."""
+    starts = np.empty(len(seg), dtype=bool)
+    starts[:1] = True
+    np.not_equal(seg[1:], seg[:-1], out=starts[1:])
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
 
 
-def _init_fit_context(x, y, schema, cfg, n_split_features) -> None:
-    _FIT_CONTEXT.update(
-        x=x, y=y, schema=schema, cfg=cfg, n_split_features=n_split_features
-    )
+def _best_prefixes(seg, kn, ks, seg_n, seg_s, min_leaf):
+    """Best "keys up to t go left" split within each run of equal ``seg``.
+
+    ``kn``/``ks`` are the weighted row count and label sum of each key,
+    ``seg_n``/``seg_s`` those of each segment. Returns per segment the
+    criterion S_L^2/n_L + S_R^2/n_R (-inf when no prefix leaves ``min_leaf``
+    rows on both sides) and the index of the last key sent left (-1 when
+    there is none); ties go to the shortest prefix.
+    """
+    best = np.full(len(seg_n), -np.inf)
+    pos = np.full(len(seg_n), -1, dtype=np.int64)
+    if len(seg) == 0:
+        return best, pos
+    first, run = _runs(seg)
+    cum_n = np.cumsum(kn)
+    cum_s = np.cumsum(ks)
+    left_n = cum_n - (cum_n[first] - kn[first])[run]
+    left_s = cum_s - np.concatenate(([0.0], cum_s))[first][run]
+    right_n = seg_n[seg] - left_n
+    ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+    crit = np.full(len(seg), -np.inf)
+    ls = left_s[ok]
+    crit[ok] = ls**2 / left_n[ok] + (seg_s[seg[ok]] - ls) ** 2 / right_n[ok]
+    top = np.maximum.reduceat(crit, first)
+    hit = np.flatnonzero(crit == top[run])
+    hit_run = run[hit]
+    hit = hit[np.concatenate(([True], hit_run[1:] != hit_run[:-1]))]
+    best[seg[first]] = top
+    pos[seg[first]] = np.where(top > -np.inf, hit, -1)
+    return best, pos
 
 
-def _fit_one_tree(tree_index: int) -> Tree:
-    ctx = _FIT_CONTEXT
-    cfg: ForestConfig = ctx["cfg"]
+def _best_subsets(seg, code, kn, ks, seg_n, seg_s, min_leaf):
+    """Best level-subset split within each run of equal ``seg``, whose keys
+    are sorted by level code.
+
+    A run with at most ``_EXACT_SUBSET_LEVELS`` present levels tries every
+    subset that leaves out its top present level, in increasing bitmask
+    order over the present levels; a longer run scans prefixes of its levels
+    ordered by mean label, ties by code. Returns per segment the criterion
+    (-inf when none) and, per key, whether the best subset sends it left.
+    """
+    best = np.full(len(seg_n), -np.inf)
+    left = np.zeros(len(seg), dtype=bool)
+    if len(seg) == 0:
+        return best, left
+    first, run = _runs(seg)
+    k = np.diff(np.append(first, len(seg)))
+    bit = np.arange(len(seg)) - first[run]
+    small = np.flatnonzero((k >= 2) & (k <= _EXACT_SUBSET_LEVELS))
+    # bound each chunk's runs x bitmasks tables to about 2^18 cells
+    step = max(1, (1 << 18) >> (int(k[small].max(initial=1)) - 1))
+    for lo in range(0, len(small), step):
+        runs = small[lo : lo + step]
+        width = int(k[runs].max())
+        row_of_run = np.full(len(first), -1)
+        row_of_run[runs] = np.arange(len(runs))
+        member = np.flatnonzero(row_of_run[run] >= 0)
+        row = row_of_run[run[member]]
+        level_n = np.zeros((len(runs), width))
+        level_s = np.zeros((len(runs), width))
+        level_n[row, bit[member]] = kn[member]
+        level_s[row, bit[member]] = ks[member]
+        # column b of n_left/s_left sums the levels whose bit is set in b
+        n_left = np.zeros((len(runs), 1 << (width - 1)))
+        s_left = np.zeros_like(n_left)
+        for b in range(width - 1):
+            n_left[:, 1 << b : 2 << b] = n_left[:, : 1 << b] + level_n[:, b, None]
+            s_left[:, 1 << b : 2 << b] = s_left[:, : 1 << b] + level_s[:, b, None]
+        segs = seg[first[runs]]
+        right_n = seg_n[segs, None] - n_left
+        masks = np.arange(n_left.shape[1])
+        ok = (
+            (masks > 0)
+            & (masks < (1 << (k[runs] - 1))[:, None])
+            & (n_left >= min_leaf)
+            & (right_n >= min_leaf)
+        )
+        crit = np.full(n_left.shape, -np.inf)
+        sl = s_left[ok]
+        crit[ok] = sl**2 / n_left[ok] + (seg_s[segs, None] - s_left)[ok] ** 2 / right_n[ok]
+        choice = crit.argmax(axis=1)
+        best[segs] = crit[np.arange(len(runs)), choice]
+        left[member] = ((choice[row] >> bit[member]) & 1).astype(bool)
+    big = np.flatnonzero(k[run] > _EXACT_SUBSET_LEVELS)
+    if len(big):
+        order = big[np.lexsort((code[big], ks[big] / kn[big], seg[big]))]
+        top, last = _best_prefixes(seg[order], kn[order], ks[order], seg_n, seg_s, min_leaf)
+        has = top > -np.inf
+        best[has] = top[has]
+        left[order] = np.arange(len(order)) <= last[seg[order]]
+    return best, left
+
+
+def _fit_tree(state: _FitState, tree_index: int) -> Tree:
+    """Grow one tree level by level, searching all open nodes of a depth at
+    once; nodes are numbered breadth-first.
+
+    The tree's RNG stream draws the bootstrap first, then one feature-subset
+    matrix per depth for that depth's splittable nodes in node order. The
+    bootstrap becomes per-row multiplicity weights, so each depth only
+    touches the distinct rows drawn.
+    """
+    cfg = state.cfg
     rng = np.random.default_rng(
         np.random.SeedSequence([_mask_seed(cfg.seed), 1, tree_index])
     )
-    y = ctx["y"]
-    boot = rng.integers(0, len(y), size=len(y))
-    builder = _TreeBuilder(ctx["x"], y, ctx["schema"], cfg, rng, ctx["n_split_features"])
-    builder.build(boot)
-    return builder.finish()
+    n, p = state.codes.shape
+    m = state.n_split_features
+    mult = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    rows = np.flatnonzero(mult)
+    w = mult[rows].astype(np.float64)
+    wy = w * state.y[rows]
+    wyy = wy * state.y[rows]
+    slot = np.zeros(len(rows), dtype=np.int64)  # each row's node within its depth
+    n_open = 1
+    levels = []
+    for depth in range(cfg.max_depth + 1):
+        node_n = np.bincount(slot, w, n_open)
+        node_s = np.bincount(slot, wy, n_open)
+        value = node_s / node_n
+        baseline = node_s * value
+        sse = np.bincount(slot, wyy, n_open) - baseline
+        feature = np.full(n_open, -1, dtype=np.int64)
+        threshold = np.full(n_open, np.nan)
+        members = np.zeros((n_open, state.max_levels), dtype=bool)
+        children = np.full(n_open, -1, dtype=np.int64)
+        levels.append((feature, threshold, members, value, children))
+        if depth == cfg.max_depth:
+            break
+        cand = np.flatnonzero((node_n >= 2 * cfg.min_leaf) & (sse > _ZERO_SSE))
+        if len(cand) == 0:
+            break
+        n_cand = len(cand)
+        chosen = np.argsort(rng.random((n_cand, p)), axis=1, kind="stable")[:, :m]
+        cand_of_node = np.full(n_open, -1, dtype=np.int64)
+        cand_of_node[cand] = np.arange(n_cand)
+        keep = cand_of_node[slot] >= 0
+        rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
+        slot = cand_of_node[slot[keep]]
+
+        # One (segment, code) key per row and chosen feature, where segment
+        # = candidate * m + choice position; categorical segments sort last.
+        n_seg = n_cand * m
+        feat = chosen[slot]
+        seg = slot[:, None] * m + np.arange(m) + np.where(state.is_cat[feat], n_seg, 0)
+        keys, inv = np.unique(
+            (seg * state.n_codes + state.codes[rows[:, None], feat]).ravel(),
+            return_inverse=True,
+        )
+        kn = np.bincount(inv, np.repeat(w, m))
+        ks = np.bincount(inv, np.repeat(wy, m))
+        seg, code = np.divmod(keys, state.n_codes)
+        n_num = int(np.searchsorted(seg, n_seg))
+        seg_n, seg_s = np.repeat(node_n[cand], m), np.repeat(node_s[cand], m)
+        crit_num, last = _best_prefixes(
+            seg[:n_num], kn[:n_num], ks[:n_num], seg_n, seg_s, cfg.min_leaf
+        )
+        cat_seg, cat_code = seg[n_num:] - n_seg, code[n_num:]
+        crit_cat, left = _best_subsets(
+            cat_seg, cat_code, kn[n_num:], ks[n_num:], seg_n, seg_s, cfg.min_leaf
+        )
+        crit = np.maximum(crit_num, crit_cat).reshape(n_cand, m)
+        choice = crit.argmax(axis=1)  # first chosen feature wins ties
+        split = crit[np.arange(n_cand), choice] > baseline[cand] + _ZERO_SSE
+        if not split.any():
+            break
+        won = np.flatnonzero(split) * m + choice[split]
+        t = last[won]
+        numeric = t >= 0
+        t = t[numeric]
+        split_threshold = np.full(len(won), np.nan)
+        below, above = state.values[code[t]], state.values[code[t + 1]]
+        mid = (below + above) / 2.0
+        # between adjacent doubles the midpoint can round up to ``above``
+        split_threshold[numeric] = np.where(mid < above, mid, below)
+        won_cat = np.zeros(n_seg, dtype=bool)
+        won_cat[won] = True
+        won_cat = left & won_cat[cat_seg]
+        split_members = np.zeros((n_cand, state.max_levels), dtype=bool)
+        split_members[cat_seg[won_cat] // m, cat_code[won_cat]] = True
+        split_members = split_members[split]
+        nodes = cand[split]
+        feature[nodes] = chosen.ravel()[won]
+        threshold[nodes] = split_threshold
+        members[nodes] = split_members
+        value[nodes] = np.nan
+        children[nodes] = np.arange(0, 2 * len(nodes), 2)
+
+        # route the rows of split nodes to their children
+        split_of_cand = np.cumsum(split) - 1
+        keep = split[slot]
+        rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
+        slot = split_of_cand[slot[keep]]
+        f_row = feature[nodes][slot]
+        go_left = state.x[rows, f_row] <= split_threshold[slot]
+        cat = np.flatnonzero(state.is_cat[f_row])
+        go_left[cat] = split_members[slot[cat], state.codes[rows[cat], f_row[cat]]]
+        slot = 2 * slot + ~go_left
+        n_open = 2 * len(nodes)
+
+    feature, threshold, members, value, children = (
+        np.concatenate(parts) for parts in zip(*levels)
+    )
+    sizes = [len(level[0]) for level in levels]
+    next_depth_start = np.repeat(np.cumsum(sizes), sizes)
+    internal = feature >= 0
+    left = np.where(internal, next_depth_start + children, -1)
+    return Tree(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=np.where(internal, left + 1, -1),
+        value=value,
+        is_cat=state.is_cat[np.maximum(feature, 0)] & internal,
+        members=members,
+    )
+
+
+# Set by the initializer of fit_forest's process pool, in the workers only.
+_worker_state: _FitState | None = None
+
+
+def _init_worker(state: _FitState) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _fit_tree_in_worker(tree_index: int) -> Tree:
+    return _fit_tree(_worker_state, tree_index)
 
 
 def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> ForestModel:
@@ -474,26 +575,28 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
         raise ValueError("need at least 2 rows to fit a forest")
     if x.shape[1] < 1:
         raise ValueError("need at least 1 feature to fit a forest")
+    if not np.isfinite(y).all():
+        raise ValueError("labels hold non-finite values")
+    for spec, finite in zip(table.schema.specs, np.isfinite(x).all(axis=0)):
+        if not finite:
+            raise ValueError(f"feature {spec.name!r} holds non-finite values")
     if np.ptp(y) == 0.0:
         warnings.warn(
             "all labels identical; trees degenerate to single leaves",
             DegenerateTableWarning,
             stacklevel=2,
         )
-    n_split_features = cfg.resolved_features_per_split(x.shape[1])
-    _init_fit_context(x, y, table.schema, cfg, n_split_features)
+    state = _FitState.build(table, cfg)
     if threads > 1:
         with ProcessPoolExecutor(
-            max_workers=threads,
-            initializer=_init_fit_context,
-            initargs=(x, y, table.schema, cfg, n_split_features),
+            max_workers=threads, initializer=_init_worker, initargs=(state,)
         ) as pool:
             trees = tuple(
-                pool.map(_fit_one_tree, range(cfg.n_trees),
+                pool.map(_fit_tree_in_worker, range(cfg.n_trees),
                          chunksize=max(1, cfg.n_trees // (4 * threads)))
             )
     else:
-        trees = tuple(_fit_one_tree(t) for t in range(cfg.n_trees))
+        trees = tuple(_fit_tree(state, t) for t in range(cfg.n_trees))
     return ForestModel(
         trees=trees,
         schema=table.schema,

@@ -70,3 +70,93 @@ def dense_implicit_als_loss(x, y, observed, alpha, lam):
                 total += (1.0 + alpha * r) * (1.0 - s) ** 2
     total += lam * (float((x * x).sum()) + float((y * y).sum()))
     return total
+
+
+EXACT_SUBSET_LEVELS = 12
+
+
+def per_node_numeric_split(col, y, min_leaf):
+    """Best threshold of one node's rows (bootstrap duplicates repeated) by
+    the S_L^2/n_L + S_R^2/n_R criterion: (crit, threshold) or None."""
+    n = len(col)
+    order = np.argsort(col, kind="stable")
+    cs = col[order]
+    if cs[0] == cs[-1]:
+        return None
+    ys = y[order]
+    left_sums = np.cumsum(ys)[:-1]
+    left_n = np.arange(1, n)
+    valid = (cs[1:] > cs[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
+    if not valid.any():
+        return None
+    crit = np.where(
+        valid,
+        left_sums**2 / left_n + (y.sum() - left_sums) ** 2 / (n - left_n),
+        -np.inf,
+    )
+    t = int(np.argmax(crit))
+    return float(crit[t]), float((cs[t] + cs[t + 1]) / 2.0)
+
+
+def per_node_categorical_split(codes, y, min_leaf):
+    """Best level subset of one node's rows: every subset of the present
+    levels that leaves out the top one when at most 12 levels are present,
+    else prefixes of the levels ordered by mean label (ties by code).
+    Returns (crit, left_codes) or None."""
+    n = len(codes)
+    sum_y = y.sum()
+    counts = np.bincount(codes)
+    sums = np.bincount(codes, weights=y)
+    present = np.flatnonzero(counts)
+    k = len(present)
+    if k < 2:
+        return None
+    p_counts = counts[present].astype(np.float64)
+    p_sums = sums[present]
+    if k <= EXACT_SUBSET_LEVELS:
+        masks = np.arange(1, 2 ** (k - 1), dtype=np.uint64)
+        bits = ((masks[:, None] >> np.arange(k, dtype=np.uint64)) & 1).astype(bool)
+        n_left = bits @ p_counts
+        s_left = bits @ p_sums
+        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+        if not valid.any():
+            return None
+        crit = np.where(
+            valid,
+            s_left**2 / np.maximum(n_left, 1)
+            + (sum_y - s_left) ** 2 / np.maximum(n - n_left, 1),
+            -np.inf,
+        )
+        best = int(np.argmax(crit))
+        return float(crit[best]), present[bits[best]]
+    order = np.lexsort((present, p_sums / p_counts))
+    n_left = np.cumsum(p_counts[order])[:-1]
+    s_left = np.cumsum(p_sums[order])[:-1]
+    valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    if not valid.any():
+        return None
+    crit = np.where(
+        valid, s_left**2 / n_left + (sum_y - s_left) ** 2 / (n - n_left), -np.inf
+    )
+    t = int(np.argmax(crit))
+    return float(crit[t]), present[order[: t + 1]]
+
+
+def per_node_best_split(x_node, y_node, features, is_cat, min_leaf):
+    """Best split of one node over its chosen features, in draw order; a
+    later feature must beat an earlier one strictly, and every split must
+    beat the no-split criterion by more than 1e-12.
+    Returns (crit, feature) or None."""
+    sum_y = y_node.sum()
+    best_crit = sum_y * (sum_y / len(y_node)) + 1e-12
+    best = None
+    for f in features:
+        col = x_node[:, f]
+        if is_cat[f]:
+            found = per_node_categorical_split(col.astype(np.int64), y_node, min_leaf)
+        else:
+            found = per_node_numeric_split(col, y_node, min_leaf)
+        if found is not None and found[0] > best_crit:
+            best_crit = found[0]
+            best = (found[0], int(f))
+    return best

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from oracles import dense_implicit_als_loss, dense_implicit_als_user_solve
 from stylebench.als import (
     AlsConfig,
+    FactorModel,
     _solve_side,
     _training_loss,
     build_confidence,
@@ -114,6 +115,32 @@ class TestFitAls:
         trace = np.array(model.loss_trace)
         assert len(trace) == 10
         assert np.all(np.diff(trace) <= 1e-8)
+
+    @pytest.mark.parametrize(
+        "trace, accepted",
+        [
+            ((7e5, 7e5 + 1e-6), True),  # roundoff at 10x scale
+            ((5e4, 5e4 - 1.0, 5e4 - 1.0 + 1e-7), True),
+            ((7e5, 7e5 + 1.0), False),
+            ((1.0, 1.0 + 1e-6), False),
+        ],
+    )
+    def test_loss_trace_check_is_relative(self, trace, accepted):
+        def build():
+            return FactorModel(
+                user_factors=np.zeros((1, 1)),
+                item_factors=np.zeros((1, 1)),
+                users=("u",),
+                items=("i",),
+                loss_trace=trace,
+                config=AlsConfig(factors=1),
+            )
+
+        if accepted:
+            assert build().loss_trace == trace
+        else:
+            with pytest.raises(ValueError, match="non-increasing"):
+                build()
 
     def test_bit_identical_across_runs(self):
         cm = small_confidence()

@@ -59,6 +59,20 @@ class TestSynth:
         assert rc == EXIT_OK
         assert digest(tmp_path / "interactions.csv") == digest(data_path)
 
+    def test_config_seed_matches_seed_flag(self, tmp_path):
+        shape = {"synth_users": 120, "synth_items": 30, "synth_sparsity": 0.85}
+        from_config = tmp_path / "config.json"
+        from_config.write_text(json.dumps({**shape, "seed": 7}))
+        from_flag = tmp_path / "flag.json"
+        from_flag.write_text(json.dumps(shape))
+        assert dispatch(["synth", "--config", str(from_config), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert dispatch(
+            ["synth", "--config", str(from_flag), "--out", str(tmp_path / "b"), "--seed", "7"]
+        ) == EXIT_OK
+        assert digest(tmp_path / "a" / "interactions.csv") == digest(tmp_path / "b" / "interactions.csv")
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["synth_config"]["seed"] == 7
+
 
 class TestStats:
     def test_prints_summary(self, workspace, capsys):

@@ -17,6 +17,7 @@ from stylebench.data import (
     dataset_stats,
     format_timestamp,
     load_events,
+    load_feature_table,
     parse_timestamp,
     popularity_table,
     segment_users,
@@ -365,3 +366,20 @@ class TestFeatureTables:
         )
         assert table.row("b") == {"x": 2.0}
         assert "a" in table and "c" not in table
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_numeric_cell_named_with_line(self, tmp_path, cell):
+        path = tmp_path / "bad.users.csv"
+        path.write_text(f"user_id,age:num\nu1,20\nu2,{cell}\nu3,30\n")
+        with pytest.raises(MalformedRecord) as exc:
+            load_feature_table(path, "user_id")
+        assert exc.value.line_no == 3
+        assert "age" in str(exc.value)
+
+    def test_unparseable_numeric_cell_named_with_line(self, tmp_path):
+        path = tmp_path / "bad.users.csv"
+        path.write_text("user_id,age:num\nu1,20\nu2,30\nu3,thirty\n")
+        with pytest.raises(MalformedRecord) as exc:
+            load_feature_table(path, "user_id")
+        assert exc.value.line_no == 4
+        assert str(exc.value).startswith(f"{path}:4:")

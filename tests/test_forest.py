@@ -1,10 +1,14 @@
 """Forest engine: label augmentation, variance-reducing splits, ensemble
 prediction, determinism, serialization."""
 
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stylebench.als import AlsConfig, FactorModel, build_confidence
 from stylebench.data import Dataset, FeatureColumn, FeatureTable, InteractionEvent, Kind
@@ -21,6 +25,8 @@ from stylebench.forest import (
     predict_forest,
     save_forest,
 )
+
+from oracles import per_node_best_split
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -186,6 +192,22 @@ class TestFitForest:
             assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
             assert np.array_equal(ta.value, tb.value, equal_nan=True)
+
+    def test_threshold_between_adjacent_doubles_separates(self):
+        below = np.nextafter(1.0, 2.0)
+        above = np.nextafter(below, 2.0)  # (below + above) / 2 rounds to above
+        x = np.array([[below], [above]] * 10)
+        schema = FeatureSchema(
+            specs=(FeatureSpec(name="user.x", side="user", column="x", kind="numeric"),)
+        )
+        model = fit_forest(
+            table_from(x, np.array([0.0, 1.0] * 10), schema),
+            ForestConfig(n_trees=3, min_leaf=1, seed=0),
+        )
+        for tree in model.trees:
+            assert tree.n_nodes == 3
+            assert below <= tree.threshold[0] < above
+        np.testing.assert_array_equal(predict_forest(model, x[:2]), [0.0, 1.0])
 
     def test_features_per_split_cannot_exceed_width(self):
         x, schema = numeric_table(30)
@@ -358,6 +380,147 @@ class TestForestSerialization:
         )
         assert again.schema == model.schema
         assert again.config == model.config
+
+
+class TestLevelwiseSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data())
+    def test_every_split_is_the_per_node_optimum(self, case):
+        n = case.draw(st.integers(12, 60), label="rows")
+        n_num = case.draw(st.integers(0, 2), label="numeric columns")
+        n_cat = case.draw(st.integers(1 if n_num == 0 else 0, 2), label="categorical columns")
+        columns, specs = [], []
+        for j in range(n_num):
+            distinct = case.draw(st.integers(1, 8))
+            columns.append(case.draw(st.lists(st.integers(0, distinct), min_size=n, max_size=n)))
+            specs.append(FeatureSpec(name=f"user.n{j}", side="user", column=f"n{j}", kind="numeric"))
+        for j in range(n_cat):
+            n_levels = case.draw(st.integers(2, 20))
+            columns.append(case.draw(st.lists(st.integers(0, n_levels - 1), min_size=n, max_size=n)))
+            specs.append(
+                FeatureSpec(
+                    name=f"item.c{j}", side="item", column=f"c{j}", kind="categorical",
+                    levels=tuple(f"lv{c}" for c in range(n_levels)),
+                )
+            )
+        # quarter-step labels keep every sum exact, so no split is a near tie
+        y = np.array(case.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))) / 4.0
+        assume(np.ptp(y) > 0)
+        x = np.array(columns, dtype=np.float64).T
+        x[:, :n_num] *= 0.5
+        p = x.shape[1]
+        is_cat = [spec.kind == "categorical" for spec in specs]
+        cfg = ForestConfig(
+            n_trees=2,
+            max_depth=5,
+            min_leaf=case.draw(st.integers(1, 4), label="min_leaf"),
+            features_per_split=case.draw(st.integers(1, p), label="features_per_split"),
+            seed=case.draw(st.integers(0, 2**32), label="seed"),
+        )
+        model = fit_forest(table_from(x, y, FeatureSchema(specs=tuple(specs))), cfg)
+        for t, tree in enumerate(model.trees):
+            # replay the tree's RNG contract: bootstrap, then one feature-subset
+            # draw per depth for that depth's splittable nodes in node order
+            rng = np.random.default_rng(
+                np.random.SeedSequence([_mask_seed(cfg.seed), 1, t])
+            )
+            level = [(0, rng.integers(0, n, size=n))]
+            for depth in range(cfg.max_depth + 1):
+                open_nodes = []
+                for node, idx in level:
+                    y_node = y[idx]
+                    sse = (y_node**2).sum() - y_node.sum() ** 2 / len(idx)
+                    if depth < cfg.max_depth and len(idx) >= 2 * cfg.min_leaf and sse > 1e-12:
+                        open_nodes.append((node, idx))
+                    else:
+                        assert tree.feature[node] < 0
+                if not open_nodes:
+                    break
+                chosen = np.argsort(
+                    rng.random((len(open_nodes), p)), axis=1, kind="stable"
+                )[:, : cfg.features_per_split]
+                level = []
+                for (node, idx), features in zip(open_nodes, chosen):
+                    best = per_node_best_split(x[idx], y[idx], features, is_cat, cfg.min_leaf)
+                    if best is None:
+                        assert tree.feature[node] < 0
+                        continue
+                    assert tree.feature[node] == best[1]
+                    go_left = _goes_left(tree, node, x[idx])
+                    left, right = idx[go_left], idx[~go_left]
+                    assert min(len(left), len(right)) >= cfg.min_leaf
+                    crit = y[left].sum() ** 2 / len(left) + y[right].sum() ** 2 / len(right)
+                    assert crit == pytest.approx(best[0], rel=1e-9)
+                    level += [(tree.left[node], left), (tree.right[node], right)]
+
+    def test_concurrent_fits_in_threads_match_sequential(self):
+        tables = []
+        for seed, n in ((30, 400), (31, 250)):
+            x, schema = numeric_table(n, seed=seed)
+            tables.append(table_from(x, np.sin(x[:, 0] * (seed - 25)), schema))
+        cfg = ForestConfig(n_trees=12, seed=32)
+        sequential = [fit_forest(table, cfg) for table in tables]
+        concurrent = [None, None]
+
+        def fit(i):
+            concurrent[i] = fit_forest(tables[i], cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=fit, args=(i,)) for i in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for seq, conc in zip(sequential, concurrent):
+            for ta, tb in zip(seq.trees, conc.trees):
+                assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+                assert np.array_equal(ta.value, tb.value, equal_nan=True)
+
+
+class TestFitForestInput:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (("x", 3, np.nan), "user.x"),
+            (("x", 0, np.inf), "user.x"),
+            (("y", 5, np.nan), "labels"),
+            (("y", 1, -np.inf), "labels"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, bad, message):
+        x, schema = numeric_table(20)
+        y = x[:, 0].copy()
+        where, row, value = bad
+        (x[:, 0] if where == "x" else y)[row] = value
+        with pytest.raises(ValueError, match=message):
+            fit_forest(table_from(x, y, schema), ForestConfig(n_trees=2, seed=0))
+
+    @pytest.mark.parametrize("code", [-1.0, 4.0, 1.5])
+    def test_categorical_values_must_be_level_codes(self, code):
+        x = np.tile(np.arange(4.0), 5).reshape(-1, 1)
+        x[7, 0] = code
+        schema = FeatureSchema(
+            specs=(
+                FeatureSpec(
+                    name="item.c", side="item", column="c",
+                    kind="categorical", levels=("a", "b", "c", "d"),
+                ),
+            )
+        )
+        with pytest.raises(ValueError, match="item.c"):
+            fit_forest(table_from(x, np.arange(20.0), schema), ForestConfig(n_trees=2, seed=0))
+
+
+def _goes_left(tree, node, rows):
+    values = rows[:, tree.feature[node]]
+    if tree.is_cat[node]:
+        return tree.members[node, values.astype(int)]
+    return values <= tree.threshold[node]
 
 
 def _leaf_counts(tree, rows):

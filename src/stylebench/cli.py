@@ -13,9 +13,11 @@ resolved config and input digests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import als as als_mod
@@ -31,7 +33,15 @@ from .data import (
     write_events,
 )
 from .errors import DataError, StylebenchError
-from .harness import EvalConfig, EvaluationReport, derive_seed, render_report, run_evaluation
+from .harness import (
+    EvalConfig,
+    EvaluationReport,
+    fit_cb_forest,
+    fit_factor_model,
+    render_report,
+    run_evaluation,
+    typed_config_value,
+)
 from .synth import SynthConfig, generate_dataset
 
 EXIT_OK = 0
@@ -39,11 +49,20 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
+# flat config key -> SynthConfig field; the synth_segment_* keys fill
+# segment_targets in (new, view, sale) order
 _SYNTH_KEYS = {
-    "synth_users", "synth_items", "synth_months", "synth_boundary_month",
-    "synth_skew", "synth_sparsity", "synth_segment_new", "synth_segment_view",
-    "synth_segment_sale", "synth_latent_dim",
+    "synth_users": "n_users",
+    "synth_items": "n_items",
+    "synth_months": "months",
+    "synth_boundary_month": "boundary_month",
+    "synth_skew": "popularity_skew",
+    "synth_sparsity": "target_sparsity",
+    "synth_latent_dim": "latent_dim",
 }
+_SEGMENT_KEYS = ("synth_segment_new", "synth_segment_view", "synth_segment_sale")
+# generator flag -> SynthConfig field
+_SYNTH_FLAGS = {"users": "n_users", "items": "n_items", "skew": "popularity_skew", "seed": "seed"}
 _PATH_KEYS = {"data", "out"}
 
 
@@ -79,27 +98,35 @@ def _split_config(raw: dict) -> tuple[dict, dict]:
     """Partition a flat config into evaluate and path keys, dropping the
     generator's ``synth_*`` keys."""
     paths = {k: v for k, v in raw.items() if k in _PATH_KEYS}
-    rest = {k: v for k, v in raw.items() if k not in _SYNTH_KEYS | _PATH_KEYS}
+    rest = {
+        k: v for k, v in raw.items()
+        if k not in _SYNTH_KEYS.keys() | _SEGMENT_KEYS | _PATH_KEYS
+    }
     return rest, paths
 
 
 def _synth_config(raw: dict, args) -> SynthConfig:
     """Generator config from the ``synth_*`` keys and ``seed`` of a flat
     config, overridden by flags."""
-    new = raw.get("synth_segment_new", 0.70)
-    view = raw.get("synth_segment_view", 0.22)
-    sale = raw.get("synth_segment_sale", 0.08)
-    return SynthConfig(
-        n_users=int(_flag(args, "users", raw.get("synth_users", 5000))),
-        n_items=int(_flag(args, "items", raw.get("synth_items", 400))),
-        months=int(raw.get("synth_months", 12)),
-        boundary_month=int(raw.get("synth_boundary_month", 8)),
-        popularity_skew=float(_flag(args, "skew", raw.get("synth_skew", 1.0))),
-        target_sparsity=float(raw.get("synth_sparsity", 0.99)),
-        segment_targets=(float(new), float(view), float(sale)),
-        latent_dim=int(raw.get("synth_latent_dim", 4)),
-        seed=int(_flag(args, "seed", raw.get("seed", 0))),
-    )
+    hints = typing.get_type_hints(SynthConfig)
+    try:
+        given = {
+            name: typed_config_value(key, raw[key], hints[name])
+            for key, name in {**_SYNTH_KEYS, "seed": "seed"}.items()
+            if key in raw
+        }
+        given["segment_targets"] = tuple(
+            typed_config_value(key, raw[key], float) if key in raw else default
+            for key, default in zip(_SEGMENT_KEYS, SynthConfig.segment_targets)
+        )
+        given.update(
+            (name, getattr(args, flag))
+            for flag, name in _SYNTH_FLAGS.items()
+            if getattr(args, flag, None) is not None
+        )
+        return SynthConfig(**given)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _flag(args, name: str, fallback):
@@ -122,9 +149,12 @@ def _eval_config(raw: dict, args) -> EvalConfig:
 def _resolve_boundary(args, raw: dict, data_path: Path):
     """Boundary from flag, config, or the manifest next to the data file."""
     if getattr(args, "boundary", None):
-        return parse_timestamp(args.boundary)
+        return args.boundary
     if raw.get("boundary"):
-        return parse_timestamp(raw["boundary"])
+        try:
+            return parse_timestamp(typed_config_value("boundary", raw["boundary"], str))
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
     manifest = data_path.parent / "manifest.json"
     if manifest.exists():
         try:
@@ -172,17 +202,7 @@ def _cmd_synth(args) -> int:
         {
             "command": "synth",
             "boundary": format_timestamp(cfg.boundary),
-            "synth_config": {
-                "n_users": cfg.n_users,
-                "n_items": cfg.n_items,
-                "months": cfg.months,
-                "boundary_month": cfg.boundary_month,
-                "popularity_skew": cfg.popularity_skew,
-                "target_sparsity": cfg.target_sparsity,
-                "segment_targets": list(cfg.segment_targets),
-                "latent_dim": cfg.latent_dim,
-                "seed": cfg.seed,
-            },
+            "synth_config": dataclasses.asdict(cfg),
             "files": _input_digests(data_path),
         },
     )
@@ -244,31 +264,12 @@ def _cmd_train(args) -> int:
     data = load_events(data_path)
     boundary = _resolve_boundary(args, raw, data_path)
     cfg = _eval_config({k: v for k, v in raw.items() if k != "boundary"}, args)
-    split = temporal_split(data, boundary)
-    als_cfg = als_mod.AlsConfig(
-        factors=cfg.als.factors,
-        regularization=cfg.als.regularization,
-        alpha=cfg.als.alpha,
-        sale_weight=cfg.als.sale_weight,
-        iterations=cfg.als.iterations,
-        seed=derive_seed(cfg.seed, "als"),
-    )
-    confidence = als_mod.build_confidence(split.train, als_cfg)
-    model = als_mod.fit_als(confidence, als_cfg)
+    train = temporal_split(data, boundary).train
+    confidence, model = fit_factor_model(cfg, train)
     if args.algo == "als":
         als_mod.save_model(model, out_path)
     else:
-        forest_cfg = forest_mod.ForestConfig(
-            n_trees=cfg.forest.n_trees,
-            max_depth=cfg.forest.max_depth,
-            min_leaf=cfg.forest.min_leaf,
-            features_per_split=cfg.forest.features_per_split,
-            negatives_per_user=cfg.forest.negatives_per_user,
-            seed=derive_seed(cfg.seed, "forest"),
-        )
-        table = forest_mod.augment_labels(split.train, confidence, model, forest_cfg)
-        forest = forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
-        forest_mod.save_forest(forest, out_path)
+        forest_mod.save_forest(fit_cb_forest(cfg, train, confidence, model), out_path)
     print(f"wrote {args.algo} model to {out_path}")
     return EXIT_OK
 
@@ -278,8 +279,6 @@ def _cmd_evaluate(args) -> int:
     raw, paths = _split_config(raw_all)
     data_path = Path(_require(args.data or paths.get("data"), "--data"))
     out_dir = Path(_flag(args, "out", paths.get("out")) or "eval_out")
-    if not data_path.exists():
-        raise DataError(f"no such data file: {data_path}")
     data = load_events(data_path)
     boundary = _resolve_boundary(args, raw, data_path)
     cfg = _eval_config({**raw, "boundary": format_timestamp(boundary)}, args)
@@ -306,7 +305,10 @@ def _cmd_report(args) -> int:
     report = EvaluationReport.from_json(report_path.read_text(encoding="utf-8"))
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     out_dir = Path(args.out or report_path.parent)
-    written = render_report(report, out_dir, formats=formats)
+    try:
+        written = render_report(report, out_dir, formats=formats)
+    except ValueError as exc:
+        raise _UsageError(f"--format {args.format!r}: {exc}") from None
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -341,18 +343,18 @@ def _build_parser() -> _Parser:
     p_stats = sub.add_parser("stats", help="print descriptive statistics")
     common(p_stats)
     p_stats.add_argument("--data", help="interactions file")
-    p_stats.add_argument("--boundary", help="RFC 3339 split boundary")
+    p_stats.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
 
     p_split = sub.add_parser("split", help="write the temporal split")
     common(p_split)
     p_split.add_argument("--data", help="interactions file")
-    p_split.add_argument("--boundary", help="RFC 3339 split boundary")
+    p_split.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
     p_split.add_argument("--out", help="output directory")
 
     p_train = sub.add_parser("train", help="fit and serialize one model")
     common(p_train)
     p_train.add_argument("--data", help="interactions file")
-    p_train.add_argument("--boundary", help="RFC 3339 split boundary")
+    p_train.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
     p_train.add_argument("--algo", choices=("als", "forest"), required=True)
     p_train.add_argument("--out", help="model output path")
     p_train.add_argument("--threads", type=int, help="worker cap")
@@ -360,7 +362,7 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("evaluate", help="run the full evaluation pipeline")
     common(p_eval)
     p_eval.add_argument("--data", help="interactions file")
-    p_eval.add_argument("--boundary", help="RFC 3339 split boundary")
+    p_eval.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
     p_eval.add_argument("--out", help="report output directory")
     p_eval.add_argument("--k", type=int, help="recommendation list length")
     p_eval.add_argument("--threads", type=int, help="worker cap")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -47,19 +49,68 @@ from .metrics import (
 from .recommend import (
     ALGORITHMS,
     RankedList,
-    _top_k_indices,
+    rank_scores,
     score_cb_users,
-    score_mp,
+    score_cf_users,
+    score_mp_users,
 )
 
 SEGMENT_ROWS = ("sale_users", "view_users", "new_users", "average")
 METRICS = ("ndcg", "ad", "rp")
+
+# flat config key -> (EvalConfig attribute holding the field, or None for
+# EvalConfig itself; field name). Defaults live only in the dataclasses.
+CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
+    "boundary": (None, "boundary"),
+    "k": (None, "k"),
+    "seed": (None, "seed"),
+    "grading": (None, "grading"),
+    "algorithms": (None, "algorithms"),
+    "exclude_purchased": (None, "exclude_purchased"),
+    "bootstrap_resamples": (None, "bootstrap_resamples"),
+    "threads": (None, "threads"),
+    "als_factors": ("als", "factors"),
+    "als_regularization": ("als", "regularization"),
+    "als_alpha": ("als", "alpha"),
+    "als_sale_weight": ("als", "sale_weight"),
+    "als_iterations": ("als", "iterations"),
+    "forest_trees": ("forest", "n_trees"),
+    "forest_max_depth": ("forest", "max_depth"),
+    "forest_min_leaf": ("forest", "min_leaf"),
+    "forest_features_per_split": ("forest", "features_per_split"),
+    "forest_negatives_per_user": ("forest", "negatives_per_user"),
+}
 
 
 def derive_seed(master: int, *tokens) -> int:
     """Stable named sub-seed: hash of the master seed and a token path."""
     digest = hashlib.sha256(repr((master,) + tokens).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def typed_config_value(key: str, value, hint):
+    """``value`` checked against the type hint of the field ``key`` sets.
+
+    Bools must be bools and ints must be ints that are not bools; a float
+    field also takes an int (returned as float), an ``X | None`` field
+    takes null, and a tuple field takes a list. Raises ValueError naming
+    the key.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        hint, args = args[0], typing.get_args(args[0])
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)) and all(isinstance(v, args[0]) for v in value):
+            return tuple(value)
+    elif hint is bool or not isinstance(value, bool):
+        if isinstance(value, hint):
+            return value
+        if hint is float and isinstance(value, int):
+            return float(value)
+    name = getattr(hint, "__name__", str(hint))
+    raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,72 +142,34 @@ class EvalConfig:
             raise ValueError("bootstrap_resamples must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "boundary": format_timestamp(self.boundary) if self.boundary else None,
-            "k": self.k,
-            "seed": self.seed,
-            "grading": self.grading,
-            "algorithms": list(self.algorithms),
-            "exclude_purchased": self.exclude_purchased,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "threads": self.threads,
-            "als_factors": self.als.factors,
-            "als_regularization": self.als.regularization,
-            "als_alpha": self.als.alpha,
-            "als_sale_weight": self.als.sale_weight,
-            "als_iterations": self.als.iterations,
-            "forest_trees": self.forest.n_trees,
-            "forest_max_depth": self.forest.max_depth,
-            "forest_min_leaf": self.forest.min_leaf,
-            "forest_features_per_split": self.forest.features_per_split,
-            "forest_negatives_per_user": self.forest.negatives_per_user,
+        out = {
+            key: getattr(getattr(self, sub) if sub else self, name)
+            for key, (sub, name) in CONFIG_KEYS.items()
         }
+        out["boundary"] = format_timestamp(self.boundary) if self.boundary else None
+        out["algorithms"] = list(self.algorithms)
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalConfig":
-        known = {
-            "boundary", "k", "seed", "grading", "algorithms", "exclude_purchased",
-            "bootstrap_resamples", "threads", "als_factors", "als_regularization",
-            "als_alpha", "als_sale_weight", "als_iterations", "forest_trees",
-            "forest_max_depth", "forest_min_leaf", "forest_features_per_split",
-            "forest_negatives_per_user",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        boundary = raw.get("boundary")
-        if isinstance(boundary, str):
-            boundary = parse_timestamp(boundary)
-        algorithms = raw.get("algorithms", list(ALGORITHMS))
-        if isinstance(algorithms, str):
-            algorithms = [a.strip() for a in algorithms.split(",") if a.strip()]
+        raw = dict(raw)
+        if isinstance(raw.get("boundary"), str):
+            raw["boundary"] = parse_timestamp(raw["boundary"])
+        if isinstance(raw.get("algorithms"), str):
+            raw["algorithms"] = [a.strip() for a in raw["algorithms"].split(",") if a.strip()]
+        owners = {None: cls, "als": als_mod.AlsConfig, "forest": forest_mod.ForestConfig}
+        hints = {sub: typing.get_type_hints(owner) for sub, owner in owners.items()}
+        given: dict = {sub: {} for sub in owners}
+        for key, value in raw.items():
+            sub, name = CONFIG_KEYS[key]
+            given[sub][name] = typed_config_value(key, value, hints[sub][name])
         return cls(
-            boundary=boundary,
-            k=int(raw.get("k", 10)),
-            seed=int(raw.get("seed", 0)),
-            grading=raw.get("grading", "graded"),
-            algorithms=tuple(algorithms),
-            exclude_purchased=bool(raw.get("exclude_purchased", False)),
-            bootstrap_resamples=int(raw.get("bootstrap_resamples", 1000)),
-            threads=int(raw.get("threads", 1)),
-            als=als_mod.AlsConfig(
-                factors=int(raw.get("als_factors", 32)),
-                regularization=float(raw.get("als_regularization", 0.1)),
-                alpha=float(raw.get("als_alpha", 40.0)),
-                sale_weight=float(raw.get("als_sale_weight", 5.0)),
-                iterations=int(raw.get("als_iterations", 15)),
-            ),
-            forest=forest_mod.ForestConfig(
-                n_trees=int(raw.get("forest_trees", 100)),
-                max_depth=int(raw.get("forest_max_depth", 12)),
-                min_leaf=int(raw.get("forest_min_leaf", 5)),
-                features_per_split=(
-                    int(raw["forest_features_per_split"])
-                    if raw.get("forest_features_per_split") is not None
-                    else None
-                ),
-                negatives_per_user=int(raw.get("forest_negatives_per_user", 50)),
-            ),
+            **given[None],
+            als=als_mod.AlsConfig(**given["als"]),
+            forest=forest_mod.ForestConfig(**given["forest"]),
         )
 
 
@@ -219,21 +232,8 @@ def short_head_curve(pop: PopularityTable) -> ShortHeadCurve:
 
 
 # ---------------------------------------------------------------------------
-# Per-algorithm scoring
+# Pipeline
 # ---------------------------------------------------------------------------
-
-
-class _AlgoResult:
-    """Per-user ranked lists and NDCG values for one algorithm."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.lists: dict[str, RankedList] = {}
-        self.ndcg: dict[str, float | None] = {}
-
-    @property
-    def covered(self) -> set[str]:
-        return set(self.lists)
 
 
 def _purchased_in_train(train: Dataset) -> dict[str, set[str]]:
@@ -244,26 +244,18 @@ def _purchased_in_train(train: Dataset) -> dict[str, set[str]]:
     return bought
 
 
-def _consume_scores(
-    result: _AlgoResult,
-    user: str,
-    vec: np.ndarray,
-    candidates: list[str],
-    rvals: np.ndarray,
-    k: int,
-    mask_idx: np.ndarray | None,
-) -> None:
-    if mask_idx is not None and len(mask_idx):
-        vec = vec.copy()
-        vec[mask_idx] = -np.inf
-    top = _top_k_indices(vec, k)
-    result.lists[user] = RankedList(
-        user_id=user,
-        items=tuple(candidates[i] for i in top),
-        scores=tuple(float(vec[i]) for i in top),
-        algorithm=result.name,
-    )
-    result.ndcg[user] = tie_aware_ndcg_arrays(vec, rvals, k)
+def fit_factor_model(cfg: EvalConfig, train: Dataset):
+    """The run's confidence matrix and ALS factor model."""
+    als_cfg = dataclasses.replace(cfg.als, seed=derive_seed(cfg.seed, "als"))
+    confidence = als_mod.build_confidence(train, als_cfg)
+    return confidence, als_mod.fit_als(confidence, als_cfg)
+
+
+def fit_cb_forest(cfg: EvalConfig, train: Dataset, confidence, factor_model):
+    """The run's ALS-augmented content-based forest."""
+    forest_cfg = dataclasses.replace(cfg.forest, seed=derive_seed(cfg.seed, "forest"))
+    table = forest_mod.augment_labels(train, confidence, factor_model, forest_cfg)
+    return forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
 
 
 def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
@@ -283,90 +275,56 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         pop = popularity_table(split.train)
 
     candidates = sorted(split.train.items)
+    cand_pos = {item: i for i, item in enumerate(candidates)}
     test_users = sorted(split.test.users)
     k = cfg.k
 
     with _stage("relevance"):
         rel = build_relevance(split.test, candidates, cfg.grading)
-    rel_vectors = {
-        u: np.array([rel[u].get(i, 0.0) for i in candidates], dtype=np.float64)
-        for u in test_users
-    }
     baselines = {
         u: random_baseline_ndcg(rel[u], len(candidates), k) for u in test_users
     }
 
+    def relevance_vector(user: str) -> np.ndarray:
+        vec = np.zeros(len(candidates))
+        for item, grade in rel[user].items():
+            vec[cand_pos[item]] = grade
+        return vec
+
     mask_by_user: dict[str, np.ndarray] = {}
     if cfg.exclude_purchased:
-        cand_pos = {item: i for i, item in enumerate(candidates)}
         for user, items in _purchased_in_train(split.train).items():
             mask_by_user[user] = np.array(
                 sorted(cand_pos[i] for i in items if i in cand_pos), dtype=np.int64
             )
 
-    results: dict[str, _AlgoResult] = {}
-    uncovered: dict[str, list[str]] = {}
-
-    if "MP" in cfg.algorithms:
-        with _stage("recommend_mp"):
-            result = _AlgoResult("MP")
-            mp_vec = score_mp(pop, candidates)
-            for user in test_users:
-                _consume_scores(
-                    result, user, mp_vec, candidates, rel_vectors[user], k,
-                    mask_by_user.get(user),
-                )
-            results["MP"] = result
-            uncovered["MP"] = []
-
-    factor_model = None
-    confidence = None
+    factor_model = forest_model = None
     if "CF" in cfg.algorithms or "CB" in cfg.algorithms:
         with _stage("fit_als"):
-            als_cfg = dataclasses.replace(cfg.als, seed=derive_seed(cfg.seed, "als"))
-            confidence = als_mod.build_confidence(split.train, als_cfg)
-            factor_model = als_mod.fit_als(confidence, als_cfg)
-
-    if "CF" in cfg.algorithms:
-        with _stage("recommend_cf"):
-            result = _AlgoResult("CF")
-            cand_idx = np.array(
-                [factor_model.item_index[i] for i in candidates], dtype=np.int64
-            )
-            missing: list[str] = []
-            for user in test_users:
-                if user not in factor_model.user_index:
-                    missing.append(user)
-                    continue
-                vec = factor_model.scores_for_user(user, cand_idx)
-                _consume_scores(
-                    result, user, vec, candidates, rel_vectors[user], k,
-                    mask_by_user.get(user),
-                )
-            results["CF"] = result
-            uncovered["CF"] = missing
-
+            confidence, factor_model = fit_factor_model(cfg, split.train)
     if "CB" in cfg.algorithms:
         with _stage("fit_forest"):
-            forest_cfg = dataclasses.replace(
-                cfg.forest, seed=derive_seed(cfg.seed, "forest")
-            )
-            table = forest_mod.augment_labels(
-                split.train, confidence, factor_model, forest_cfg
-            )
-            forest_model = forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
-        with _stage("recommend_cb"):
-            result = _AlgoResult("CB")
-            for user, vec in score_cb_users(
-                forest_model, test_users, candidates,
-                data.user_features, data.item_features,
-            ):
-                _consume_scores(
-                    result, user, vec, candidates, rel_vectors[user], k,
-                    mask_by_user.get(user),
+            forest_model = fit_cb_forest(cfg, split.train, confidence, factor_model)
+
+    scorers = {
+        "MP": lambda: score_mp_users(pop, test_users, candidates),
+        "CF": lambda: score_cf_users(factor_model, test_users, candidates),
+        "CB": lambda: score_cb_users(
+            forest_model, test_users, candidates,
+            data.user_features, data.item_features,
+        ),
+    }
+    lists: dict[str, dict[str, RankedList]] = {}
+    ndcg: dict[str, dict[str, float | None]] = {}
+    for algo in cfg.algorithms:
+        with _stage(f"recommend_{algo.lower()}"):
+            lists[algo], ndcg[algo] = {}, {}
+            for user, vec in scorers[algo]():
+                ranked, vec = rank_scores(
+                    user, vec, candidates, k, algo, mask_by_user.get(user)
                 )
-            results["CB"] = result
-            uncovered["CB"] = []
+                lists[algo][user] = ranked
+                ndcg[algo][user] = tie_aware_ndcg_arrays(vec, relevance_vector(user), k)
 
     with _stage("short_head"):
         head = short_head_curve(pop)
@@ -382,7 +340,6 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         metric: {row: {} for row in SEGMENT_ROWS} for metric in METRICS
     }
     for algo in cfg.algorithms:
-        result = results[algo]
         for row in SEGMENT_ROWS:
             # CF cannot cover new users, so its new-user and pooled rows
             # stay unavailable
@@ -390,10 +347,11 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
                 for metric in METRICS:
                     cells[metric][row][algo] = None
                 continue
-            members = [u for u in segment_members[row] if u in result.covered]
-            cells["ndcg"][row][algo] = _ndcg_cell(result, baselines, members)
-            cells["ad"][row][algo] = _ad_cell(result, members, k, cfg, row, algo)
-            cells["rp"][row][algo] = _rp_cell(result, members, pop, k, cfg, row, algo)
+            members = [u for u in segment_members[row] if u in lists[algo]]
+            ranked = [lists[algo][u] for u in members]
+            cells["ndcg"][row][algo] = _ndcg_cell(ndcg[algo], baselines, members)
+            cells["ad"][row][algo] = _ad_cell(ranked, k, cfg, row, algo)
+            cells["rp"][row][algo] = _rp_cell(ranked, pop, k, cfg, row, algo)
 
     # threads is an execution detail; keeping it out of the echo keeps
     # report.json byte-identical across --threads settings
@@ -403,8 +361,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         "dataset": stats.as_dict(),
         "coverage": {
             algo: {
-                "covered": len(results[algo].covered),
-                "uncovered": len(uncovered[algo]),
+                "covered": len(lists[algo]),
+                "uncovered": len(test_users) - len(lists[algo]),
             }
             for algo in cfg.algorithms
         },
@@ -419,14 +377,14 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     return EvaluationReport(payload=payload)
 
 
-def _ndcg_cell(result: _AlgoResult, baselines, members: list[str]) -> dict | None:
+def _ndcg_cell(ndcg: dict[str, float | None], baselines, members: list[str]) -> dict | None:
     if not members:
         return None
     try:
-        micro = micro_average_ndcg(result.ndcg[u] for u in members)
+        micro = micro_average_ndcg(ndcg[u] for u in members)
     except AllUndefined:
         return None
-    defined = [u for u in members if result.ndcg[u] is not None]
+    defined = [u for u in members if ndcg[u] is not None]
     baseline = float(np.mean([baselines[u] for u in defined]))
     return {
         "value": micro.value,
@@ -437,10 +395,9 @@ def _ndcg_cell(result: _AlgoResult, baselines, members: list[str]) -> dict | Non
     }
 
 
-def _ad_cell(result, members, k, cfg: EvalConfig, row, algo) -> dict | None:
-    if len(members) < 2:
+def _ad_cell(lists: list[RankedList], k, cfg: EvalConfig, row, algo) -> dict | None:
+    if len(lists) < 2:
         return None
-    lists = [result.lists[u] for u in members]
     value = avg_distinct_sampled(
         lists, k,
         seed=derive_seed(cfg.seed, "ad", row, algo),
@@ -455,10 +412,9 @@ def _ad_cell(result, members, k, cfg: EvalConfig, row, algo) -> dict | None:
     }
 
 
-def _rp_cell(result, members, pop, k, cfg: EvalConfig, row, algo) -> dict | None:
-    if not members:
+def _rp_cell(lists: list[RankedList], pop, k, cfg: EvalConfig, row, algo) -> dict | None:
+    if not lists:
         return None
-    lists = [result.lists[u] for u in members]
     value = relative_popularity(
         lists, pop, k,
         seed=derive_seed(cfg.seed, "rp", row, algo),
@@ -526,12 +482,12 @@ def render_report(
     ``value(SD)`` / ``value(pct-over-random)`` cell style with ``-`` for
     unavailable cells.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     formats = set(formats)
     unknown = formats - {"json", "csv", "markdown"}
     if unknown:
         raise ValueError(f"unknown report formats {sorted(unknown)}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if "json" in formats:
         path = out_dir / "report.json"

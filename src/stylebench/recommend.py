@@ -1,10 +1,12 @@
-"""Uniform top-k recommendation facade over the three strategies.
+"""One scoring path for the three strategies.
 
-All strategies rank the training-period candidate set only, break score
-ties by ascending item id, and truncate to min(k, #candidates). Most
-popular gives every user the same list; collaborative filtering covers
-only users seen in training (new users come back in an uncovered list);
-the content-based forest covers every user that has features.
+Each strategy is a generator of (user, score vector over the id-ascending
+training candidates): most popular yields one shared units-sold vector,
+collaborative filtering yields a factor-model vector for every user seen
+in training and skips the rest, and the content-based forest scores every
+user that has features. :func:`rank_scores` turns any such vector into a
+top-k list, breaking score ties by ascending item id and truncating to
+min(k, #candidates); the ``recommend_*`` functions compose the two.
 """
 
 from __future__ import annotations
@@ -40,6 +42,34 @@ class RankedList:
             raise ValueError("scores must be non-increasing")
 
 
+def rank_scores(
+    user: str,
+    scores: np.ndarray,
+    candidates: Sequence[str],
+    k: int,
+    algorithm: str,
+    exclude: np.ndarray | None = None,
+) -> tuple[RankedList, np.ndarray]:
+    """One user's top-k list from a score vector over id-ascending candidates.
+
+    Candidates at the ``exclude`` positions score ``-inf`` (on a copy, so a
+    shared vector is never touched). The stable descending sort makes equal
+    scores fall back to ascending item id. Returns the list and the vector
+    it was ranked by.
+    """
+    if exclude is not None and len(exclude):
+        scores = scores.copy()
+        scores[exclude] = -np.inf
+    top = np.argsort(-scores, kind="stable")[: min(k, len(scores))]
+    ranked = RankedList(
+        user_id=user,
+        items=tuple(candidates[i] for i in top),
+        scores=tuple(float(scores[i]) for i in top),
+        algorithm=algorithm,
+    )
+    return ranked, scores
+
+
 def top_k_select(scores: Mapping[str, float], k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """The k highest-scoring items, ties broken by ascending item id."""
     if k < 1:
@@ -48,23 +78,35 @@ def top_k_select(scores: Mapping[str, float], k: int) -> tuple[tuple[str, ...], 
         raise EmptyCandidates("no candidate items to rank")
     items = sorted(scores)
     vec = np.array([scores[i] for i in items], dtype=np.float64)
-    top = _top_k_indices(vec, k)
-    return tuple(items[i] for i in top), tuple(float(vec[i]) for i in top)
+    ranked, _ = rank_scores("", vec, items, k, "")
+    return ranked.items, ranked.scores
 
 
-def _top_k_indices(scores_by_id_asc: np.ndarray, k: int) -> np.ndarray:
-    """Top-k positions of a score vector indexed by id-ascending candidates.
+def score_mp_users(
+    pop: PopularityTable, users: Sequence[str], candidates: Sequence[str]
+) -> Iterator[tuple[str, np.ndarray]]:
+    """The units-sold vector, shared by every user."""
+    vec = np.array([pop.quantities[i] for i in candidates], dtype=np.float64)
+    return ((user, vec) for user in users)
 
-    The stable descending sort makes equal scores fall back to ascending
-    item id.
+
+def score_cf_users(
+    model: FactorModel, users: Sequence[str], candidates: Sequence[str]
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Factor-model vectors for training-known users; the rest are skipped.
+
+    Each user is one x_u . Y^T product, so a vector never depends on which
+    other users are scored.
     """
-    order = np.argsort(-scores_by_id_asc, kind="stable")
-    return order[: min(k, len(scores_by_id_asc))]
-
-
-def score_mp(pop: PopularityTable, candidates: Sequence[str]) -> np.ndarray:
-    """Units-sold score for each candidate (identical for every user)."""
-    return np.array([pop.quantities[i] for i in candidates], dtype=np.float64)
+    try:
+        cand_idx = np.array([model.item_index[i] for i in candidates], dtype=np.int64)
+    except KeyError as exc:
+        raise UnknownItem(f"candidate {exc.args[0]!r} was not in training") from None
+    return (
+        (user, model.scores_for_user(user, cand_idx))
+        for user in users
+        if user in model.user_index
+    )
 
 
 def score_cb_users(
@@ -96,30 +138,15 @@ def score_cb_users(
             yield user, preds[b * n_items : (b + 1) * n_items]
 
 
-def _ranked_from_vector(
-    user: str, candidates: Sequence[str], vec: np.ndarray, k: int, algorithm: str
-) -> RankedList:
-    top = _top_k_indices(vec, k)
-    return RankedList(
-        user_id=user,
-        items=tuple(candidates[i] for i in top),
-        scores=tuple(float(vec[i]) for i in top),
-        algorithm=algorithm,
-    )
-
-
 def recommend_mp(
     pop: PopularityTable, users: Sequence[str], k: int
 ) -> list[RankedList]:
     """The same most-popular list for every user; scores are quantities."""
     if not pop.quantities:
         raise EmptyCandidates("popularity table is empty")
-    items = pop.ranking[: min(k, len(pop.ranking))]
-    scores = tuple(float(pop.quantities[i]) for i in items)
-    return [
-        RankedList(user_id=u, items=items, scores=scores, algorithm="MP")
-        for u in sorted(users)
-    ]
+    candidates = sorted(pop.quantities)
+    scored = score_mp_users(pop, sorted(users), candidates)
+    return [rank_scores(u, vec, candidates, k, "MP")[0] for u, vec in scored]
 
 
 def recommend_cf(
@@ -131,19 +158,10 @@ def recommend_cf(
     """Factor-model lists for training-known users; the rest are returned
     uncovered rather than silently scored."""
     candidates = sorted(candidates)
-    try:
-        cand_idx = np.array([model.item_index[i] for i in candidates], dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownItem(f"candidate {exc.args[0]!r} was not in training") from None
-    lists: list[RankedList] = []
-    uncovered: list[str] = []
-    for user in sorted(users):
-        if user not in model.user_index:
-            uncovered.append(user)
-            continue
-        vec = model.scores_for_user(user, cand_idx)
-        lists.append(_ranked_from_vector(user, candidates, vec, k, "CF"))
-    return lists, uncovered
+    users = sorted(users)
+    scored = score_cf_users(model, users, candidates)
+    lists = [rank_scores(u, vec, candidates, k, "CF")[0] for u, vec in scored]
+    return lists, [u for u in users if u not in model.user_index]
 
 
 def recommend_cb(
@@ -157,8 +175,5 @@ def recommend_cb(
     """Forest lists for every user; features stand in for history, so new
     users are covered too."""
     candidates = sorted(candidates)
-    ordered = sorted(users)
-    lists: list[RankedList] = []
-    for user, vec in score_cb_users(model, ordered, candidates, user_features, item_features):
-        lists.append(_ranked_from_vector(user, candidates, vec, k, "CB"))
-    return lists
+    scored = score_cb_users(model, sorted(users), candidates, user_features, item_features)
+    return [rank_scores(u, vec, candidates, k, "CB")[0] for u, vec in scored]

@@ -160,3 +160,18 @@ def per_node_best_split(x_node, y_node, features, is_cat, min_leaf):
             best_crit = found[0]
             best = (found[0], int(f))
     return best
+
+
+def brute_force_top_k(scores, k):
+    """Positions of the top k scores: every position sorted by
+    (-score, position), truncated to min(k, n)."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return order[: min(k, len(scores))]
+
+
+def pop_ranking_mp(pop, users, k):
+    """Most-popular lists read straight off the popularity ranking:
+    (user, items, quantity scores) per user in ascending user order."""
+    items = tuple(pop.ranking[:k])
+    scores = tuple(float(pop.quantities[i]) for i in items)
+    return [(u, items, scores) for u in sorted(users)]

@@ -236,6 +236,17 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert dispatch(["evaluate"]) == EXIT_USAGE
 
+    def test_unknown_report_format_is_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("{}")
+        rc = dispatch([
+            "report", "--report", str(report), "--out", str(tmp_path / "out"),
+            "--format", "csv,pdf",
+        ])
+        assert rc == EXIT_USAGE
+        assert "pdf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys):
         _, _, data_path = workspace
         config = tmp_path / "bad.json"

@@ -148,14 +148,12 @@ class TestReportGrid:
         assert "CB" not in report.payload["cells"]["ndcg"]["average"]
 
     def test_purchased_mask_drops_items_without_mutating_scores(self):
-        from stylebench.harness import _AlgoResult, _consume_scores
+        from stylebench.recommend import rank_scores
 
-        result = _AlgoResult("MP")
         vec = np.array([5.0, 3.0, 1.0])
-        rvals = np.array([0.0, 1.0, 0.0])
-        _consume_scores(result, "u", vec, ["A", "B", "C"], rvals, 2,
-                        mask_idx=np.array([0]))
-        assert result.lists["u"].items == ("B", "C")
+        ranked, _ = rank_scores("u", vec, ["A", "B", "C"], 2, "MP",
+                                exclude=np.array([0]))
+        assert ranked.items == ("B", "C")
         assert vec[0] == 5.0
 
     def test_exclude_purchased_changes_buyers_cells(self):

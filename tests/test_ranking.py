@@ -1,0 +1,68 @@
+"""The single ranking path against brute-force oracles."""
+
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_top_k, pop_ranking_mp
+from stylebench.data import Dataset, InteractionEvent, Kind, popularity_table
+from stylebench.recommend import rank_scores, recommend_mp, top_k_select
+
+T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
+
+# few distinct values, so most vectors carry large tie groups
+tied_scores = st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, -3.0]), min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=tied_scores, k=st.integers(1, 40), data=st.data())
+def test_rank_scores_matches_oracle(scores, k, data):
+    n = len(scores)
+    exclude = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    vec = np.array(scores)
+    candidates = [f"i{j:03d}" for j in range(n)]
+    ranked, ranked_by = rank_scores(
+        "u", vec, candidates, k, "X", np.array(exclude, dtype=np.int64)
+    )
+    masked = [float("-inf") if j in exclude else s for j, s in enumerate(scores)]
+    top = brute_force_top_k(masked, k)
+    assert ranked.items == tuple(candidates[j] for j in top)
+    assert ranked.scores == tuple(masked[j] for j in top)
+    assert ranked_by.tolist() == masked
+    assert vec.tolist() == scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=tied_scores, k=st.integers(1, 40))
+def test_top_k_select_matches_oracle(scores, k):
+    by_item = {f"i{j:03d}": s for j, s in enumerate(scores)}
+    items, values = top_k_select(by_item, k)
+    top = brute_force_top_k(scores, k)
+    assert items == tuple(f"i{j:03d}" for j in top)
+    assert values == tuple(scores[j] for j in top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sales=st.lists(
+        st.tuples(st.integers(0, 14), st.integers(1, 4)), max_size=40
+    ),
+    n_items=st.integers(1, 15),
+    k=st.integers(1, 20),
+)
+def test_recommend_mp_matches_popularity_ranking(sales, n_items, k):
+    # every item is viewed once, so unsold items stay in the table at 0
+    events = [
+        InteractionEvent("v", f"i{j:02d}", Kind.VIEW, T0, 1) for j in range(n_items)
+    ]
+    events += [
+        InteractionEvent(f"u{n}", f"i{j % n_items:02d}", Kind.SALE,
+                         T0 + timedelta(hours=n + 1), q)
+        for n, (j, q) in enumerate(sales)
+    ]
+    pop = popularity_table(Dataset.from_events(events))
+    users = ["b", "a", "c"]
+    got = [(l.user_id, l.items, l.scores) for l in recommend_mp(pop, users, k)]
+    assert got == pop_ranking_mp(pop, users, k)

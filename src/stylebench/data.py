@@ -313,12 +313,17 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
         kind = Kind(kind_raw)
     except ValueError:
         raise UnknownKind(path, line_no, f"unknown kind {record['kind']!r}") from None
-    try:
-        quantity = int(record["quantity"])
-    except (TypeError, ValueError):
+    # an int (not a bool, not a float) or an integer string
+    quantity = record["quantity"]
+    if isinstance(quantity, str):
+        try:
+            quantity = int(quantity)
+        except ValueError:
+            pass
+    if type(quantity) is not int:
         raise MalformedRecord(
             path, line_no, f"quantity {record['quantity']!r} is not an integer"
-        ) from None
+        )
     if quantity < 1:
         raise NonPositiveQuantity(path, line_no, f"quantity {quantity} is not positive")
     if kind is Kind.VIEW and quantity != 1:
@@ -362,6 +367,8 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
         for cell in header[1:]:
             name, _, tag = cell.partition(":")
             tag = tag.strip().lower()
+            if any(name == seen for seen, _ in specs):
+                raise MalformedRecord(path, 1, f"column {name!r} appears twice")
             if tag in ("num", "numeric"):
                 specs.append((name, "numeric"))
             elif tag in ("cat", "categorical"):
@@ -370,7 +377,7 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
                 raise MalformedRecord(
                     path, 1, f"column {cell!r} lacks a :num/:cat type tag"
                 )
-        ids: list[str] = []
+        first_line: dict[str, int] = {}
         raw_cols: list[list[str]] = [[] for _ in specs]
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -379,7 +386,11 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
                 raise MalformedRecord(
                     path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}"
                 )
-            ids.append(row[0])
+            if row[0] in first_line:
+                raise MalformedRecord(
+                    path, line_no, f"id {row[0]!r} repeats line {first_line[row[0]]}"
+                )
+            first_line[row[0]] = line_no
             for j, ((name, kind), cell) in enumerate(zip(specs, row[1:])):
                 raw_cols[j].append(
                     _numeric_cell(cell, name, path, line_no) if kind == "numeric" else cell
@@ -388,7 +399,7 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
     for (name, kind), raw in zip(specs, raw_cols):
         dtype = np.float64 if kind == "numeric" else object
         columns[name] = FeatureColumn(kind=kind, values=np.array(raw, dtype=dtype))
-    return FeatureTable(ids=tuple(ids), columns=columns)
+    return FeatureTable(ids=tuple(first_line), columns=columns)
 
 
 def _numeric_cell(cell: str, name: str, path: Path, line_no: int) -> float:

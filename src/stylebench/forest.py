@@ -10,6 +10,7 @@ variance-reducing split among a seeded random feature subset.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -105,10 +106,8 @@ def encode_entities(
 
 @dataclass(frozen=True, eq=False)
 class AugmentedTable:
-    """Training rows: (user, item, encoded features, augmented label)."""
+    """Training rows: encoded (user, item) features and augmented labels."""
 
-    user_ids: tuple[str, ...]
-    item_ids: tuple[str, ...]
     features: np.ndarray
     labels: np.ndarray
     schema: FeatureSchema
@@ -252,8 +251,6 @@ def augment_labels(
     i_idx = np.array(item_rows, dtype=np.int64)
     features = np.hstack([enc_users[u_idx], enc_items[i_idx]])
     return AugmentedTable(
-        user_ids=tuple(users[u] for u in user_rows),
-        item_ids=tuple(items[i] for i in item_rows),
         features=features,
         labels=np.array(labels, dtype=np.float64),
         schema=schema,
@@ -551,19 +548,6 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
     )
 
 
-# Set by the initializer of fit_forest's process pool, in the workers only.
-_worker_state: _FitState | None = None
-
-
-def _init_worker(state: _FitState) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _fit_tree_in_worker(tree_index: int) -> Tree:
-    return _fit_tree(_worker_state, tree_index)
-
-
 def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> ForestModel:
     """Train n_trees trees on seeded bootstrap resamples.
 
@@ -588,11 +572,9 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
         )
     state = _FitState.build(table, cfg)
     if threads > 1:
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(state,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             trees = tuple(
-                pool.map(_fit_tree_in_worker, range(cfg.n_trees),
+                pool.map(functools.partial(_fit_tree, state), range(cfg.n_trees),
                          chunksize=max(1, cfg.n_trees // (4 * threads)))
             )
     else:

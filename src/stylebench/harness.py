@@ -281,15 +281,15 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
 
     with _stage("relevance"):
         rel = build_relevance(split.test, candidates, cfg.grading)
+        # each user's graded candidate positions and their grades
+        graded = {
+            u: (np.array([cand_pos[i] for i in rel[u]], dtype=np.int64),
+                np.array(list(rel[u].values()), dtype=np.float64))
+            for u in test_users
+        }
     baselines = {
         u: random_baseline_ndcg(rel[u], len(candidates), k) for u in test_users
     }
-
-    def relevance_vector(user: str) -> np.ndarray:
-        vec = np.zeros(len(candidates))
-        for item, grade in rel[user].items():
-            vec[cand_pos[item]] = grade
-        return vec
 
     mask_by_user: dict[str, np.ndarray] = {}
     if cfg.exclude_purchased:
@@ -324,7 +324,7 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
                     user, vec, candidates, k, algo, mask_by_user.get(user)
                 )
                 lists[algo][user] = ranked
-                ndcg[algo][user] = tie_aware_ndcg_arrays(vec, relevance_vector(user), k)
+                ndcg[algo][user] = tie_aware_ndcg_arrays(vec, ranked.scores, *graded[user])
 
     with _stage("short_head"):
         head = short_head_curve(pop)

@@ -112,49 +112,54 @@ def tie_aware_ndcg_at_k(
     """Expected NDCG@k over all orderings of equally scored items.
 
     ``scores`` must cover the whole candidate set for the user; ``rels``
-    holds this user's grades for (a subset of) those items. Items tied on
-    score contribute their group's mean relevance at every position the
-    group spans. Returns None when the user has no relevant item (ideal
-    DCG is zero).
+    holds this user's grades for (a subset of) those items. Returns None
+    when the user has no relevant item (ideal DCG is zero).
     """
-    items = list(scores)
-    svals = np.array([scores[i] for i in items], dtype=np.float64)
-    rvals = np.array([rels.get(i, 0.0) for i in items], dtype=np.float64)
-    return tie_aware_ndcg_arrays(svals, rvals, k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    svals = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    grades = np.array([rels.get(i, 0.0) for i in scores], dtype=np.float64)
+    return tie_aware_ndcg_arrays(
+        svals, -np.sort(-svals)[:k], np.arange(len(svals)), grades
+    )
 
 
 def tie_aware_ndcg_arrays(
-    svals: np.ndarray, rvals: np.ndarray, k: int
+    svals: np.ndarray,
+    top_scores: Sequence[float],
+    positions: np.ndarray,
+    grades: np.ndarray,
 ) -> float | None:
-    """Array form of :func:`tie_aware_ndcg_at_k` over parallel vectors."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(svals) == 0:
+    """Tie-aware NDCG read off a ranking, at k = ``len(top_scores)``.
+
+    ``svals`` is the vector the user was ranked by, ``top_scores`` its top
+    min(k, n) scores in rank order (NDCG@k equals NDCG@n when k > n), and
+    ``grades`` the user's non-negative grades at candidate ``positions``.
+    Every distinct value in ``top_scores`` is one tie group, starting at
+    its first rank there and spanning as many ranks as ``svals`` holds
+    that value; it contributes its mean grade at every rank it covers
+    above the cutoff (McSherry & Najork, ECIR 2008), so nothing over the
+    candidates is sorted. Returns None when there is no candidate or no
+    positive grade.
+    """
+    if len(svals) == 0 or not (grades > 0.0).any():
         return None
-    if not np.any(rvals > 0.0):
-        return None
-
-    order = np.argsort(-svals, kind="stable")
-    sorted_scores = svals[order]
-    sorted_rels = rvals[order]
-    n = len(svals)
-    prefix = _discount_prefix(min(k, n))
-
-    expected_dcg = 0.0
-    start = 0  # 0-based index of the current tie group
-    while start < n and start < k:
-        end = start + 1
-        while end < n and sorted_scores[end] == sorted_scores[start]:
-            end += 1
-        # group occupies 1-based positions start+1 .. end; discount only
-        # the positions at or above the cutoff
-        span_hi = min(end, k)
-        discount_sum = prefix[span_hi] - prefix[start]
-        expected_dcg += sorted_rels[start:end].mean() * discount_sum
-        start = end
-
-    ideal = dcg_at_k(np.sort(rvals)[::-1], k)
-    return expected_dcg / ideal
+    m = len(top_scores)
+    ideal = dcg_at_k(np.sort(grades)[::-1], m)
+    top = np.array(top_scores, dtype=np.float64)
+    starts = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
+    values = top[starts]
+    # only the last group can reach past the top-k; the others lie inside it
+    last_end = starts[-1] + np.count_nonzero(svals == values[-1])
+    ends = np.concatenate((starts[1:], [last_end]))
+    # a graded score below every group lands in the dropped bin len(values)
+    group = np.searchsorted(-values, -svals[positions])
+    grade_sums = np.bincount(group, weights=grades, minlength=len(values) + 1)
+    prefix = _discount_prefix(m)
+    spans = prefix[np.minimum(ends, m)] - prefix[starts]
+    gains = grade_sums[:-1] / (ends - starts) * spans
+    # cumsum adds the groups strictly in rank order; np.sum would pair them
+    return gains.cumsum()[-1] / ideal
 
 
 def random_baseline_ndcg(
@@ -162,22 +167,14 @@ def random_baseline_ndcg(
     n_candidates: int,
     k: int,
 ) -> float | None:
-    """Expected NDCG@k of a uniformly random ranking of the candidates.
-
-    Equivalent to :func:`tie_aware_ndcg_at_k` with all scores equal, i.e.
-    one tie group spanning the whole list.
-    """
+    """Expected NDCG@k of a uniformly random ranking of the candidates:
+    the tie-aware NDCG of all-equal scores, i.e. one tie group spanning
+    the whole list. ``rels`` grades (a subset of) the candidates."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n_candidates < 1:
-        return None
-    total_rel = float(sum(rels.values()))
-    if total_rel <= 0.0:
-        return None
-    prefix = _discount_prefix(min(k, n_candidates))
-    expected_dcg = (total_rel / n_candidates) * prefix[min(k, n_candidates)]
-    ideal = dcg_at_k(sorted(rels.values(), reverse=True), k)
-    return expected_dcg / ideal
+    svals = np.zeros(n_candidates)
+    grades = np.fromiter(rels.values(), dtype=np.float64, count=len(rels))
+    return tie_aware_ndcg_arrays(svals, svals[:k], np.arange(len(grades)), grades)
 
 
 def micro_average_ndcg(per_user: Iterable[float | None]) -> MicroAverage:

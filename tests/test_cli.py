@@ -268,3 +268,21 @@ class TestExitCodes:
             "stats", "--data", str(bad), "--boundary", "2022-01-02T00:00:00Z",
         ])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "sidecar, line",
+        [("user_id,age:num\nu1,20\nu1,30\n", 3), ("user_id,age:num,age:num\nu1,20,30\n", 1)],
+    )
+    def test_malformed_sidecar_is_data_error(self, tmp_path, capsys, sidecar, line):
+        data = tmp_path / "events.csv"
+        data.write_text(
+            "user_id,item_id,kind,timestamp,quantity\n"
+            "u1,i1,view,2022-01-01T00:00:00Z,1\n"
+        )
+        users = tmp_path / "events.users.csv"
+        users.write_text(sidecar)
+        rc = dispatch([
+            "stats", "--data", str(data), "--boundary", "2022-01-02T00:00:00Z",
+        ])
+        assert rc == EXIT_DATA
+        assert f"{users}:{line}:" in capsys.readouterr().err

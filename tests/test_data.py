@@ -103,6 +103,27 @@ class TestIngestion:
         assert data.events[0].quantity == 3
         assert data.events[0].kind is Kind.SALE
 
+    @pytest.mark.parametrize("quantity", ["2.7", "true", "2.0", '"2.5"', "[2]"])
+    def test_jsonl_quantity_must_be_an_integer(self, tmp_path, quantity):
+        f = tmp_path / "events.jsonl"
+        row = (
+            '{"user_id": "u1", "item_id": "i1", "kind": "sale", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": %s}\n'
+        )
+        f.write_text(row % "3" + row % quantity, encoding="utf-8")
+        with pytest.raises(MalformedRecord) as exc:
+            load_events(f)
+        assert exc.value.line_no == 2
+
+    def test_jsonl_integer_string_quantity_accepted(self, tmp_path):
+        f = tmp_path / "events.jsonl"
+        f.write_text(
+            '{"user_id": "u1", "item_id": "i1", "kind": "sale", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": "4"}\n',
+            encoding="utf-8",
+        )
+        assert load_events(f).events[0].quantity == 4
+
     def test_view_with_quantity_over_one_rejected(self, tmp_path):
         f = tmp_path / "events.csv"
         write_csv(f, ["u1,i1,view,2022-01-01T00:00:00Z,2"])
@@ -383,3 +404,20 @@ class TestFeatureTables:
             load_feature_table(path, "user_id")
         assert exc.value.line_no == 4
         assert str(exc.value).startswith(f"{path}:4:")
+
+    def test_repeated_id_named_with_line(self, tmp_path):
+        path = tmp_path / "bad.items.csv"
+        path.write_text("item_id,price:num\ni1,20\ni2,30\ni1,40\n")
+        with pytest.raises(MalformedRecord) as exc:
+            load_feature_table(path, "item_id")
+        assert exc.value.line_no == 4
+        assert str(exc.value).startswith(f"{path}:4:")
+        assert "'i1'" in str(exc.value)
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.users.csv"
+        path.write_text("user_id,age:num,age:cat\nu1,20,a\n")
+        with pytest.raises(MalformedRecord) as exc:
+            load_feature_table(path, "user_id")
+        assert exc.value.line_no == 1
+        assert "age" in str(exc.value)

@@ -45,10 +45,7 @@ def numeric_table(n, seed=0, name="x"):
 
 
 def table_from(x, y, schema):
-    n = len(y)
     return AugmentedTable(
-        user_ids=tuple(f"u{i}" for i in range(n)),
-        item_ids=tuple("i0" for _ in range(n)),
         features=np.asarray(x, dtype=np.float64),
         labels=np.asarray(y, dtype=np.float64),
         schema=schema,
@@ -87,16 +84,27 @@ class TestAugmentLabels:
         )
         return train, cm, factors
 
+    @staticmethod
+    def labels_by_pair(table):
+        """Label per (user, item), read back from the fixture's distinct
+        user ages and item prices."""
+        user = {30.0: "u1", 40.0: "u2"}
+        item = {10.0: "iA", 20.0: "iB", 30.0: "iC"}
+        return {
+            (user[age], item[price]): label
+            for (age, price), label in zip(table.features.tolist(), table.labels)
+        }
+
     def test_observed_view_label(self):
         train, cm, factors = self._fixture()
         table = augment_labels(train, cm, factors, ForestConfig(negatives_per_user=2))
-        labels = dict(zip(zip(table.user_ids, table.item_ids), table.labels))
+        labels = self.labels_by_pair(table)
         assert labels[("u1", "iA")] == pytest.approx(1.0)
 
     def test_observed_sale_label_keeps_weight(self):
         train, cm, factors = self._fixture()
         table = augment_labels(train, cm, factors, ForestConfig(negatives_per_user=2))
-        labels = dict(zip(zip(table.user_ids, table.item_ids), table.labels))
+        labels = self.labels_by_pair(table)
         assert labels[("u2", "iB")] == pytest.approx(5.0)
         assert labels[("u2", "iC")] == pytest.approx(1.0)
 
@@ -104,7 +112,7 @@ class TestAugmentLabels:
         train, cm, factors = self._fixture()
         # u1 x iB and u1 x iC both score 1.7 -> clamped to 1.0
         table = augment_labels(train, cm, factors, ForestConfig(negatives_per_user=2))
-        labels = dict(zip(zip(table.user_ids, table.item_ids), table.labels))
+        labels = self.labels_by_pair(table)
         assert labels[("u1", "iB")] == pytest.approx(1.0)
         assert labels[("u1", "iC")] == pytest.approx(1.0)
         # u2's only unobserved item scores 0.0, inside the clamp range
@@ -113,8 +121,9 @@ class TestAugmentLabels:
     def test_feature_rows_concatenate_user_then_item(self):
         train, cm, factors = self._fixture()
         table = augment_labels(train, cm, factors, ForestConfig(negatives_per_user=1))
-        row = dict(zip(zip(table.user_ids, table.item_ids), table.features.tolist()))
-        assert row[("u1", "iA")] == [30.0, 10.0]
+        # u1 is the first user and iA its only observed item, so row 0
+        assert table.features[0].tolist() == [30.0, 10.0]
+        assert self.labels_by_pair(table)[("u1", "iA")] == pytest.approx(1.0)
 
     def test_missing_features_named(self):
         users = FeatureTable(
@@ -147,7 +156,7 @@ class TestAugmentLabels:
         cfg = ForestConfig(negatives_per_user=1, seed=9)
         a = augment_labels(train, cm, factors, cfg)
         b = augment_labels(train, cm, factors, cfg)
-        assert a.user_ids == b.user_ids and a.item_ids == b.item_ids
+        assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_top_k, pop_ranking_mp
+from oracles import brute_force_tie_aware_ndcg, brute_force_top_k, pop_ranking_mp
 from stylebench.data import Dataset, InteractionEvent, Kind, popularity_table
+from stylebench.metrics import random_baseline_ndcg, tie_aware_ndcg_arrays
 from stylebench.recommend import rank_scores, recommend_mp, top_k_select
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -66,3 +67,41 @@ def test_recommend_mp_matches_popularity_ranking(sales, n_items, k):
     users = ["b", "a", "c"]
     got = [(l.user_id, l.items, l.scores) for l in recommend_mp(pop, users, k)]
     assert got == pop_ranking_mp(pop, users, k)
+
+
+# the brute-force NDCG oracle enumerates every tie order, so keep n <= 7
+small_tied_scores = st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, -3.0]), min_size=1, max_size=7)
+grade_lists = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0]), min_size=7, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=small_tied_scores, grades=grade_lists, k=st.integers(1, 10), data=st.data())
+def test_ndcg_from_the_ranking_matches_oracle(scores, grades, k, data):
+    n = len(scores)
+    exclude = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    candidates = [f"i{j}" for j in range(n)]
+    ranked, ranked_by = rank_scores(
+        "u", np.array(scores), candidates, k, "X", np.array(exclude, dtype=np.int64)
+    )
+    positions = np.flatnonzero(grades[:n])
+    value = tie_aware_ndcg_arrays(
+        ranked_by, ranked.scores, positions, np.array(grades)[positions]
+    )
+    masked = {c: float("-inf") if j in exclude else scores[j] for j, c in enumerate(candidates)}
+    oracle = brute_force_tie_aware_ndcg(masked, dict(zip(candidates, grades)), k)
+    if oracle is None:
+        assert value is None
+    else:
+        assert abs(value - oracle) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), grades=grade_lists, k=st.integers(1, 10))
+def test_random_baseline_matches_oracle_on_equal_scores(n, grades, k):
+    rels = {f"i{j}": g for j, g in enumerate(grades[:n]) if g > 0.0}
+    oracle = brute_force_tie_aware_ndcg({f"i{j}": 0.0 for j in range(n)}, rels, k)
+    value = random_baseline_ndcg(rels, n, k)
+    if oracle is None:
+        assert value is None
+    else:
+        assert abs(value - oracle) <= 1e-9

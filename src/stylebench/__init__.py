@@ -38,6 +38,7 @@ from .forest import (
     augment_labels,
     fit_forest,
     predict_forest,
+    predict_forest_grid,
 )
 from .harness import (
     EvalConfig,

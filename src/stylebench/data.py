@@ -17,6 +17,7 @@ import csv
 import enum
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -302,6 +303,7 @@ class DatasetStats:
 # ---------------------------------------------------------------------------
 
 _REQUIRED_FIELDS = ("user_id", "item_id", "kind", "timestamp", "quantity")
+_DIGITS = re.compile("[0-9]+")
 
 
 def _event_from_record(record: Mapping[str, object], path, line_no) -> InteractionEvent:
@@ -313,16 +315,17 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
         kind = Kind(kind_raw)
     except ValueError:
         raise UnknownKind(path, line_no, f"unknown kind {record['kind']!r}") from None
-    # an int (not a bool, not a float) or an integer string
+    # an int (not a bool, not a float) or a string of ASCII digits; int()
+    # alone would also take "1_0", " +3 " and non-ASCII digits
     quantity = record["quantity"]
-    if isinstance(quantity, str):
+    if isinstance(quantity, str) and _DIGITS.fullmatch(quantity):
         try:
             quantity = int(quantity)
-        except ValueError:
+        except ValueError:  # longer than int()'s digit limit
             pass
     if type(quantity) is not int:
         raise MalformedRecord(
-            path, line_no, f"quantity {record['quantity']!r} is not an integer"
+            path, line_no, f"quantity {record['quantity']!r} is not an integer (digits 0-9)"
         )
     if quantity < 1:
         raise NonPositiveQuantity(path, line_no, f"quantity {quantity} is not positive")

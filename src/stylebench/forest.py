@@ -163,6 +163,21 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    def goes_left(self, nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """The split test: whether feature values ``vals`` take the left
+        branch at ``nodes``, which index the last axis of ``vals``.
+
+        A categorical node tests membership of the level code, a numeric
+        node ``vals <= threshold`` (so NaN goes right).
+        """
+        with np.errstate(invalid="ignore"):
+            left = vals <= self.threshold[nodes]
+        cat = self.is_cat[nodes]
+        if cat.any():
+            codes = np.clip(vals[..., cat].astype(np.int64), 0, self.members.shape[1] - 1)
+            left[..., cat] = self.members[nodes[cat], codes]
+        return left
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         n = len(x)
         cur = np.zeros(n, dtype=np.int64)
@@ -173,13 +188,7 @@ class Tree:
             if not internal.any():
                 break
             vals = x[row_ids, np.where(internal, feat, 0)]
-            with np.errstate(invalid="ignore"):
-                go_left = vals <= self.threshold[cur]
-            cat = self.is_cat[cur] & internal
-            if cat.any():
-                codes = np.clip(vals.astype(np.int64), 0, self.members.shape[1] - 1)
-                go_left = np.where(cat, self.members[cur, codes], go_left)
-            nxt = np.where(go_left, self.left[cur], self.right[cur])
+            nxt = np.where(self.goes_left(cur, vals), self.left[cur], self.right[cur])
             cur = np.where(internal, nxt, cur)
         return self.value[cur]
 
@@ -572,10 +581,11 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
         )
     state = _FitState.build(table, cfg)
     if threads > 1:
+        # the state is pickled once per task chunk, so one chunk per worker
         with ProcessPoolExecutor(max_workers=threads) as pool:
             trees = tuple(
                 pool.map(functools.partial(_fit_tree, state), range(cfg.n_trees),
-                         chunksize=max(1, cfg.n_trees // (4 * threads)))
+                         chunksize=math.ceil(cfg.n_trees / threads))
             )
     else:
         trees = tuple(_fit_tree(state, t) for t in range(cfg.n_trees))
@@ -599,6 +609,99 @@ def predict_forest(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         total += tree.predict(rows)
     return total / len(model.trees)
+
+
+def predict_forest_grid(
+    model: ForestModel, enc_users: np.ndarray, enc_items: np.ndarray
+) -> np.ndarray:
+    """Mean of per-tree predictions for every (user, item) pair.
+
+    Entry (u, i) equals ``predict_forest`` on the row ``enc_users[u]``
+    followed by ``enc_items[i]``, bit for bit: trees are summed in the same
+    order. Every node tests either a user column or an item column, so each
+    node is decided once per user or once per item (QuickScorer, Lucchese et
+    al., SIGIR 2015), never once per pair. The pairs then walk each tree
+    with one next-node table lookup per step, alternating sides.
+    """
+    enc_users = np.asarray(enc_users, dtype=np.float64)
+    enc_items = np.asarray(enc_items, dtype=np.float64)
+    n_user = len(model.schema.side_specs("user"))
+    widths = (n_user, model.schema.n_features - n_user)
+    if enc_users.ndim != 2 or enc_items.ndim != 2 or (
+        (enc_users.shape[1], enc_items.shape[1]) != widths
+    ):
+        raise SchemaMismatch(
+            f"expected user and item rows of widths {widths}, "
+            f"got {enc_users.shape} and {enc_items.shape}"
+        )
+    n_max = max(tree.n_nodes for tree in model.trees)
+    dtype = np.int32 if max(len(enc_users), len(enc_items)) * n_max < 2**31 else np.int64
+    # one next-node table per side, reused by every tree; entity e's row
+    # starts at flat index base[e]
+    tables = [np.empty((len(enc), n_max), dtype=dtype) for enc in (enc_users, enc_items)]
+    bases = (
+        (np.arange(len(enc_users), dtype=dtype) * n_max)[:, None],
+        np.arange(len(enc_items), dtype=dtype) * n_max,
+    )
+    total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
+    cur = np.empty(total.shape, dtype=dtype)
+    idx = np.empty_like(cur)
+    for tree in model.trees:
+        order, root = _fill_side_tables(tree, enc_users, enc_items, tables)
+        first = 0 if tree.feature[0] < n_user else 1
+        cur.fill(root)
+        # steps alternate sides starting with the root's, so a path of d
+        # internal nodes is decided within 2d - 1 steps
+        for step in range(2 * _depth(tree) - 1):
+            side = (first + step) % 2
+            np.add(cur, bases[side], out=idx)
+            tables[side].take(idx, out=cur)
+        total += tree.value[order][cur]
+    return total / len(model.trees)
+
+
+def _fill_side_tables(
+    tree: Tree, enc_users: np.ndarray, enc_items: np.ndarray, tables: list[np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """Fill each side's next-node table for ``tree``.
+
+    Nodes are renumbered user-side first, then item-side, then leaves, so
+    each side's decided nodes are one block of columns. Row e of a side's
+    table holds the child that entity e's answer picks at that side's
+    nodes, and the node itself everywhere else. Returns the old number of
+    each new node and the root's new number.
+    """
+    n_nodes, n_user = tree.n_nodes, enc_users.shape[1]
+    internal = tree.feature >= 0
+    user_node = internal & (tree.feature < n_user)
+    sides = (np.flatnonzero(user_node), np.flatnonzero(internal & ~user_node))
+    order = np.concatenate(sides + (np.flatnonzero(~internal),))
+    new = np.empty(n_nodes, dtype=tables[0].dtype)
+    new[order] = np.arange(n_nodes, dtype=new.dtype)
+    start = 0
+    for enc, nodes, offset, table in zip((enc_users, enc_items), sides, (0, n_user), tables):
+        stop = start + len(nodes)
+        left = tree.goes_left(nodes, enc[:, tree.feature[nodes] - offset])
+        table[:, :start] = np.arange(start, dtype=table.dtype)
+        # the left child if left else the right: right + left * (left - right)
+        right = new[tree.right[nodes]]
+        chosen = table[:, start:stop]
+        np.multiply(left, new[tree.left[nodes]] - right, out=chosen)
+        chosen += right
+        table[:, stop:n_nodes] = np.arange(stop, n_nodes, dtype=table.dtype)
+        start = stop
+    return order, int(new[0])
+
+
+def _depth(tree: Tree) -> int:
+    """Internal nodes on the longest root-to-leaf path."""
+    nodes = np.zeros(1, dtype=np.int64)
+    for depth in range(tree.n_nodes):
+        nodes = nodes[tree.feature[nodes] >= 0]
+        if len(nodes) == 0:
+            return depth
+        nodes = np.concatenate([tree.left[nodes], tree.right[nodes]])
+    return tree.n_nodes
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .als import FactorModel
 from .data import FeatureTable, PopularityTable
 from .errors import EmptyCandidates, UnknownItem
-from .forest import ForestModel, encode_entities, predict_forest
+from .forest import ForestModel, encode_entities, predict_forest_grid
 
 ALGORITHMS = ("MP", "CF", "CB")
 
@@ -119,23 +119,14 @@ def score_cb_users(
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Yield (user_id, score vector over candidates) from the forest.
 
-    Encodes each side once and assembles (user x candidate) rows in user
-    batches to bound memory.
+    Encodes each side once and scores the user x candidate grid in user
+    batches, which bound the forest's per-tree next-node tables.
     """
-    n_items = len(candidates)
     enc_items = encode_entities(model.schema, item_features, "item", list(candidates))
     enc_users = encode_entities(model.schema, user_features, "user", list(users))
     for start in range(0, len(users), batch_users):
-        batch = list(users[start : start + batch_users])
-        rows = np.hstack(
-            [
-                np.repeat(enc_users[start : start + len(batch)], n_items, axis=0),
-                np.tile(enc_items, (len(batch), 1)),
-            ]
-        )
-        preds = predict_forest(model, rows)
-        for b, user in enumerate(batch):
-            yield user, preds[b * n_items : (b + 1) * n_items]
+        preds = predict_forest_grid(model, enc_users[start : start + batch_users], enc_items)
+        yield from zip(users[start : start + batch_users], preds)
 
 
 def recommend_mp(

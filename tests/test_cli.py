@@ -269,6 +269,18 @@ class TestExitCodes:
         ])
         assert rc == EXIT_DATA
 
+    def test_non_decimal_quantity_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "user_id,item_id,kind,timestamp,quantity\n"
+            "u1,i1,sale,2022-01-01T00:00:00Z,1_0\n"
+        )
+        rc = dispatch([
+            "stats", "--data", str(bad), "--boundary", "2022-01-02T00:00:00Z",
+        ])
+        assert rc == EXIT_DATA
+        assert f"{bad}:2:" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "sidecar, line",
         [("user_id,age:num\nu1,20\nu1,30\n", 3), ("user_id,age:num,age:num\nu1,20,30\n", 1)],

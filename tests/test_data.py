@@ -115,6 +115,30 @@ class TestIngestion:
             load_events(f)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("quantity", [
+        "1_0", " +3 ", "+3", "3 ", "\u0663", "-2", pytest.param("1" * 5000, id="5000-digits"),
+    ])
+    def test_integer_string_quantity_is_ascii_digits_only(self, tmp_path, quantity):
+        f = tmp_path / "events.csv"
+        write_csv(f, [
+            "u1,i1,sale,2022-01-01T00:00:00Z,1",
+            f"u1,i2,sale,2022-01-02T00:00:00Z,{quantity}",
+        ])
+        with pytest.raises(MalformedRecord, match="is not an integer") as exc:
+            load_events(f)
+        assert exc.value.line_no == 3
+
+    def test_jsonl_quantity_string_is_ascii_digits_only(self, tmp_path):
+        f = tmp_path / "events.jsonl"
+        f.write_text(
+            '{"user_id": "u1", "item_id": "i1", "kind": "sale", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": "1_0"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRecord, match="is not an integer") as exc:
+            load_events(f)
+        assert exc.value.line_no == 1
+
     def test_jsonl_integer_string_quantity_accepted(self, tmp_path):
         f = tmp_path / "events.jsonl"
         f.write_text(

@@ -2,14 +2,17 @@
 prediction, determinism, serialization."""
 
 import sys
+import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stylebench import forest
 from stylebench.als import AlsConfig, FactorModel, build_confidence
 from stylebench.data import Dataset, FeatureColumn, FeatureTable, InteractionEvent, Kind
 from stylebench.errors import DegenerateTableWarning, MissingFeatures, SchemaMismatch
@@ -23,6 +26,7 @@ from stylebench.forest import (
     fit_forest,
     load_forest,
     predict_forest,
+    predict_forest_grid,
     save_forest,
 )
 
@@ -202,6 +206,24 @@ class TestFitForest:
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
             assert np.array_equal(ta.value, tb.value, equal_nan=True)
 
+    def test_pool_pickles_the_fit_state_once_per_worker(self, monkeypatch):
+        x, schema = numeric_table(150, seed=5)
+        table = table_from(x, x[:, 0] ** 2, schema)
+        pickled = []
+
+        def getstate(state):
+            pickled.append(1)
+            return state.__dict__
+
+        monkeypatch.setattr(forest._FitState, "__getstate__", getstate, raising=False)
+        cfg = ForestConfig(n_trees=5, seed=6)
+        a = fit_forest(table, cfg, threads=2)
+        assert len(pickled) == 2
+        b = fit_forest(table, cfg, threads=1)
+        for ta, tb in zip(a.trees, b.trees):
+            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+            assert np.array_equal(ta.value, tb.value, equal_nan=True)
+
     def test_threshold_between_adjacent_doubles_separates(self):
         below = np.nextafter(1.0, 2.0)
         above = np.nextafter(below, 2.0)  # (below + above) / 2 rounds to above
@@ -357,6 +379,69 @@ class TestPredictForest:
         model, _ = self._model(n_trees=2)
         with pytest.raises(SchemaMismatch):
             predict_forest(model, np.zeros((3, 2)))
+
+
+class TestPredictForestGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data())
+    def test_equals_predict_forest_on_concatenated_rows(self, case):
+        n = case.draw(st.integers(12, 60), label="rows")
+        columns, specs = [], []
+        for side in ("user", "item"):
+            for j in range(case.draw(st.integers(0, 2), label=f"{side} numeric columns")):
+                distinct = case.draw(st.integers(1, 8))
+                values = case.draw(st.lists(st.integers(0, distinct), min_size=n, max_size=n))
+                columns.append(np.array(values) * 0.5)
+                specs.append(FeatureSpec(f"{side}.n{j}", side, f"n{j}", "numeric"))
+            for j in range(case.draw(st.integers(0, 2), label=f"{side} categorical columns")):
+                n_levels = case.draw(st.integers(2, 8))
+                values = case.draw(st.lists(st.integers(0, n_levels - 1), min_size=n, max_size=n))
+                columns.append(np.array(values, dtype=np.float64))
+                levels = tuple(f"lv{c}" for c in range(n_levels))
+                specs.append(FeatureSpec(f"{side}.c{j}", side, f"c{j}", "categorical", levels))
+        assume(columns)
+        y = np.array(case.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))) / 4.0
+        assume(np.ptp(y) > 0)
+        schema = FeatureSchema(specs=tuple(specs))
+        cfg = ForestConfig(
+            n_trees=case.draw(st.integers(1, 3), label="trees"),
+            max_depth=case.draw(st.integers(1, 6), label="max_depth"),
+            min_leaf=case.draw(st.integers(1, 8), label="min_leaf"),
+            seed=case.draw(st.integers(0, 2**32), label="seed"),
+        )
+        model = fit_forest(table_from(np.array(columns).T, y, schema), cfg)
+
+        # entity values come from the training values and the split thresholds
+        def entities(side):
+            cols = [f for f, spec in enumerate(specs) if spec.side == side]
+            pools = []
+            for f in cols:
+                pool = set(columns[f])
+                if specs[f].kind == "numeric":
+                    pool.update(float(v) for t in model.trees for v in t.threshold[t.feature == f])
+                pools.append(sorted(pool))
+            count = case.draw(st.integers(0, 6), label=f"{side}s")
+            rows = [[case.draw(st.sampled_from(pool)) for pool in pools] for _ in range(count)]
+            return np.array(rows, dtype=np.float64).reshape(count, len(cols))
+
+        users, items = entities("user"), entities("item")
+        rows = np.hstack([np.repeat(users, len(items), axis=0), np.tile(items, (len(users), 1))])
+        expected = predict_forest(model, rows).reshape(len(users), len(items))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_forest(model, Path(tmp) / "forest.json")
+            loaded = load_forest(Path(tmp) / "forest.json")
+        for m in (model, loaded):
+            grid = predict_forest_grid(m, users, items)
+            assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
+
+    def test_schema_mismatch(self):
+        x, schema = numeric_table(100, seed=17)
+        model = fit_forest(table_from(x, x[:, 0], schema), ForestConfig(n_trees=2, seed=18))
+        with pytest.raises(SchemaMismatch):
+            predict_forest_grid(model, np.zeros((3, 1)), np.zeros((2, 1)))
+        with pytest.raises(SchemaMismatch):
+            predict_forest_grid(model, np.zeros(3), np.zeros((2, 0)))
+        assert predict_forest_grid(model, np.zeros((3, 1)), np.zeros((2, 0))).shape == (3, 2)
 
 
 class TestForestSerialization:

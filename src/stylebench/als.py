@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,6 +149,20 @@ def build_confidence(train: Dataset, cfg: AlsConfig) -> ConfidenceMatrix:
     return ConfidenceMatrix(ratings=ratings, users=users, items=items, alpha=cfg.alpha)
 
 
+_CHUNK_ROWS = 256  # rows per stacked solve; bounds its (rows, f, f) stacks
+
+
+def _row_groups(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks of rows sharing one nonzero length k, with the (rows, k)
+    positions of their entries in the CSR ``indices``/``data``."""
+    lengths = np.diff(indptr)
+    for k in np.unique(lengths[lengths > 0]):
+        same = np.flatnonzero(lengths == k)
+        for start in range(0, len(same), _CHUNK_ROWS):
+            rows = same[start : start + _CHUNK_ROWS]
+            yield rows, indptr[rows][:, None] + np.arange(k)
+
+
 def _solve_side(
     mat: sp.csr_matrix, other: np.ndarray, alpha: float, lam: float
 ) -> np.ndarray:
@@ -155,29 +170,29 @@ def _solve_side(
 
     For each row with observed columns J, ratings r: solve
     (G + lam I + M^T diag(alpha r) M) x = M^T (1 + alpha r) with
-    M = other[J] and G = other^T other computed once.
+    M = other[J] and G = other^T other computed once. Rows of equal length
+    are stacked into one matmul and one solve per chunk; both run the same
+    BLAS/LAPACK kernel per slice, so results are bit-identical to per-row.
     """
-    n_rows = mat.shape[0]
-    n_f = other.shape[1]
-    gram = other.T @ other
-    a_base = gram + lam * np.eye(n_f)
-    out = np.zeros((n_rows, n_f), dtype=np.float64)
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for row in range(n_rows):
-        lo, hi = indptr[row], indptr[row + 1]
-        if lo == hi:
-            continue
-        cols = indices[lo:hi]
-        scaled = alpha * data[lo:hi]
-        m = other[cols]
-        a = a_base + (m.T * scaled) @ m
-        b = m.T @ (1.0 + scaled)
+    a_base = other.T @ other + lam * np.eye(other.shape[1])
+    out = np.zeros((mat.shape[0], other.shape[1]), dtype=np.float64)
+    for rows, pos in _row_groups(mat.indptr):
+        scaled = alpha * mat.data[pos]
+        m = other[mat.indices[pos]]
+        mt = m.transpose(0, 2, 1)
+        a = (mt * scaled[:, None, :]) @ m
+        a += a_base  # in place: one (rows, f, f) temporary fewer
+        b = mt @ (1.0 + scaled)[:, :, None]
         try:
-            out[row] = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            raise SingularSystem(
-                f"singular subproblem at row {row} despite regularization {lam}"
-            ) from None
+            out[rows] = np.linalg.solve(a, b)[:, :, 0]
+        except np.linalg.LinAlgError:  # re-solve row by row to name the row
+            for row, a_row, b_row in zip(rows, a, b):
+                try:
+                    out[row] = np.linalg.solve(a_row, b_row)[:, 0]
+                except np.linalg.LinAlgError:
+                    raise SingularSystem(
+                        f"singular subproblem at row {row} despite regularization {lam}"
+                    ) from None
     return out
 
 
@@ -188,19 +203,15 @@ def _training_loss(
 
     The dense term sum_{u,i} (x_u . y_i)^2 reduces to the elementwise
     product of the two Gram matrices; observed cells then swap in their
-    confidence-weighted residuals.
+    confidence-weighted residuals, one ``math.fsum`` per row.
     """
-    gram_term = math.fsum((x.T @ x * (y.T @ y)).ravel())
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    gram_term = math.fsum((x.T @ x * (y.T @ y)).ravel().tolist())
     cell_terms: list[float] = []
-    for row in range(mat.shape[0]):
-        lo, hi = indptr[row], indptr[row + 1]
-        if lo == hi:
-            continue
-        s = y[indices[lo:hi]] @ x[row]
-        conf = 1.0 + alpha * data[lo:hi]
-        cell_terms.append(math.fsum(conf * (1.0 - s) ** 2 - s * s))
-    reg = lam * (math.fsum(x.ravel() ** 2) + math.fsum(y.ravel() ** 2))
+    for rows, pos in _row_groups(mat.indptr):
+        s = (y[mat.indices[pos]] @ x[rows][:, :, None])[:, :, 0]
+        conf = 1.0 + alpha * mat.data[pos]
+        cell_terms.extend(map(math.fsum, (conf * (1.0 - s) ** 2 - s * s).tolist()))
+    reg = lam * (math.fsum((x.ravel() ** 2).tolist()) + math.fsum((y.ravel() ** 2).tolist()))
     return math.fsum([gram_term, math.fsum(cell_terms), reg])
 
 

@@ -49,7 +49,7 @@ from .metrics import (
 from .recommend import (
     ALGORITHMS,
     RankedList,
-    rank_scores,
+    rank_users,
     score_cb_users,
     score_cf_users,
     score_mp_users,
@@ -319,10 +319,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     for algo in cfg.algorithms:
         with _stage(f"recommend_{algo.lower()}"):
             lists[algo], ndcg[algo] = {}, {}
-            for user, vec in scorers[algo]():
-                ranked, vec = rank_scores(
-                    user, vec, candidates, k, algo, mask_by_user.get(user)
-                )
+            for ranked, vec in rank_users(scorers[algo](), candidates, k, algo, mask_by_user):
+                user = ranked.user_id
                 lists[algo][user] = ranked
                 ndcg[algo][user] = tie_aware_ndcg_arrays(vec, ranked.scores, *graded[user])
 

@@ -6,13 +6,14 @@ collaborative filtering yields a factor-model vector for every user seen
 in training and skips the rest, and the content-based forest scores every
 user that has features. :func:`rank_scores` turns any such vector into a
 top-k list, breaking score ties by ascending item id and truncating to
-min(k, #candidates); the ``recommend_*`` functions compose the two.
+min(k, #candidates); :func:`rank_users` ranks a whole stream, and the
+``recommend_*`` functions compose it with a strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,14 +61,47 @@ def rank_scores(
     if exclude is not None and len(exclude):
         scores = scores.copy()
         scores[exclude] = -np.inf
-    top = np.argsort(-scores, kind="stable")[: min(k, len(scores))]
-    ranked = RankedList(
+    return _ranked_list(user, scores, _stable_top(scores, k), candidates, algorithm), scores
+
+
+def rank_users(
+    scored: Iterable[tuple[str, np.ndarray]],
+    candidates: Sequence[str],
+    k: int,
+    algorithm: str,
+    masks: Mapping[str, np.ndarray] | None = None,
+) -> Iterator[tuple[RankedList, np.ndarray]]:
+    """:func:`rank_scores` over a strategy's (user, vector) stream, with
+    each user's ``masks`` entry as ``exclude``.
+
+    A vector yielded again as the same object (MP's shared vector) is
+    sorted once: users without a mask reuse its top-k order.
+    """
+    masks = masks or {}
+    shared = shared_top = None
+    for user, vec in scored:
+        exclude = masks.get(user)
+        if exclude is not None and len(exclude):
+            yield rank_scores(user, vec, candidates, k, algorithm, exclude)
+            continue
+        if vec is not shared:
+            shared, shared_top = vec, _stable_top(vec, k)
+        yield _ranked_list(user, vec, shared_top, candidates, algorithm), vec
+
+
+def _stable_top(scores: np.ndarray, k: int) -> np.ndarray:
+    return np.argsort(-scores, kind="stable")[: min(k, len(scores))]
+
+
+def _ranked_list(
+    user: str, scores: np.ndarray, top: np.ndarray, candidates: Sequence[str], algorithm: str
+) -> RankedList:
+    return RankedList(
         user_id=user,
         items=tuple(candidates[i] for i in top),
         scores=tuple(float(scores[i]) for i in top),
         algorithm=algorithm,
     )
-    return ranked, scores
 
 
 def top_k_select(scores: Mapping[str, float], k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -137,7 +171,7 @@ def recommend_mp(
         raise EmptyCandidates("popularity table is empty")
     candidates = sorted(pop.quantities)
     scored = score_mp_users(pop, sorted(users), candidates)
-    return [rank_scores(u, vec, candidates, k, "MP")[0] for u, vec in scored]
+    return [ranked for ranked, _ in rank_users(scored, candidates, k, "MP")]
 
 
 def recommend_cf(
@@ -151,7 +185,7 @@ def recommend_cf(
     candidates = sorted(candidates)
     users = sorted(users)
     scored = score_cf_users(model, users, candidates)
-    lists = [rank_scores(u, vec, candidates, k, "CF")[0] for u, vec in scored]
+    lists = [ranked for ranked, _ in rank_users(scored, candidates, k, "CF")]
     return lists, [u for u in users if u not in model.user_index]
 
 
@@ -167,4 +201,4 @@ def recommend_cb(
     users are covered too."""
     candidates = sorted(candidates)
     scored = score_cb_users(model, sorted(users), candidates, user_features, item_features)
-    return [rank_scores(u, vec, candidates, k, "CB")[0] for u, vec in scored]
+    return [ranked for ranked, _ in rank_users(scored, candidates, k, "CB")]

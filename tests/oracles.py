@@ -72,6 +72,45 @@ def dense_implicit_als_loss(x, y, observed, alpha, lam):
     return total
 
 
+def per_row_als_solve(mat, other, alpha, lam):
+    """One half-sweep of implicit ALS, one ``np.linalg.solve`` per row with
+    observed entries; rows without any stay zero. ``mat`` is a CSR matrix."""
+    n_rows = mat.shape[0]
+    n_f = other.shape[1]
+    gram = other.T @ other
+    a_base = gram + lam * np.eye(n_f)
+    out = np.zeros((n_rows, n_f), dtype=np.float64)
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    for row in range(n_rows):
+        lo, hi = indptr[row], indptr[row + 1]
+        if lo == hi:
+            continue
+        cols = indices[lo:hi]
+        scaled = alpha * data[lo:hi]
+        m = other[cols]
+        a = a_base + (m.T * scaled) @ m
+        b = m.T @ (1.0 + scaled)
+        out[row] = np.linalg.solve(a, b)
+    return out
+
+
+def per_row_als_loss(x, y, mat, alpha, lam):
+    """Implicit-ALS objective with one ``math.fsum`` per observed row, then
+    an ``fsum`` over the rows, the Gram term and the regularizer."""
+    gram_term = math.fsum((x.T @ x * (y.T @ y)).ravel())
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    cell_terms = []
+    for row in range(mat.shape[0]):
+        lo, hi = indptr[row], indptr[row + 1]
+        if lo == hi:
+            continue
+        s = y[indices[lo:hi]] @ x[row]
+        conf = 1.0 + alpha * data[lo:hi]
+        cell_terms.append(math.fsum(conf * (1.0 - s) ** 2 - s * s))
+    reg = lam * (math.fsum(x.ravel() ** 2) + math.fsum(y.ravel() ** 2))
+    return math.fsum([gram_term, math.fsum(cell_terms), reg])
+
+
 EXACT_SUBSET_LEVELS = 12
 
 

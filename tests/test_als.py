@@ -2,12 +2,21 @@
 monotonicity, determinism, ranking quality on synthetic factors."""
 
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_implicit_als_loss, dense_implicit_als_user_solve
+from oracles import (
+    dense_implicit_als_loss,
+    dense_implicit_als_user_solve,
+    per_row_als_loss,
+    per_row_als_solve,
+)
+from stylebench import als
 from stylebench.als import (
     AlsConfig,
     FactorModel,
@@ -20,7 +29,7 @@ from stylebench.als import (
     save_model,
 )
 from stylebench.data import Dataset, InteractionEvent, Kind
-from stylebench.errors import EmptyTraining, UnknownItem, UnknownUser
+from stylebench.errors import EmptyTraining, SingularSystem, UnknownItem, UnknownUser
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -106,6 +115,66 @@ class TestSolveSide:
         fast = _training_loss(x, y, mat, alpha=40.0, lam=0.1)
         slow = dense_implicit_als_loss(x, y, observed, alpha=40.0, lam=0.1)
         assert fast == pytest.approx(slow, rel=1e-12)
+
+
+@st.composite
+def csr_problems(draw):
+    """A CSR matrix with empty rows, one-entry rows and a run of rows of one
+    shared length, in drawn order, plus factor matrices for both sides."""
+    n_cols = draw(st.integers(1, 10))
+    shared = draw(st.integers(1, n_cols))
+    lengths = [0, 1] + [shared] * draw(st.integers(4, 9))
+    lengths += draw(st.lists(st.integers(0, n_cols), max_size=8))
+    lengths = draw(st.permutations(lengths))
+    n_f = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = [rng.choice(n_cols, size=k, replace=False) for k in lengths]
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    data = rng.choice([1.0, 5.0], size=indptr[-1])
+    mat = sp.csr_matrix(
+        (data, np.concatenate(indices).astype(np.int32), indptr), shape=(len(lengths), n_cols)
+    )
+    return mat, rng.normal(size=(n_cols, n_f)), rng.normal(size=(len(lengths), n_f))
+
+
+class TestStackedSolves:
+    """Row-length groups solved in stacked chunks against the per-row loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=csr_problems(), chunk=st.integers(2, 3))
+    def test_bit_identical_to_per_row_loop(self, problem, chunk):
+        mat, other, x = problem
+        alpha, lam = 40.0, 0.1
+        with mock.patch.object(als, "_CHUNK_ROWS", chunk):
+            solved = _solve_side(mat, other, alpha, lam)
+            loss = _training_loss(x, other, mat, alpha, lam)
+        expected = per_row_als_solve(mat, other, alpha, lam)
+        assert np.array_equal(solved.view(np.uint64), expected.view(np.uint64))
+        assert loss == per_row_als_loss(x, other, mat, alpha, lam)
+
+    def test_singular_system_names_its_row(self, monkeypatch):
+        # u2 (row 1) and u3 (row 2) both have one observed item, so they share
+        # one stacked solve; only row 2's first-sweep system is made singular
+        cm = small_confidence()
+        cfg = AlsConfig(factors=4, iterations=2, seed=3)
+        rng = np.random.default_rng(cfg.seed)
+        rng.uniform(0.0, 0.01, size=(3, cfg.factors))  # user factors, solved first
+        items = rng.uniform(0.0, 0.01, size=(3, cfg.factors))
+        lo, hi = cm.ratings.indptr[2], cm.ratings.indptr[3]
+        m = items[cm.ratings.indices[lo:hi]]
+        scaled = cm.alpha * cm.ratings.data[lo:hi]
+        target = items.T @ items + cfg.regularization * np.eye(cfg.factors) + (m.T * scaled) @ m
+        solve = np.linalg.solve
+
+        def singular_at_target(a, b):
+            stack = np.reshape(a, (-1, cfg.factors, cfg.factors))
+            if any(np.allclose(s, target, rtol=1e-9, atol=0.0) for s in stack):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_target)
+        with pytest.raises(SingularSystem, match=r"singular subproblem at row 2 "):
+            fit_als(cm, cfg)
 
 
 class TestFitAls:

@@ -122,6 +122,25 @@ class TestTrain:
         model = load_model(out)
         assert len(model.loss_trace) == 5
 
+    def test_als_model_independent_of_blas_threads(self, workspace, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        _, config, data_path = workspace
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"als-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "stylebench", "train", "--config", str(config),
+                 "--data", str(data_path), "--algo", "als", "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
     def test_forest_model_round_trips(self, workspace, tmp_path):
         _, config, data_path = workspace
         out = tmp_path / "forest.json"

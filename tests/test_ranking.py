@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_tie_aware_ndcg, brute_force_top_k, pop_ranking_mp
 from stylebench.data import Dataset, InteractionEvent, Kind, popularity_table
 from stylebench.metrics import random_baseline_ndcg, tie_aware_ndcg_arrays
-from stylebench.recommend import rank_scores, recommend_mp, top_k_select
+from stylebench.recommend import rank_scores, rank_users, recommend_mp, top_k_select
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -32,6 +32,27 @@ def test_rank_scores_matches_oracle(scores, k, data):
     assert ranked.items == tuple(candidates[j] for j in top)
     assert ranked.scores == tuple(masked[j] for j in top)
     assert ranked_by.tolist() == masked
+    assert vec.tolist() == scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=tied_scores, k=st.integers(1, 40), data=st.data())
+def test_rank_users_shared_vector_matches_rank_scores(scores, k, data):
+    # one vector object for every user, as MP yields it; some users carry a
+    # purchase mask (possibly empty) between unmasked ones
+    n = len(scores)
+    vec = np.array(scores)
+    candidates = [f"i{j:03d}" for j in range(n)]
+    users = [f"u{j}" for j in range(data.draw(st.integers(1, 6)))]
+    masks = {
+        u: np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
+        for u in data.draw(st.sets(st.sampled_from(users)))
+    }
+    got = list(rank_users(((u, vec) for u in users), candidates, k, "MP", masks))
+    for user, (ranked, ranked_by) in zip(users, got):
+        want, want_by = rank_scores(user, vec, candidates, k, "MP", masks.get(user))
+        assert ranked == want
+        assert ranked_by.tolist() == want_by.tolist()
     assert vec.tolist() == scores
 
 

@@ -32,6 +32,13 @@ from .errors import (
     UnknownKind,
 )
 
+# RFC 3339 date-time; its offset is required, so a naive time never passes
+_RFC3339 = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt ]"  # full-date and separator
+    r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?"  # partial-time
+    r"([Zz]|[+-][0-9]{2}:[0-9]{2})"  # time-offset
+)
+
 
 class Kind(enum.Enum):
     SALE = "sale"
@@ -45,14 +52,18 @@ class Segment(enum.Enum):
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+    """Parse an RFC 3339 timestamp into an aware UTC datetime.
+
+    The string must be an RFC 3339 ``date-time``, which
+    ``datetime.fromisoformat`` alone does not check: it also reads ISO 8601
+    week dates, basic (compact) forms and offsets without a colon.
+    """
     raw = text.strip()
+    if not _RFC3339.fullmatch(raw):
+        raise ValueError(f"timestamp {text!r} is not an RFC 3339 date-time")
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    ts = datetime.fromisoformat(raw)
-    if ts.tzinfo is None:
-        raise ValueError(f"timestamp {text!r} has no UTC offset")
-    return ts.astimezone(timezone.utc)
+    return datetime.fromisoformat(raw).astimezone(timezone.utc)
 
 
 def format_timestamp(ts: datetime) -> str:

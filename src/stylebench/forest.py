@@ -617,11 +617,13 @@ def predict_forest_grid(
     """Mean of per-tree predictions for every (user, item) pair.
 
     Entry (u, i) equals ``predict_forest`` on the row ``enc_users[u]``
-    followed by ``enc_items[i]``, bit for bit: trees are summed in the same
-    order. Every node tests either a user column or an item column, so each
-    node is decided once per user or once per item (QuickScorer, Lucchese et
-    al., SIGIR 2015), never once per pair. The pairs then walk each tree
-    with one next-node table lookup per step, alternating sides.
+    followed by ``enc_items[i]``, bit for bit: each pair gets one leaf value
+    per tree and trees are summed in the same order. Every node tests either
+    a user column or an item column, so each node is decided once per user
+    or once per item (QuickScorer, Lucchese et al., SIGIR 2015), never once
+    per pair. Each tree then co-partitions the users and the items from the
+    root down: a user-side node splits the user subset, an item-side node
+    the item subset, and a leaf is the answer for its whole block of pairs.
     """
     enc_users = np.asarray(enc_users, dtype=np.float64)
     enc_items = np.asarray(enc_items, dtype=np.float64)
@@ -634,74 +636,36 @@ def predict_forest_grid(
             f"expected user and item rows of widths {widths}, "
             f"got {enc_users.shape} and {enc_items.shape}"
         )
-    n_max = max(tree.n_nodes for tree in model.trees)
-    dtype = np.int32 if max(len(enc_users), len(enc_items)) * n_max < 2**31 else np.int64
-    # one next-node table per side, reused by every tree; entity e's row
-    # starts at flat index base[e]
-    tables = [np.empty((len(enc), n_max), dtype=dtype) for enc in (enc_users, enc_items)]
-    bases = (
-        (np.arange(len(enc_users), dtype=dtype) * n_max)[:, None],
-        np.arange(len(enc_items), dtype=dtype) * n_max,
-    )
     total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
-    cur = np.empty(total.shape, dtype=dtype)
-    idx = np.empty_like(cur)
+    leaf = np.empty(total.shape, dtype=np.intp)
     for tree in model.trees:
-        order, root = _fill_side_tables(tree, enc_users, enc_items, tables)
-        first = 0 if tree.feature[0] < n_user else 1
-        cur.fill(root)
-        # steps alternate sides starting with the root's, so a path of d
-        # internal nodes is decided within 2d - 1 steps
-        for step in range(2 * _depth(tree) - 1):
-            side = (first + step) % 2
-            np.add(cur, bases[side], out=idx)
-            tables[side].take(idx, out=cur)
-        total += tree.value[order][cur]
+        # side 0 decides users, side 1 items, -1 is a leaf; goes[s][node, e]
+        # is whether entity e of side s takes the left branch at node
+        side = np.where(tree.feature < 0, -1, tree.feature >= n_user)
+        goes = []
+        for s, enc in enumerate((enc_users, enc_items)):
+            nodes = np.flatnonzero(side == s)
+            table = np.empty((tree.n_nodes, len(enc)), dtype=bool)
+            table[nodes] = tree.goes_left(nodes, enc[:, tree.feature[nodes] - s * n_user]).T
+            goes.append(table)
+        side, lefts, rights = side.tolist(), tree.left.tolist(), tree.right.tolist()
+        stack = [(0, (np.arange(len(enc_users)), np.arange(len(enc_items))))]
+        while stack:
+            node, (users, items) = stack.pop()
+            s = side[node]
+            if s < 0:
+                leaf[users[:, None], items] = node
+                continue
+            subset = users if s == 0 else items
+            left = goes[s][node].take(subset)
+            for child, part in (
+                (lefts[node], subset.compress(left)),
+                (rights[node], subset.compress(~left)),
+            ):
+                if len(part):
+                    stack.append((child, (part, items) if s == 0 else (users, part)))
+        total += tree.value[leaf]
     return total / len(model.trees)
-
-
-def _fill_side_tables(
-    tree: Tree, enc_users: np.ndarray, enc_items: np.ndarray, tables: list[np.ndarray]
-) -> tuple[np.ndarray, int]:
-    """Fill each side's next-node table for ``tree``.
-
-    Nodes are renumbered user-side first, then item-side, then leaves, so
-    each side's decided nodes are one block of columns. Row e of a side's
-    table holds the child that entity e's answer picks at that side's
-    nodes, and the node itself everywhere else. Returns the old number of
-    each new node and the root's new number.
-    """
-    n_nodes, n_user = tree.n_nodes, enc_users.shape[1]
-    internal = tree.feature >= 0
-    user_node = internal & (tree.feature < n_user)
-    sides = (np.flatnonzero(user_node), np.flatnonzero(internal & ~user_node))
-    order = np.concatenate(sides + (np.flatnonzero(~internal),))
-    new = np.empty(n_nodes, dtype=tables[0].dtype)
-    new[order] = np.arange(n_nodes, dtype=new.dtype)
-    start = 0
-    for enc, nodes, offset, table in zip((enc_users, enc_items), sides, (0, n_user), tables):
-        stop = start + len(nodes)
-        left = tree.goes_left(nodes, enc[:, tree.feature[nodes] - offset])
-        table[:, :start] = np.arange(start, dtype=table.dtype)
-        # the left child if left else the right: right + left * (left - right)
-        right = new[tree.right[nodes]]
-        chosen = table[:, start:stop]
-        np.multiply(left, new[tree.left[nodes]] - right, out=chosen)
-        chosen += right
-        table[:, stop:n_nodes] = np.arange(stop, n_nodes, dtype=table.dtype)
-        start = stop
-    return order, int(new[0])
-
-
-def _depth(tree: Tree) -> int:
-    """Internal nodes on the longest root-to-leaf path."""
-    nodes = np.zeros(1, dtype=np.int64)
-    for depth in range(tree.n_nodes):
-        nodes = nodes[tree.feature[nodes] >= 0]
-        if len(nodes) == 0:
-            return depth
-        nodes = np.concatenate([tree.left[nodes], tree.right[nodes]])
-    return tree.n_nodes
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,18 @@ def random_baseline_ndcg(
 ) -> float | None:
     """Expected NDCG@k of a uniformly random ranking of the candidates:
     the tie-aware NDCG of all-equal scores, i.e. one tie group spanning
-    the whole list. ``rels`` grades (a subset of) the candidates."""
+    the whole list, so every rank above the cutoff gets the mean grade.
+    ``rels`` grades (a subset of) the candidates. Bit-identical to
+    :func:`tie_aware_ndcg_arrays` on an all-zero vector."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    svals = np.zeros(n_candidates)
     grades = np.fromiter(rels.values(), dtype=np.float64, count=len(rels))
-    return tie_aware_ndcg_arrays(svals, svals[:k], np.arange(len(grades)), grades)
+    if n_candidates == 0 or not (grades > 0.0).any():
+        return None
+    m = min(k, n_candidates)
+    # summed left to right like the kernel's bincount; np.sum would pair them
+    total = grades.cumsum()[-1]
+    return total / n_candidates * _discount_prefix(m)[m] / dcg_at_k(np.sort(grades)[::-1], m)
 
 
 def micro_average_ndcg(per_user: Iterable[float | None]) -> MicroAverage:

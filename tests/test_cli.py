@@ -255,6 +255,16 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert dispatch(["evaluate"]) == EXIT_USAGE
 
+    def test_non_rfc3339_boundary_is_usage_error(self, workspace, tmp_path, capsys):
+        _, config, data_path = workspace
+        rc = dispatch([
+            "evaluate", "--config", str(config), "--data", str(data_path),
+            "--boundary", "20220828T000000Z", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_USAGE
+        assert "--boundary" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_report_format_is_usage_error(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text("{}")

@@ -182,6 +182,17 @@ class TestIngestion:
             assert again == original
 
 
+# ISO 8601 forms outside RFC 3339: a week date, the basic format, a time
+# without seconds or minutes, and an offset without a colon
+NON_RFC3339 = [
+    "2022-W35-1T00:00:00Z",
+    "20220828T000000Z",
+    "2022-08-28T00Z",
+    "2022-08-28T00:00Z",
+    "2022-08-28T00:00:00+0100",
+]
+
+
 class TestTimestamps:
     def test_z_and_offset_forms(self):
         a = parse_timestamp("2022-03-05T14:23:11Z")
@@ -201,6 +212,29 @@ class TestTimestamps:
     def test_microseconds_survive_round_trip(self):
         ts = parse_timestamp("2022-03-05T14:23:11.123456Z")
         assert parse_timestamp(format_timestamp(ts)) == ts
+
+    @pytest.mark.parametrize("text, micros", [
+        ("2022-03-05t14:23:11z", 0),
+        ("2022-03-05 14:23:11.5+00:00", 500000),
+        (" 2022-03-05T15:23:11+01:00 ", 0),
+    ])
+    def test_rfc3339_variants_accepted(self, text, micros):
+        want = datetime(2022, 3, 5, 14, 23, 11, micros, tzinfo=timezone.utc)
+        assert parse_timestamp(text) == want
+
+    @pytest.mark.parametrize("text", NON_RFC3339)
+    def test_iso_forms_outside_rfc3339_rejected(self, text):
+        # datetime.fromisoformat reads each of these as some time
+        with pytest.raises(ValueError, match="not an RFC 3339 date-time"):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize("text", NON_RFC3339)
+    def test_non_rfc3339_row_is_malformed(self, tmp_path, text):
+        f = tmp_path / "events.csv"
+        write_csv(f, ["u1,i1,view,2022-01-01T00:00:00Z,1", f"u1,i2,view,{text},1"])
+        with pytest.raises(MalformedRecord) as exc:
+            load_events(f)
+        assert str(exc.value).startswith(f"{f}:3: ")
 
     def test_naive_split_boundary_rejected(self):
         from datetime import datetime

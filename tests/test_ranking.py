@@ -126,3 +126,25 @@ def test_random_baseline_matches_oracle_on_equal_scores(n, grades, k):
         assert value is None
     else:
         assert abs(value - oracle) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grades=st.lists(
+        st.floats(min_value=0.0, max_value=1e6) | st.sampled_from([0.0, 1.0]),
+        max_size=40,
+    ),
+    extra=st.integers(0, 10),
+    k=st.integers(1, 60),
+)
+def test_random_baseline_equals_kernel_on_zeros(grades, extra, k):
+    # grades sum in order, so a pairwise sum (np.sum) would differ in the last bits
+    n = len(grades) + extra
+    rels = {f"i{j}": g for j, g in enumerate(grades)}
+    g = np.array(grades, dtype=np.float64)
+    want = tie_aware_ndcg_arrays(np.zeros(n), np.zeros(min(k, n)), np.arange(len(g)), g)
+    got = random_baseline_ndcg(rels, n, k)
+    if want is None:
+        assert got is None
+    else:
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)

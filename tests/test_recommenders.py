@@ -228,3 +228,45 @@ class TestCandidateSetDiscipline:
                 )
             }
         assert by_batch[1] == by_batch[2] == by_batch[16]
+
+    def test_cb_default_batches_by_pair_budget(self, monkeypatch):
+        import stylebench.recommend as recommend
+        from stylebench.forest import encode_entities, predict_forest
+
+        train = _train_dataset()
+        als_cfg = AlsConfig(factors=4, iterations=4, seed=1)
+        cm = build_confidence(train, als_cfg)
+        cfg = ForestConfig(n_trees=5, negatives_per_user=2, seed=3)
+        model = fit_forest(augment_labels(train, cm, fit_als(cm, als_cfg), cfg), cfg)
+        users = ["u1", "u2", "u3", "u9"]
+        candidates = sorted(train.items)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return grid(*args)
+
+        def score():
+            calls.clear()
+            out = recommend.score_cb_users(
+                model, users, candidates, train.user_features, train.item_features
+            )
+            return np.array([vec for _, vec in out])
+
+        grid = recommend.predict_forest_grid
+        monkeypatch.setattr(recommend, "predict_forest_grid", counted)
+        single = score()
+        assert calls == [len(users)]
+        monkeypatch.setattr(recommend, "_PAIR_BUDGET", len(candidates))
+        batched = score()
+        assert calls == [1] * len(users)
+        assert np.array_equal(batched.view(np.uint64), single.view(np.uint64))
+
+        enc_users = encode_entities(model.schema, train.user_features, "user", users)
+        enc_items = encode_entities(model.schema, train.item_features, "item", candidates)
+        rows = np.hstack([
+            np.repeat(enc_users, len(candidates), axis=0),
+            np.tile(enc_items, (len(users), 1)),
+        ])
+        expected = predict_forest(model, rows).reshape(len(users), len(candidates))
+        assert np.array_equal(single.view(np.uint64), expected.view(np.uint64))

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset, Kind
+from .data import Dataset
 from .errors import EmptyTraining, SingularSystem, UnknownItem, UnknownUser
 
 
@@ -127,26 +127,12 @@ def build_confidence(train: Dataset, cfg: AlsConfig) -> ConfidenceMatrix:
     """
     if not train.events:
         raise EmptyTraining("cannot build a confidence matrix from zero events")
-    users = tuple(sorted(train.users))
-    items = tuple(sorted(train.items))
-    user_index = {u: i for i, u in enumerate(users)}
-    item_index = {m: i for i, m in enumerate(items)}
-    sale_pairs: set[tuple[int, int]] = set()
-    view_pairs: set[tuple[int, int]] = set()
-    for e in train.events:
-        cell = (user_index[e.user_id], item_index[e.item_id])
-        if e.kind is Kind.SALE:
-            sale_pairs.add(cell)
-        else:
-            view_pairs.add(cell)
-    cells = sorted(sale_pairs | view_pairs)
-    rows = np.array([c[0] for c in cells], dtype=np.int64)
-    cols = np.array([c[1] for c in cells], dtype=np.int64)
-    vals = np.array(
-        [cfg.sale_weight if c in sale_pairs else 1.0 for c in cells], dtype=np.float64
+    rows, cols, sold = train.pairs()
+    ratings = sp.csr_matrix(
+        (np.where(sold, cfg.sale_weight, 1.0), (rows, cols)),
+        shape=(len(train.user_ids), len(train.item_ids)),
     )
-    ratings = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
-    return ConfidenceMatrix(ratings=ratings, users=users, items=items, alpha=cfg.alpha)
+    return ConfidenceMatrix(ratings, train.user_ids, train.item_ids, cfg.alpha)
 
 
 _CHUNK_ROWS = 256  # rows per stacked solve; bounds its (rows, f, f) stacks

@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -178,6 +179,9 @@ class Dataset:
     ``users`` and ``items`` are the entities appearing in ``events``;
     feature tables may cover additional ids (a wider catalog pool) which
     are used only for lookups.
+
+    Read-only per-event columns, decoded once on first use and not fields:
+    ``user``/``item`` index the sorted ``user_ids``/``item_ids``; ``sale``, ``quantity``.
     """
 
     events: tuple[InteractionEvent, ...]
@@ -202,13 +206,51 @@ class Dataset:
             item_features=item_features,
         )
 
+    @cached_property
+    def user_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.users))
+
+    @cached_property
+    def item_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.items))
+
+    @cached_property
+    def user(self) -> np.ndarray:
+        index = {u: i for i, u in enumerate(self.user_ids)}
+        return self._column((index[e.user_id] for e in self.events), np.int64)
+
+    @cached_property
+    def item(self) -> np.ndarray:
+        index = {m: i for i, m in enumerate(self.item_ids)}
+        return self._column((index[e.item_id] for e in self.events), np.int64)
+
+    @cached_property
+    def sale(self) -> np.ndarray:
+        return self._column((e.kind is Kind.SALE for e in self.events), bool)
+
+    @cached_property
+    def quantity(self) -> np.ndarray:
+        return self._column((e.quantity for e in self.events), np.int64)
+
+    def _column(self, values: Iterable, dtype) -> np.ndarray:
+        col = np.fromiter(values, dtype, len(self.events))
+        col.flags.writeable = False  # cached and shared by every reader
+        return col
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct (user, item) index pairs, ascending, and whether any is a sale."""
+        n = len(self.item_ids)
+        keys, inverse = np.unique(self.user * n + self.item, return_inverse=True)
+        sold = np.bincount(inverse[self.sale], minlength=len(keys)) > 0
+        return keys // n, keys % n, sold
+
     @property
     def n_sales(self) -> int:
-        return sum(1 for e in self.events if e.kind is Kind.SALE)
+        return int(np.count_nonzero(self.sale))
 
     @property
     def n_views(self) -> int:
-        return sum(1 for e in self.events if e.kind is Kind.VIEW)
+        return len(self.events) - self.n_sales
 
 
 @dataclass(frozen=True)
@@ -340,6 +382,8 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
         )
     if quantity < 1:
         raise NonPositiveQuantity(path, line_no, f"quantity {quantity} is not positive")
+    if quantity >= 2**31:  # keeps every per-item total within int64
+        raise MalformedRecord(path, line_no, f"quantity {quantity} is not below 2**31")
     if kind is Kind.VIEW and quantity != 1:
         raise MalformedRecord(path, line_no, "view rows must carry quantity 1")
     try:
@@ -393,9 +437,10 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
                 )
         first_line: dict[str, int] = {}
         raw_cols: list[list[str]] = [[] for _ in specs]
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num
             if len(row) != len(specs) + 1:
                 raise MalformedRecord(
                     path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}"
@@ -447,14 +492,23 @@ def load_events(path: str | Path, format: str | None = None) -> Dataset:
     if fmt == "csv":
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                pass  # empty file: zero events
-            else:
-                missing = [f for f in _REQUIRED_FIELDS if f not in reader.fieldnames]
-                if missing:
-                    raise MalformedRecord(path, 1, f"header missing columns {missing}")
-                for line_no, record in enumerate(reader, start=2):
-                    events.append(_event_from_record(record, path, line_no))
+            header = reader.fieldnames or []  # an empty file has zero events
+            missing = [f for f in _REQUIRED_FIELDS if header and f not in header]
+            if missing:
+                raise MalformedRecord(path, 1, f"header missing columns {missing}")
+            for name in header:
+                if header.count(name) > 1:
+                    raise MalformedRecord(path, 1, f"column {name!r} appears twice")
+            for record in reader:
+                # the line the record ends on; blank lines and quoted
+                # newlines make it differ from the record count
+                line_no = reader.line_num
+                if None in record:  # DictReader files extra cells under None
+                    raise MalformedRecord(
+                        path, line_no,
+                        f"expected {len(header)} cells, got {len(header) + len(record[None])}",
+                    )
+                events.append(_event_from_record(record, path, line_no))
     elif fmt == "jsonl":
         with path.open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -556,22 +610,13 @@ def segment_users(split: TemporalSplit) -> SegmentAssignment:
     Sale users have at least one training purchase; view users have
     training views but no sales; new users have no training activity.
     """
-    train_sales: set[str] = set()
-    train_views: set[str] = set()
-    for e in split.train.events:
-        if e.kind is Kind.SALE:
-            train_sales.add(e.user_id)
-        else:
-            train_views.add(e.user_id)
-    mapping: dict[str, Segment] = {}
-    for user in split.test.users:
-        if user in train_sales:
-            mapping[user] = Segment.SALE
-        elif user in train_views:
-            mapping[user] = Segment.VIEW
-        else:
-            mapping[user] = Segment.NEW
-    return SegmentAssignment(mapping=mapping)
+    train = split.train
+    sold = {train.user_ids[u] for u in set(train.user[train.sale].tolist())}
+    active = {train.user_ids[u] for u in set(train.user.tolist())}
+    return SegmentAssignment(mapping={
+        user: Segment.SALE if user in sold else Segment.VIEW if user in active else Segment.NEW
+        for user in split.test.user_ids
+    })
 
 
 def popularity_table(data: Dataset) -> PopularityTable:
@@ -579,10 +624,9 @@ def popularity_table(data: Dataset) -> PopularityTable:
 
     The ranking sorts by descending quantity, then ascending item id.
     """
-    quantities = {item: 0 for item in data.items}
-    for e in data.events:
-        if e.kind is Kind.SALE:
-            quantities[e.item_id] += e.quantity
+    sold = np.zeros(len(data.item_ids), dtype=np.int64)
+    np.add.at(sold, data.item[data.sale], data.quantity[data.sale])
+    quantities = dict(zip(data.item_ids, sold.tolist()))
     ranking = tuple(sorted(quantities, key=lambda i: (-quantities[i], i)))
     return PopularityTable(quantities=quantities, ranking=ranking)
 

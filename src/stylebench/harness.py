@@ -25,7 +25,6 @@ from . import als as als_mod
 from . import forest as forest_mod
 from .data import (
     Dataset,
-    Kind,
     PopularityTable,
     Segment,
     dataset_stats,
@@ -236,12 +235,13 @@ def short_head_curve(pop: PopularityTable) -> ShortHeadCurve:
 # ---------------------------------------------------------------------------
 
 
-def _purchased_in_train(train: Dataset) -> dict[str, set[str]]:
-    bought: dict[str, set[str]] = {}
-    for e in train.events:
-        if e.kind is Kind.SALE:
-            bought.setdefault(e.user_id, set()).add(e.item_id)
-    return bought
+def purchase_masks(train: Dataset) -> dict[str, np.ndarray]:
+    """Each buyer's training purchases as train item (= candidate) positions."""
+    users, items, sold = train.pairs()
+    users, items = users[sold], items[sold]
+    starts = np.flatnonzero(np.diff(users, prepend=-1))
+    # zip ends with the users: np.split of no sales still gives one chunk
+    return dict(zip([train.user_ids[u] for u in users[starts]], np.split(items, starts[1:])))
 
 
 def fit_factor_model(cfg: EvalConfig, train: Dataset):
@@ -274,9 +274,9 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     with _stage("popularity"):
         pop = popularity_table(split.train)
 
-    candidates = sorted(split.train.items)
+    candidates = split.train.item_ids
     cand_pos = {item: i for i, item in enumerate(candidates)}
-    test_users = sorted(split.test.users)
+    test_users = split.test.user_ids
     k = cfg.k
 
     with _stage("relevance"):
@@ -291,12 +291,7 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         u: random_baseline_ndcg(rel[u], len(candidates), k) for u in test_users
     }
 
-    mask_by_user: dict[str, np.ndarray] = {}
-    if cfg.exclude_purchased:
-        for user, items in _purchased_in_train(split.train).items():
-            mask_by_user[user] = np.array(
-                sorted(cand_pos[i] for i in items if i in cand_pos), dtype=np.int64
-            )
+    mask_by_user = purchase_masks(split.train) if cfg.exclude_purchased else {}
 
     factor_model = forest_model = None
     if "CF" in cfg.algorithms or "CB" in cfg.algorithms:

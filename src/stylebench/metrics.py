@@ -10,13 +10,14 @@ arbitrary tie ordering would otherwise introduce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, Kind, PopularityTable
+from .data import Dataset, PopularityTable
 from .errors import AllUndefined, TooFewUsers, ZeroPopularity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,29 +63,13 @@ def build_relevance(
     if grading not in GRADING_MODES:
         raise ValueError(f"grading must be one of {GRADING_MODES}, got {grading!r}")
     candidate_set = set(candidates)
-    sales: dict[str, set[str]] = {}
-    views: dict[str, set[str]] = {}
-    for e in test.events:
-        if e.item_id not in candidate_set:
-            continue
-        bucket = sales if e.kind is Kind.SALE else views
-        bucket.setdefault(e.user_id, set()).add(e.item_id)
-    out: RelevanceJudgments = {user: {} for user in test.users}
-    for user in test.users:
-        grades = out[user]
-        sold = sales.get(user, set())
-        viewed = views.get(user, set())
-        if grading == "graded":
-            for item in sold:
-                grades[item] = 2.0
-            for item in viewed - sold:
-                grades[item] = 1.0
-        elif grading == "binary":
-            for item in sold | viewed:
-                grades[item] = 1.0
-        else:
-            for item in sold:
-                grades[item] = 1.0
+    users, items, sold = test.pairs()
+    keep = np.array([i in candidate_set for i in test.item_ids], dtype=bool)[items]
+    keep &= sold | (grading != "sales_only")
+    grades = np.where(sold, 2.0, 1.0) if grading == "graded" else np.ones(len(sold))
+    out: RelevanceJudgments = {user: {} for user in test.user_ids}
+    for u, i, g in zip(users[keep].tolist(), items[keep].tolist(), grades[keep].tolist()):
+        out[test.user_ids[u]][test.item_ids[i]] = g
     return out
 
 
@@ -98,10 +83,16 @@ def dcg_at_k(rels_in_rank_order: Sequence[float], k: int) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=64)
 def _discount_prefix(n: int) -> np.ndarray:
-    """Prefix sums of the DCG discount: D[p] = sum_{i<=p} 1/log2(i+1)."""
+    """Prefix sums of the DCG discount: D[p] = sum_{i<=p} 1/log2(i+1).
+
+    Cached per n (a run uses one n = min(k, #candidates)), so read-only.
+    """
     disc = 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
-    return np.concatenate(([0.0], np.cumsum(disc)))
+    prefix = np.concatenate(([0.0], np.cumsum(disc)))
+    prefix.flags.writeable = False
+    return prefix
 
 
 def tie_aware_ndcg_at_k(

@@ -65,7 +65,7 @@ def rank_scores(
     if exclude is not None and len(exclude):
         scores = scores.copy()
         scores[exclude] = -np.inf
-    return _ranked_list(user, scores, _stable_top(scores, k), candidates, algorithm), scores
+    return RankedList(user, *_stable_top(scores, k, candidates), algorithm), scores
 
 
 def rank_users(
@@ -79,7 +79,7 @@ def rank_users(
     each user's ``masks`` entry as ``exclude``.
 
     A vector yielded again as the same object (MP's shared vector) is
-    sorted once: users without a mask reuse its top-k order.
+    ranked once: users without a mask share its top-k items and scores.
     """
     masks = masks or {}
     shared = shared_top = None
@@ -89,23 +89,16 @@ def rank_users(
             yield rank_scores(user, vec, candidates, k, algorithm, exclude)
             continue
         if vec is not shared:
-            shared, shared_top = vec, _stable_top(vec, k)
-        yield _ranked_list(user, vec, shared_top, candidates, algorithm), vec
+            shared, shared_top = vec, _stable_top(vec, k, candidates)
+        yield RankedList(user, *shared_top, algorithm), vec
 
 
-def _stable_top(scores: np.ndarray, k: int) -> np.ndarray:
-    return np.argsort(-scores, kind="stable")[: min(k, len(scores))]
-
-
-def _ranked_list(
-    user: str, scores: np.ndarray, top: np.ndarray, candidates: Sequence[str], algorithm: str
-) -> RankedList:
-    return RankedList(
-        user_id=user,
-        items=tuple(candidates[i] for i in top),
-        scores=tuple(float(scores[i]) for i in top),
-        algorithm=algorithm,
-    )
+def _stable_top(
+    scores: np.ndarray, k: int, candidates: Sequence[str]
+) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The top min(k, n) candidates and their scores, ties by position."""
+    top = np.argsort(-scores, kind="stable")[: min(k, len(scores))]
+    return tuple(candidates[i] for i in top), tuple(float(scores[i]) for i in top)
 
 
 def top_k_select(scores: Mapping[str, float], k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:

@@ -8,6 +8,12 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
+
+from stylebench.als import ConfidenceMatrix
+from stylebench.data import Kind, PopularityTable, Segment, SegmentAssignment
+from stylebench.errors import EmptyTraining
+from stylebench.metrics import GRADING_MODES, RelevanceJudgments
 
 
 def plain_dcg(rels, k):
@@ -214,3 +220,118 @@ def pop_ranking_mp(pop, users, k):
     items = tuple(pop.ranking[:k])
     scores = tuple(float(pop.quantities[i]) for i in items)
     return [(u, items, scores) for u in sorted(users)]
+
+
+# Per-event loop versions of the stages that now read Dataset's integer
+# columns, kept verbatim as references for them.
+
+
+def loop_build_confidence(train, cfg):
+    """Collapse training events into per-pair implicit ratings.
+
+    A pair with at least one sale gets r = sale_weight regardless of
+    views or units; a pair with views only gets r = 1.
+    """
+    if not train.events:
+        raise EmptyTraining("cannot build a confidence matrix from zero events")
+    users = tuple(sorted(train.users))
+    items = tuple(sorted(train.items))
+    user_index = {u: i for i, u in enumerate(users)}
+    item_index = {m: i for i, m in enumerate(items)}
+    sale_pairs: set[tuple[int, int]] = set()
+    view_pairs: set[tuple[int, int]] = set()
+    for e in train.events:
+        cell = (user_index[e.user_id], item_index[e.item_id])
+        if e.kind is Kind.SALE:
+            sale_pairs.add(cell)
+        else:
+            view_pairs.add(cell)
+    cells = sorted(sale_pairs | view_pairs)
+    rows = np.array([c[0] for c in cells], dtype=np.int64)
+    cols = np.array([c[1] for c in cells], dtype=np.int64)
+    vals = np.array(
+        [cfg.sale_weight if c in sale_pairs else 1.0 for c in cells], dtype=np.float64
+    )
+    ratings = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
+    return ConfidenceMatrix(ratings=ratings, users=users, items=items, alpha=cfg.alpha)
+
+
+def loop_segment_users(split):
+    """Label each test-period user from training history alone.
+
+    Sale users have at least one training purchase; view users have
+    training views but no sales; new users have no training activity.
+    """
+    train_sales: set[str] = set()
+    train_views: set[str] = set()
+    for e in split.train.events:
+        if e.kind is Kind.SALE:
+            train_sales.add(e.user_id)
+        else:
+            train_views.add(e.user_id)
+    mapping: dict[str, Segment] = {}
+    for user in split.test.users:
+        if user in train_sales:
+            mapping[user] = Segment.SALE
+        elif user in train_views:
+            mapping[user] = Segment.VIEW
+        else:
+            mapping[user] = Segment.NEW
+    return SegmentAssignment(mapping=mapping)
+
+
+def loop_popularity_table(data):
+    """Total units sold per item, every item present (0 when never sold).
+
+    The ranking sorts by descending quantity, then ascending item id.
+    """
+    quantities = {item: 0 for item in data.items}
+    for e in data.events:
+        if e.kind is Kind.SALE:
+            quantities[e.item_id] += e.quantity
+    ranking = tuple(sorted(quantities, key=lambda i: (-quantities[i], i)))
+    return PopularityTable(quantities=quantities, ranking=ranking)
+
+
+def loop_build_relevance(test, candidates, grading="graded"):
+    """Grade test-period interactions per user, restricted to candidates.
+
+    Modes: ``graded`` gives 2 to items with a test sale and 1 to items
+    with test views only; ``binary`` gives 1 to any interacted item;
+    ``sales_only`` gives 1 to sold items and ignores views.
+    """
+    if grading not in GRADING_MODES:
+        raise ValueError(f"grading must be one of {GRADING_MODES}, got {grading!r}")
+    candidate_set = set(candidates)
+    sales: dict[str, set[str]] = {}
+    views: dict[str, set[str]] = {}
+    for e in test.events:
+        if e.item_id not in candidate_set:
+            continue
+        bucket = sales if e.kind is Kind.SALE else views
+        bucket.setdefault(e.user_id, set()).add(e.item_id)
+    out: RelevanceJudgments = {user: {} for user in test.users}
+    for user in test.users:
+        grades = out[user]
+        sold = sales.get(user, set())
+        viewed = views.get(user, set())
+        if grading == "graded":
+            for item in sold:
+                grades[item] = 2.0
+            for item in viewed - sold:
+                grades[item] = 1.0
+        elif grading == "binary":
+            for item in sold | viewed:
+                grades[item] = 1.0
+        else:
+            for item in sold:
+                grades[item] = 1.0
+    return out
+
+
+def loop_purchased_in_train(train):
+    bought: dict[str, set[str]] = {}
+    for e in train.events:
+        if e.kind is Kind.SALE:
+            bought.setdefault(e.user_id, set()).add(e.item_id)
+    return bought

@@ -195,6 +195,35 @@ class TestEvaluate:
         assert digests[0] != digests[1]
 
 
+    def test_report_independent_of_string_hashing(self, workspace, tmp_path):
+        # relevance judgments and purchase masks once followed set order,
+        # which PYTHONHASHSEED changes; the report must not
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        _, config, data_path = workspace
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            **json.loads(config.read_text()), "exclude_purchased": True, "grading": "binary",
+        }))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+        digests = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "stylebench", "evaluate", "--config", str(cfg),
+                 "--data", str(data_path), "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            digests.append(digest(out / "report.json"))
+        assert digests[0] == digests[1]
+
+
 class TestReportCommand:
     def test_rerender_matches(self, workspace, tmp_path):
         _, config, data_path = workspace
@@ -309,6 +338,19 @@ class TestExitCodes:
         ])
         assert rc == EXIT_DATA
         assert f"{bad}:2:" in capsys.readouterr().err
+
+    def test_extra_cells_name_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "user_id,item_id,kind,timestamp,quantity\n"
+            "\n"
+            "u1,i1,sale,2022-01-01T00:00:00Z,1,2\n"
+        )
+        rc = dispatch([
+            "stats", "--data", str(bad), "--boundary", "2022-01-02T00:00:00Z",
+        ])
+        assert rc == EXIT_DATA
+        assert f"{bad}:3: expected 5 cells, got 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sidecar, line",

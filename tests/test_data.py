@@ -154,6 +154,51 @@ class TestIngestion:
         with pytest.raises(MalformedRecord):
             load_events(f)
 
+    def test_bad_row_after_blank_lines_names_its_physical_line(self, tmp_path):
+        f = tmp_path / "events.csv"
+        write_csv(f, ["u1,i1,view,2022-01-01T00:00:00Z,1", "", "", "u1,i2,view,later,1"])
+        with pytest.raises(MalformedRecord) as exc:
+            load_events(f)
+        assert exc.value.line_no == 5
+
+    def test_bad_row_after_quoted_newline_names_its_physical_line(self, tmp_path):
+        f = tmp_path / "events.csv"
+        write_csv(f, ['"u\n1",i1,view,2022-01-01T00:00:00Z,1', "u1,i2,view,later,1"])
+        with pytest.raises(MalformedRecord) as exc:
+            load_events(f)
+        assert exc.value.line_no == 4
+
+    def test_extra_cells_rejected(self, tmp_path):
+        f = tmp_path / "events.csv"
+        write_csv(f, [
+            "u1,i1,view,2022-01-01T00:00:00Z,1",
+            "u1,i2,sale,2022-01-02T00:00:00Z,1,x,y",
+        ])
+        with pytest.raises(MalformedRecord, match="expected 5 cells, got 7") as exc:
+            load_events(f)
+        assert exc.value.line_no == 3
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        f = tmp_path / "events.csv"
+        f.write_text(
+            "user_id,item_id,kind,timestamp,quantity,quantity\n"
+            "u1,i1,sale,2022-01-01T00:00:00Z,1,2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRecord, match="'quantity' appears twice") as exc:
+            load_events(f)
+        assert exc.value.line_no == 1
+
+    def test_quantity_beyond_the_cap_rejected(self, tmp_path):
+        f = tmp_path / "events.csv"
+        write_csv(f, [
+            f"u1,i1,sale,2022-01-01T00:00:00Z,{2**31 - 1}",
+            f"u1,i2,sale,2022-01-02T00:00:00Z,{2**31}",
+        ])
+        with pytest.raises(MalformedRecord, match="not below") as exc:
+            load_events(f)
+        assert exc.value.line_no == 3
+
     def test_round_trip_identity(self, tmp_path):
         users = FeatureTable(
             ids=("u1", "u2"),
@@ -479,3 +524,10 @@ class TestFeatureTables:
             load_feature_table(path, "user_id")
         assert exc.value.line_no == 1
         assert "age" in str(exc.value)
+
+    def test_bad_row_after_quoted_newline_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "bad.users.csv"
+        path.write_text('user_id,style:cat\nu1,"long\nform"\nu2\n')
+        with pytest.raises(MalformedRecord) as exc:
+            load_feature_table(path, "user_id")
+        assert exc.value.line_no == 4

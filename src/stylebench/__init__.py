@@ -15,7 +15,6 @@ from .als import (
 )
 from .data import (
     Dataset,
-    DatasetStats,
     FeatureColumn,
     FeatureTable,
     InteractionEvent,

@@ -18,11 +18,13 @@ import hashlib
 import json
 import sys
 import typing
+from datetime import datetime
 from pathlib import Path
 
 from . import als as als_mod
 from . import forest as forest_mod
 from .data import (
+    Dataset,
     dataset_stats,
     format_timestamp,
     load_events,
@@ -34,6 +36,7 @@ from .data import (
 )
 from .errors import DataError, StylebenchError
 from .harness import (
+    CONFIG_KEYS,
     EvalConfig,
     EvaluationReport,
     fit_cb_forest,
@@ -64,6 +67,8 @@ _SEGMENT_KEYS = ("synth_segment_new", "synth_segment_view", "synth_segment_sale"
 # generator flag -> SynthConfig field
 _SYNTH_FLAGS = {"users": "n_users", "items": "n_items", "skew": "popularity_skew", "seed": "seed"}
 _PATH_KEYS = {"data", "out"}
+# every key a --config file may hold, whichever command reads it
+_CONFIG_KEYS = CONFIG_KEYS.keys() | _SYNTH_KEYS.keys() | set(_SEGMENT_KEYS) | _PATH_KEYS
 
 
 class _UsageError(Exception):
@@ -80,29 +85,30 @@ def _sha256(path: Path) -> str:
 
 
 def _load_config(path: str | None) -> dict:
+    """A flat config file, its keys checked against every command's table."""
     if path is None:
         return {}
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such config file: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config {p} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"config {p} must hold a JSON object")
+    raw = _read_object(p, "config")
+    unknown = raw.keys() - _CONFIG_KEYS
+    if unknown:
+        raise DataError(f"config {p}: unknown keys {sorted(unknown)}")
+    for key in raw.keys() & _PATH_KEYS:
+        if not isinstance(raw[key], str):
+            raise DataError(f"config {p}: key {key!r} must be str, got {raw[key]!r}")
     return raw
 
 
-def _split_config(raw: dict) -> tuple[dict, dict]:
-    """Partition a flat config into evaluate and path keys, dropping the
-    generator's ``synth_*`` keys."""
-    paths = {k: v for k, v in raw.items() if k in _PATH_KEYS}
-    rest = {
-        k: v for k, v in raw.items()
-        if k not in _SYNTH_KEYS.keys() | _SEGMENT_KEYS | _PATH_KEYS
-    }
-    return rest, paths
+def _read_object(path: Path, what: str) -> dict:
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return raw
 
 
 def _synth_config(raw: dict, args) -> SynthConfig:
@@ -129,44 +135,39 @@ def _synth_config(raw: dict, args) -> SynthConfig:
         raise DataError(str(exc)) from None
 
 
-def _flag(args, name: str, fallback):
-    value = getattr(args, name, None)
-    return fallback if value is None else value
-
-
-def _eval_config(raw: dict, args) -> EvalConfig:
-    merged = dict(raw)
-    for key in ("seed", "k", "threads", "boundary", "grading"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+def _eval_config(raw: dict, args, boundary: datetime) -> EvalConfig:
+    given = {k: v for k, v in raw.items() if k in CONFIG_KEYS}
+    for key in ("seed", "k", "threads", "grading"):
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
     try:
-        return EvalConfig.from_dict(merged)
+        return EvalConfig.from_dict({**given, "boundary": boundary})
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
 
-def _resolve_boundary(args, raw: dict, data_path: Path):
-    """Boundary from flag, config, or the manifest next to the data file."""
-    if getattr(args, "boundary", None):
-        return args.boundary
-    if raw.get("boundary"):
-        try:
-            return parse_timestamp(typed_config_value("boundary", raw["boundary"], str))
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+def _inputs(args) -> tuple[dict, Path, Dataset, datetime]:
+    """Config, data path, dataset and split boundary of a data command. The
+    boundary is the ``--boundary`` flag, else the config's, else the one
+    the generator manifest next to the data file records."""
+    raw = _load_config(args.config)
+    data_path = Path(_require(args.data or raw.get("data"), "--data"))
+    data = load_events(data_path)
+    if args.boundary:
+        return raw, data_path, data, args.boundary
+    value, source = raw.get("boundary"), f"config {args.config}"
     manifest = data_path.parent / "manifest.json"
-    if manifest.exists():
-        try:
-            recorded = json.loads(manifest.read_text(encoding="utf-8")).get("boundary")
-        except json.JSONDecodeError:
-            recorded = None
-        if recorded:
-            return parse_timestamp(recorded)
-    raise DataError(
-        "no split boundary: pass --boundary, set it in the config, "
-        "or keep the generator manifest next to the data file"
-    )
+    if not value and manifest.exists():
+        value, source = _read_object(manifest, "manifest").get("boundary"), f"manifest {manifest}"
+    if not value:
+        raise DataError(
+            "no split boundary: pass --boundary, set it in the config, "
+            "or keep the generator manifest next to the data file"
+        )
+    try:
+        return raw, data_path, data, parse_timestamp(typed_config_value("boundary", value, str))
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
@@ -189,10 +190,9 @@ def _input_digests(data_path: Path) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    raw_all = _load_config(args.config)
-    _, paths = _split_config(raw_all)
-    cfg = _synth_config(raw_all, args)
-    out_dir = Path(_flag(args, "out", paths.get("out")) or "synth_out")
+    raw = _load_config(args.config)
+    cfg = _synth_config(raw, args)
+    out_dir = Path(args.out or raw.get("out") or "synth_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate_dataset(cfg)
     data_path = out_dir / "interactions.csv"
@@ -211,41 +211,27 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    raw_all = _load_config(args.config)
-    raw, paths = _split_config(raw_all)
-    data_path = Path(_require(args.data or paths.get("data"), "--data"))
-    data = load_events(data_path)
-    boundary = _resolve_boundary(args, raw, data_path)
+    _, _, data, boundary = _inputs(args)
     split = temporal_split(data, boundary)
-    seg = segment_users(split)
-    stats = dataset_stats(split, seg).as_dict()
-    train, test = stats["train"], stats["test"]
+    stats = dataset_stats(split, segment_users(split))
     print(f"boundary: {format_timestamp(boundary)}")
-    print(
-        f"train: users={train['users']} products={train['products']} "
-        f"sales={train['sales']}({train['sales_pct']:.2f}%) "
-        f"views={train['views']}({train['views_pct']:.2f}%) "
-        f"unobserved={train['unobserved']}({train['unobserved_pct']:.1f}%)"
-    )
-    print(
-        f"test:  users={test['users']} products={test['products']} "
-        f"sales={test['sales']}({test['sales_pct']:.2f}%) "
-        f"views={test['views']}({test['views_pct']:.2f}%) "
-        f"unobserved={test['unobserved']}({test['unobserved_pct']:.1f}%)"
-    )
-    for name, seg_stats in test["segments"].items():
+    for side, label in (("train", "train:"), ("test", "test: ")):
+        s = stats[side]
+        print(
+            f"{label} users={s['users']} products={s['products']} "
+            f"sales={s['sales']}({s['sales_pct']:.2f}%) "
+            f"views={s['views']}({s['views_pct']:.2f}%) "
+            f"unobserved={s['unobserved']}({s['unobserved_pct']:.1f}%)"
+        )
+    for name, seg_stats in stats["test"]["segments"].items():
         print(f"  {name}: {seg_stats['users']} ({seg_stats['pct']:.1f}%)")
     return EXIT_OK
 
 
 def _cmd_split(args) -> int:
-    raw_all = _load_config(args.config)
-    raw, paths = _split_config(raw_all)
-    data_path = Path(_require(args.data or paths.get("data"), "--data"))
-    out_dir = Path(_require(_flag(args, "out", paths.get("out")), "--out"))
+    raw, _, data, boundary = _inputs(args)
+    out_dir = Path(_require(args.out or raw.get("out"), "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = load_events(data_path)
-    boundary = _resolve_boundary(args, raw, data_path)
     split = temporal_split(data, boundary)
     write_events(split.train, out_dir / "train.csv")
     write_events(split.test, out_dir / "test.csv")
@@ -257,13 +243,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw_all = _load_config(args.config)
-    raw, paths = _split_config(raw_all)
-    data_path = Path(_require(args.data or paths.get("data"), "--data"))
-    out_path = Path(_require(_flag(args, "out", paths.get("out")), "--out"))
-    data = load_events(data_path)
-    boundary = _resolve_boundary(args, raw, data_path)
-    cfg = _eval_config({k: v for k, v in raw.items() if k != "boundary"}, args)
+    raw, _, data, boundary = _inputs(args)
+    out_path = Path(_require(args.out or raw.get("out"), "--out"))
+    cfg = _eval_config(raw, args, boundary)
     train = temporal_split(data, boundary).train
     confidence, model = fit_factor_model(cfg, train)
     if args.algo == "als":
@@ -275,13 +257,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    raw_all = _load_config(args.config)
-    raw, paths = _split_config(raw_all)
-    data_path = Path(_require(args.data or paths.get("data"), "--data"))
-    out_dir = Path(_flag(args, "out", paths.get("out")) or "eval_out")
-    data = load_events(data_path)
-    boundary = _resolve_boundary(args, raw, data_path)
-    cfg = _eval_config({**raw, "boundary": format_timestamp(boundary)}, args)
+    raw, data_path, data, boundary = _inputs(args)
+    out_dir = Path(args.out or raw.get("out") or "eval_out")
+    cfg = _eval_config(raw, args, boundary)
     report = run_evaluation(cfg, data)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = render_report(report, out_dir)

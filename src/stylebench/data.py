@@ -296,61 +296,6 @@ class PopularityTable:
         return [self.quantities[i] for i in self.ranking[:k]]
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    """The descriptive-statistics columns reported for train and test."""
-
-    train_users: int
-    train_items: int
-    train_sales: int
-    train_views: int
-    train_unobserved: int
-    test_users: int
-    test_items: int
-    test_sales: int
-    test_views: int
-    test_unobserved: int
-    segment_counts: dict[str, int]
-
-    @staticmethod
-    def _pct(part: int, whole: int) -> float:
-        return 100.0 * part / whole if whole else 0.0
-
-    def as_dict(self) -> dict:
-        train_cells = self.train_users * self.train_items
-        test_cells = self.test_users * self.test_items
-        n_test_users = self.test_users
-        return {
-            "train": {
-                "users": self.train_users,
-                "products": self.train_items,
-                "sales": self.train_sales,
-                "sales_pct": self._pct(self.train_sales, train_cells),
-                "views": self.train_views,
-                "views_pct": self._pct(self.train_views, train_cells),
-                "unobserved": self.train_unobserved,
-                "unobserved_pct": self._pct(self.train_unobserved, train_cells),
-            },
-            "test": {
-                "users": self.test_users,
-                "products": self.test_items,
-                "sales": self.test_sales,
-                "sales_pct": self._pct(self.test_sales, test_cells),
-                "views": self.test_views,
-                "views_pct": self._pct(self.test_views, test_cells),
-                "unobserved": self.test_unobserved,
-                "unobserved_pct": self._pct(self.test_unobserved, test_cells),
-                "segments": {
-                    name: {
-                        "users": count,
-                        "pct": self._pct(count, n_test_users),
-                    }
-                    for name, count in self.segment_counts.items()
-                },
-            },
-        }
-
-
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------
@@ -397,13 +342,6 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
         timestamp=ts,
         quantity=quantity,
     )
-
-
-def _sniff_format(path: Path) -> str:
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    return "csv"
 
 
 def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
@@ -471,6 +409,20 @@ def _numeric_cell(cell: str, name: str, path: Path, line_no: int) -> float:
     return value
 
 
+def _is_jsonl(path: Path) -> bool:
+    return path.suffix.lower() in (".jsonl", ".ndjson")
+
+
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice (which
+    ``json.loads`` would resolve silently to its last value)."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} appears twice")
+    return record
+
+
 def sidecar_paths(path: str | Path) -> tuple[Path, Path]:
     """Paths of the user/item feature sidecars for an interactions file."""
     path = Path(path)
@@ -478,18 +430,33 @@ def sidecar_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(f"{stem}.users.csv"), Path(f"{stem}.items.csv")
 
 
-def load_events(path: str | Path, format: str | None = None) -> Dataset:
+def load_events(path: str | Path) -> Dataset:
     """Load an interactions file (and feature sidecars, when present).
 
-    Events come back sorted ascending by timestamp; the sort is stable so
-    same-instant events keep file order.
+    A ``.jsonl`` or ``.ndjson`` file holds one JSON object per line; any
+    other is CSV. Events come back sorted ascending by timestamp; the sort
+    is stable so same-instant events keep file order.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    fmt = (format or _sniff_format(path)).lower()
     events: list[InteractionEvent] = []
-    if fmt == "csv":
+    if _is_jsonl(path):
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line, object_pairs_hook=_object_without_repeats)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
+                except ValueError as exc:  # a repeated key
+                    raise MalformedRecord(path, line_no, str(exc)) from None
+                if not isinstance(record, dict):
+                    raise MalformedRecord(path, line_no, "record is not an object")
+                events.append(_event_from_record(record, path, line_no))
+    else:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []  # an empty file has zero events
@@ -509,21 +476,6 @@ def load_events(path: str | Path, format: str | None = None) -> Dataset:
                         f"expected {len(header)} cells, got {len(header) + len(record[None])}",
                     )
                 events.append(_event_from_record(record, path, line_no))
-    elif fmt == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
-                if not isinstance(record, dict):
-                    raise MalformedRecord(path, line_no, "record is not an object")
-                events.append(_event_from_record(record, path, line_no))
-    else:
-        raise ValueError(f"unknown format {format!r}")
 
     user_path, item_path = sidecar_paths(path)
     user_features = load_feature_table(user_path, "user_id") if user_path.exists() else None
@@ -547,19 +499,11 @@ def write_feature_table(table: FeatureTable, path: str | Path, id_field: str) ->
             writer.writerow(row)
 
 
-def write_events(data: Dataset, path: str | Path, format: str | None = None) -> None:
-    """Write a dataset back out; inverse of :func:`load_events`."""
+def write_events(data: Dataset, path: str | Path) -> None:
+    """Write a dataset back out, as JSONL or CSV by the file suffix;
+    inverse of :func:`load_events`."""
     path = Path(path)
-    fmt = (format or _sniff_format(path)).lower()
-    if fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_REQUIRED_FIELDS)
-            for e in data.events:
-                writer.writerow(
-                    [e.user_id, e.item_id, e.kind.value, format_timestamp(e.timestamp), e.quantity]
-                )
-    elif fmt == "jsonl":
+    if _is_jsonl(path):
         with path.open("w", encoding="utf-8") as fh:
             for e in data.events:
                 fh.write(
@@ -576,7 +520,13 @@ def write_events(data: Dataset, path: str | Path, format: str | None = None) -> 
                     + "\n"
                 )
     else:
-        raise ValueError(f"unknown format {format!r}")
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_REQUIRED_FIELDS)
+            for e in data.events:
+                writer.writerow(
+                    [e.user_id, e.item_id, e.kind.value, format_timestamp(e.timestamp), e.quantity]
+                )
     user_path, item_path = sidecar_paths(path)
     if data.user_features is not None:
         write_feature_table(data.user_features, user_path, "user_id")
@@ -631,24 +581,34 @@ def popularity_table(data: Dataset) -> PopularityTable:
     return PopularityTable(quantities=quantities, ranking=ranking)
 
 
-def dataset_stats(split: TemporalSplit, seg: SegmentAssignment) -> DatasetStats:
-    """Counts behind the train/test descriptive tables.
+def _pct(part: int, whole: int) -> float:
+    return 100.0 * part / whole if whole else 0.0
 
-    Unobserved = user-item cells minus sale and view event counts, the
-    same arithmetic the summary tables use.
-    """
-    train, test = split.train, split.test
+
+def _side_stats(data: Dataset) -> dict:
+    """One side's row of the descriptive tables. Unobserved = user-item
+    cells minus sale and view event counts, the summary tables' arithmetic."""
+    cells = len(data.users) * len(data.items)
+    sales, views = data.n_sales, data.n_views
+    unobserved = cells - sales - views
+    return {
+        "users": len(data.users),
+        "products": len(data.items),
+        "sales": sales,
+        "sales_pct": _pct(sales, cells),
+        "views": views,
+        "views_pct": _pct(views, cells),
+        "unobserved": unobserved,
+        "unobserved_pct": _pct(unobserved, cells),
+    }
+
+
+def dataset_stats(split: TemporalSplit, seg: SegmentAssignment) -> dict:
+    """The train/test descriptive tables, with each segment's share of the
+    test users: report.json's ``dataset`` section."""
     counts = seg.counts()
-    return DatasetStats(
-        train_users=len(train.users),
-        train_items=len(train.items),
-        train_sales=train.n_sales,
-        train_views=train.n_views,
-        train_unobserved=len(train.users) * len(train.items) - train.n_sales - train.n_views,
-        test_users=len(test.users),
-        test_items=len(test.items),
-        test_sales=test.n_sales,
-        test_views=test.n_views,
-        test_unobserved=len(test.users) * len(test.items) - test.n_sales - test.n_views,
-        segment_counts={seg_.value: counts[seg_] for seg_ in Segment},
-    )
+    test = _side_stats(split.test)
+    test["segments"] = {
+        s.value: {"users": counts[s], "pct": _pct(counts[s], test["users"])} for s in Segment
+    }
+    return {"train": _side_stats(split.train), "test": test}

@@ -230,38 +230,34 @@ def augment_labels(
     enc_users = encode_entities(schema, train.user_features, "user", users)
     enc_items = encode_entities(schema, train.item_features, "item", items)
 
-    n_items = len(items)
-    rng = np.random.default_rng(np.random.SeedSequence([_mask_seed(cfg.seed), 0]))
-    user_rows: list[int] = []
-    item_rows: list[int] = []
-    labels: list[float] = []
     indptr, indices, data = cm.ratings.indptr, cm.ratings.indices, cm.ratings.data
+    rng = np.random.default_rng(np.random.SeedSequence([_mask_seed(cfg.seed), 0]))
+    # observed rows first, user by user, then each user's sampled rows
+    user_rows = [np.repeat(np.arange(len(users)), np.diff(indptr))]
+    item_rows = [indices]
+    labels = [data.astype(np.float64)]
+    unseen = np.ones(len(items), dtype=bool)
     for u in range(len(users)):
-        lo, hi = indptr[u], indptr[u + 1]
-        observed = indices[lo:hi]
-        for i, r in zip(observed, data[lo:hi]):
-            user_rows.append(u)
-            item_rows.append(int(i))
-            labels.append(float(r))
-        unobserved = np.setdiff1d(np.arange(n_items), observed, assume_unique=False)
+        observed = indices[indptr[u] : indptr[u + 1]]
+        unseen[observed] = False
+        unobserved = np.flatnonzero(unseen)
+        unseen[observed] = True
         if len(unobserved) == 0:
             continue
         n_neg = min(cfg.negatives_per_user, len(unobserved))
         sampled = rng.choice(unobserved, size=n_neg, replace=False)
         sampled.sort()
-        scores = als.item_factors[sampled] @ als.user_factors[u]
-        clamped = np.clip(scores, 0.0, 1.0)
-        for i, s in zip(sampled, clamped):
-            user_rows.append(u)
-            item_rows.append(int(i))
-            labels.append(float(s))
+        user_rows.append(np.full(n_neg, u))
+        item_rows.append(sampled)
+        labels.append(np.clip(als.item_factors[sampled] @ als.user_factors[u], 0.0, 1.0))
 
-    u_idx = np.array(user_rows, dtype=np.int64)
-    i_idx = np.array(item_rows, dtype=np.int64)
-    features = np.hstack([enc_users[u_idx], enc_items[i_idx]])
+    # a stable sort by user puts each user's sampled rows after its observed ones
+    user_col = np.concatenate(user_rows)
+    order = np.argsort(user_col, kind="stable")
+    features = np.hstack([enc_users[user_col[order]], enc_items[np.concatenate(item_rows)[order]]])
     return AugmentedTable(
         features=features,
-        labels=np.array(labels, dtype=np.float64),
+        labels=np.concatenate(labels)[order],
         schema=schema,
     )
 

@@ -343,15 +343,15 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             members = [u for u in segment_members[row] if u in lists[algo]]
             ranked = [lists[algo][u] for u in members]
             cells["ndcg"][row][algo] = _ndcg_cell(ndcg[algo], baselines, members)
-            cells["ad"][row][algo] = _ad_cell(ranked, k, cfg, row, algo)
-            cells["rp"][row][algo] = _rp_cell(ranked, pop, k, cfg, row, algo)
+            cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, ranked, k)
+            cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, ranked, pop, k)
 
     # threads is an execution detail; keeping it out of the echo keeps
     # report.json byte-identical across --threads settings
     config_echo = {k: v for k, v in cfg.to_dict().items() if k != "threads"}
     payload = {
         "config": config_echo,
-        "dataset": stats.as_dict(),
+        "dataset": stats,
         "coverage": {
             algo: {
                 "covered": len(lists[algo]),
@@ -388,12 +388,15 @@ def _ndcg_cell(ndcg: dict[str, float | None], baselines, members: list[str]) -> 
     }
 
 
-def _ad_cell(lists: list[RankedList], k, cfg: EvalConfig, row, algo) -> dict | None:
-    if len(lists) < 2:
+def _bootstrap_cell(cfg: EvalConfig, metric: str, row, algo, lists, *args) -> dict | None:
+    """One AD or RP cell, bootstrapped from the cell's own seed; None with
+    too few lists (AD compares pairs of lists, RP scores each one)."""
+    ad = metric == "ad"
+    if len(lists) < (2 if ad else 1):
         return None
-    value = avg_distinct_sampled(
-        lists, k,
-        seed=derive_seed(cfg.seed, "ad", row, algo),
+    value = (avg_distinct_sampled if ad else relative_popularity)(
+        lists, *args,
+        seed=derive_seed(cfg.seed, metric, row, algo),
         resamples=cfg.bootstrap_resamples,
     )
     return {
@@ -401,24 +404,7 @@ def _ad_cell(lists: list[RankedList], k, cfg: EvalConfig, row, algo) -> dict | N
         "sd": value.dispersion,
         "ci_low": value.ci_low,
         "ci_high": value.ci_high,
-        "n_pairs": value.n_units,
-    }
-
-
-def _rp_cell(lists: list[RankedList], pop, k, cfg: EvalConfig, row, algo) -> dict | None:
-    if not lists:
-        return None
-    value = relative_popularity(
-        lists, pop, k,
-        seed=derive_seed(cfg.seed, "rp", row, algo),
-        resamples=cfg.bootstrap_resamples,
-    )
-    return {
-        "point": value.point,
-        "sd": value.dispersion,
-        "ci_low": value.ci_low,
-        "ci_high": value.ci_high,
-        "n_users": value.n_units,
+        "n_pairs" if ad else "n_users": value.n_units,
     }
 
 

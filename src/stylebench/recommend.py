@@ -146,20 +146,19 @@ def score_cb_users(
     candidates: Sequence[str],
     user_features: FeatureTable,
     item_features: FeatureTable,
-    batch_users: int | None = None,
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Yield (user_id, score vector over candidates) from the forest.
 
     Encodes each side once and scores the user x candidate grid in user
-    batches. By default a batch holds as many users as fit
-    ``_PAIR_BUDGET`` pairs, which bounds its leaf ids and score totals.
+    batches. A batch holds as many users as fit ``_PAIR_BUDGET`` pairs,
+    which bounds its leaf ids and score totals.
     """
     enc_items = encode_entities(model.schema, item_features, "item", list(candidates))
     enc_users = encode_entities(model.schema, user_features, "user", list(users))
-    batch_users = batch_users or max(1, _PAIR_BUDGET // max(1, len(candidates)))
-    for start in range(0, len(users), batch_users):
-        preds = predict_forest_grid(model, enc_users[start : start + batch_users], enc_items)
-        yield from zip(users[start : start + batch_users], preds)
+    batch = max(1, _PAIR_BUDGET // max(1, len(candidates)))
+    for start in range(0, len(users), batch):
+        preds = predict_forest_grid(model, enc_users[start : start + batch], enc_items)
+        yield from zip(users[start : start + batch], preds)
 
 
 def recommend_mp(

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 from stylebench.als import ConfidenceMatrix
 from stylebench.data import Kind, PopularityTable, Segment, SegmentAssignment
-from stylebench.errors import EmptyTraining
+from stylebench.errors import EmptyTraining, MissingFeatures
+from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.metrics import GRADING_MODES, RelevanceJudgments
 
 
@@ -335,3 +336,59 @@ def loop_purchased_in_train(train):
         if e.kind is Kind.SALE:
             bought.setdefault(e.user_id, set()).add(e.item_id)
     return bought
+
+
+# The per-user loop version of forest.augment_labels, kept verbatim as its
+# reference.
+
+
+def loop_augment_labels(train, cm, als, cfg):
+    """Build the forest's training table from observed and sampled cells.
+
+    Observed (u, i) pairs keep their implicit rating as the label. Per
+    user, ``negatives_per_user`` unobserved items are drawn uniformly
+    without replacement (seeded) and labeled with the factor-model score
+    clamped to [0, 1].
+    """
+    if train.user_features is None or train.item_features is None:
+        raise MissingFeatures("training dataset has no user/item feature tables")
+    schema = FeatureSchema.from_tables(train.user_features, train.item_features)
+    users = list(cm.users)
+    items = list(cm.items)
+    enc_users = encode_entities(schema, train.user_features, "user", users)
+    enc_items = encode_entities(schema, train.item_features, "item", items)
+
+    n_items = len(items)
+    rng = np.random.default_rng(np.random.SeedSequence([_mask_seed(cfg.seed), 0]))
+    user_rows: list[int] = []
+    item_rows: list[int] = []
+    labels: list[float] = []
+    indptr, indices, data = cm.ratings.indptr, cm.ratings.indices, cm.ratings.data
+    for u in range(len(users)):
+        lo, hi = indptr[u], indptr[u + 1]
+        observed = indices[lo:hi]
+        for i, r in zip(observed, data[lo:hi]):
+            user_rows.append(u)
+            item_rows.append(int(i))
+            labels.append(float(r))
+        unobserved = np.setdiff1d(np.arange(n_items), observed, assume_unique=False)
+        if len(unobserved) == 0:
+            continue
+        n_neg = min(cfg.negatives_per_user, len(unobserved))
+        sampled = rng.choice(unobserved, size=n_neg, replace=False)
+        sampled.sort()
+        scores = als.item_factors[sampled] @ als.user_factors[u]
+        clamped = np.clip(scores, 0.0, 1.0)
+        for i, s in zip(sampled, clamped):
+            user_rows.append(u)
+            item_rows.append(int(i))
+            labels.append(float(s))
+
+    u_idx = np.array(user_rows, dtype=np.int64)
+    i_idx = np.array(item_rows, dtype=np.int64)
+    features = np.hstack([enc_users[u_idx], enc_items[i_idx]])
+    return AugmentedTable(
+        features=features,
+        labels=np.array(labels, dtype=np.float64),
+        schema=schema,
+    )

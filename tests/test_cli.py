@@ -369,3 +369,61 @@ class TestExitCodes:
         ])
         assert rc == EXIT_DATA
         assert f"{users}:{line}:" in capsys.readouterr().err
+
+
+class TestInputs:
+    """Config keys, data path and boundary: one step shared by every data command."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("synth", ["--out"]),
+        ("stats", ["--data"]),
+        ("split", ["--data", "--out"]),
+    ])
+    def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys, command, extra):
+        _, config, data_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(config.read_text()), "forest_tres": 3}))
+        paths = {"--data": str(data_path), "--out": str(tmp_path / "out")}
+        argv = [command, "--config", str(bad)]
+        for flag in extra:
+            argv += [flag, paths[flag]]
+        assert dispatch(argv) == EXIT_DATA
+        assert "forest_tres" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_string_data_path_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"data": 5}')
+        assert dispatch(["stats", "--config", str(config)]) == EXIT_DATA
+        assert "'data'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        '{"boundary": "garbage"}',
+        '{"boundary": 5}',
+        '["2022-08-28T00:00:00Z"]',
+        '{"boundary": ',
+    ])
+    def test_malformed_manifest_is_data_error(self, workspace, tmp_path, capsys, manifest):
+        _, _, data_path = workspace
+        data = tmp_path / "interactions.csv"
+        data.write_bytes(data_path.read_bytes())
+        (tmp_path / "manifest.json").write_text(manifest)
+        assert dispatch(["stats", "--data", str(data)]) == EXIT_DATA
+        assert f"manifest {tmp_path / 'manifest.json'}" in capsys.readouterr().err
+
+    def test_boundary_flag_then_config_then_manifest(self, workspace, tmp_path, capsys):
+        _, config, data_path = workspace
+        recorded = json.loads((data_path.parent / "manifest.json").read_text())["boundary"]
+        with_boundary = tmp_path / "config.json"
+        with_boundary.write_text(json.dumps(
+            {**json.loads(config.read_text()), "boundary": "2022-06-01T00:00:00Z"}
+        ))
+        runs = [
+            (["--config", str(config)], recorded),
+            (["--config", str(with_boundary)], "2022-06-01T00:00:00Z"),
+            (["--config", str(with_boundary), "--boundary", "2022-07-01T00:00:00+02:00"],
+             "2022-06-30T22:00:00Z"),
+        ]
+        for extra, expected in runs:
+            assert dispatch(["stats", "--data", str(data_path), *extra]) == EXIT_OK
+            assert capsys.readouterr().out.splitlines()[0] == f"boundary: {expected}"

@@ -148,6 +148,20 @@ class TestIngestion:
         )
         assert load_events(f).events[0].quantity == 4
 
+    def test_jsonl_repeated_key_names_key_and_line(self, tmp_path):
+        # json.loads alone keeps the last value: this would load as a 7-unit sale
+        f = tmp_path / "events.jsonl"
+        f.write_text(
+            '{"user_id": "u1", "item_id": "i1", "kind": "view", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": 1}\n'
+            '{"user_id": "u1", "item_id": "i1", "kind": "view", "quantity": 1, '
+            '"timestamp": "2022-01-01T00:00:00Z", "kind": "sale", "quantity": 7}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRecord, match="key 'kind' appears twice") as exc:
+            load_events(f)
+        assert exc.value.line_no == 2
+
     def test_view_with_quantity_over_one_rejected(self, tmp_path):
         f = tmp_path / "events.csv"
         write_csv(f, ["u1,i1,view,2022-01-01T00:00:00Z,2"])
@@ -427,10 +441,9 @@ class TestStats:
         train = Dataset(events=train_events, users=users, items=items)
         test = Dataset.from_events([ev("u0", "i0", Kind.VIEW, 200)])
         split = TemporalSplit(train=train, test=test, boundary=T0 + timedelta(hours=100))
-        stats = dataset_stats(split, segment_users(split))
-        assert stats.train_users == 10 and stats.train_items == 10
-        assert stats.train_sales == 1 and stats.train_views == 4
-        d = stats.as_dict()
+        d = dataset_stats(split, segment_users(split))
+        assert d["train"]["users"] == 10 and d["train"]["products"] == 10
+        assert d["train"]["sales"] == 1 and d["train"]["views"] == 4
         assert d["train"]["unobserved"] == 95
         assert d["train"]["unobserved_pct"] == pytest.approx(95.0)
 
@@ -454,8 +467,8 @@ class TestStats:
         data = Dataset.from_events([ev("u1", "i1", Kind.VIEW, 1)])
         split = temporal_split(data, T0 + timedelta(hours=100))
         stats = dataset_stats(split, segment_users(split))
-        assert stats.test_users == 0
-        assert stats.segment_counts == {
+        assert stats["test"]["users"] == 0
+        assert {name: s["users"] for name, s in stats["test"]["segments"].items()} == {
             "new_users": 0, "view_users": 0, "sale_users": 0,
         }
 

@@ -30,7 +30,7 @@ from stylebench.forest import (
     save_forest,
 )
 
-from oracles import per_node_best_split
+from oracles import loop_augment_labels, per_node_best_split
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -162,6 +162,47 @@ class TestAugmentLabels:
         b = augment_labels(train, cm, factors, cfg)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), st.booleans()),
+                       max_size=30),
+        saw_all=st.booleans(),
+        negatives=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_bit_identical_to_per_user_loop(self, cells, saw_all, negatives, seed):
+        # u6 only views; with saw_all, u0 sees every item and draws no
+        # negatives; up to 9 negatives exceed most users' unobserved count
+        cells = cells + [(6, 0, False)] + ([(0, i, False) for i in range(7)] if saw_all else [])
+        train = Dataset.from_events(
+            [ev(f"u{u}", f"i{i}", Kind.SALE if sold else Kind.VIEW, h)
+             for h, (u, i, sold) in enumerate(cells)],
+            FeatureTable(ids=tuple(f"u{u}" for u in range(7)), columns={
+                "age": FeatureColumn(kind="numeric", values=np.arange(7) * 7.5),
+                "style": FeatureColumn(kind="categorical", values=list("abcabca")),
+            }),
+            FeatureTable(ids=tuple(f"i{i}" for i in range(7)), columns={
+                "price": FeatureColumn(kind="numeric", values=np.arange(7) * 0.25),
+            }),
+        )
+        cm = build_confidence(train, AlsConfig(sale_weight=3.0))
+        rng = np.random.default_rng(seed)
+        factors = FactorModel(
+            user_factors=rng.normal(size=(len(cm.users), 3)),
+            item_factors=rng.normal(size=(len(cm.items), 3)),
+            users=cm.users,
+            items=cm.items,
+            loss_trace=(0.0,),
+            config=AlsConfig(factors=3),
+        )
+        cfg = ForestConfig(negatives_per_user=negatives, seed=seed)
+        got = augment_labels(train, cm, factors, cfg)
+        want = loop_augment_labels(train, cm, factors, cfg)
+        assert got.features.shape == want.features.shape
+        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+        assert np.array_equal(got.labels.view(np.uint64), want.labels.view(np.uint64))
+        assert got.schema == want.schema
 
 
 class TestFitForest:

@@ -204,10 +204,10 @@ class TestCandidateSetDiscipline:
         mp = recommend_mp(pop, ["u1", "u2"], 3)
         assert all(set(l.items) <= set(candidates) for l in mp)
 
-    def test_cb_scores_independent_of_batch_size(self):
+    def test_cb_scores_independent_of_batch_size(self, monkeypatch):
+        import stylebench.recommend as recommend
         from stylebench.als import AlsConfig, build_confidence, fit_als
         from stylebench.forest import ForestConfig, augment_labels, fit_forest
-        from stylebench.recommend import score_cb_users
 
         train = _train_dataset()
         als_cfg = AlsConfig(factors=4, iterations=4, seed=1)
@@ -219,12 +219,13 @@ class TestCandidateSetDiscipline:
         candidates = sorted(train.items)
         by_batch = {}
         for batch in (1, 2, 16):
+            # a budget of batch x candidates pairs makes batches of `batch` users
+            monkeypatch.setattr(recommend, "_PAIR_BUDGET", batch * len(candidates))
             by_batch[batch] = {
                 u: vec.tolist()
-                for u, vec in score_cb_users(
+                for u, vec in recommend.score_cb_users(
                     model, users, candidates,
                     train.user_features, train.item_features,
-                    batch_users=batch,
                 )
             }
         assert by_batch[1] == by_batch[2] == by_batch[16]

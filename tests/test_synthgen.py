@@ -66,7 +66,7 @@ class TestShapeTargets:
         data = generate_dataset(cfg)
         split = temporal_split(data, cfg.boundary)
         seg = segment_users(split)
-        stats = dataset_stats(split, seg).as_dict()
+        stats = dataset_stats(split, seg)
         assert stats["train"]["unobserved_pct"] >= 99.0
         segs = stats["test"]["segments"]
         assert segs["new_users"]["pct"] == pytest.approx(70.0, abs=5.0)

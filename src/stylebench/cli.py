@@ -37,6 +37,8 @@ from .data import (
 from .errors import DataError, StylebenchError
 from .harness import (
     CONFIG_KEYS,
+    REPORT_FORMATS,
+    REPORT_SHAPE,
     EvalConfig,
     EvaluationReport,
     fit_cb_forest,
@@ -45,6 +47,7 @@ from .harness import (
     run_evaluation,
     typed_config_value,
 )
+from .metrics import GRADING_MODES
 from .synth import SynthConfig, generate_dataset
 
 EXIT_OK = 0
@@ -109,6 +112,26 @@ def _read_object(path: Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise DataError(f"{what} {path} must hold a JSON object")
     return raw
+
+
+def _lacks(node: dict, shape: dict) -> str | None:
+    """Dotted path of the first key of ``shape`` that ``node`` lacks, or
+    holds as a non-object where ``shape`` wants one."""
+    for key, sub in shape.items():
+        if key not in node or (sub is not None and not isinstance(node[key], dict)):
+            return key
+        inner = sub and _lacks(node[key], sub)
+        if inner:
+            return f"{key}.{inner}"
+    return None
+
+
+def _report_formats(text: str) -> list[str]:
+    formats = [f.strip() for f in text.split(",") if f.strip()]
+    unknown = set(formats) - set(REPORT_FORMATS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown report formats {sorted(unknown)}")
+    return formats
 
 
 def _synth_config(raw: dict, args) -> SynthConfig:
@@ -280,13 +303,12 @@ def _cmd_report(args) -> int:
     report_path = Path(args.report)
     if not report_path.exists():
         raise DataError(f"no such report file: {report_path}")
-    report = EvaluationReport.from_json(report_path.read_text(encoding="utf-8"))
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    payload = _read_object(report_path, "report")
+    lacking = _lacks(payload, REPORT_SHAPE)
+    if lacking:
+        raise DataError(f"report {report_path} has no valid {lacking!r}")
     out_dir = Path(args.out or report_path.parent)
-    try:
-        written = render_report(report, out_dir, formats=formats)
-    except ValueError as exc:
-        raise _UsageError(f"--format {args.format!r}: {exc}") from None
+    written = render_report(EvaluationReport(payload), out_dir, formats=args.format)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -344,12 +366,12 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--out", help="report output directory")
     p_eval.add_argument("--k", type=int, help="recommendation list length")
     p_eval.add_argument("--threads", type=int, help="worker cap")
-    p_eval.add_argument("--grading", choices=("graded", "binary", "sales_only"))
+    p_eval.add_argument("--grading", choices=GRADING_MODES)
 
     p_report = sub.add_parser("report", help="re-render tables from report.json")
     p_report.add_argument("--report", required=True, help="canonical report.json")
     p_report.add_argument("--out", help="output directory (default: alongside input)")
-    p_report.add_argument("--format", default="csv,markdown")
+    p_report.add_argument("--format", type=_report_formats, default="csv,markdown")
 
     return parser
 

@@ -18,11 +18,12 @@ import enum
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -351,7 +352,7 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
     ``name:num`` or ``name:cat``.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -409,6 +410,27 @@ def _numeric_cell(cell: str, name: str, path: Path, line_no: int) -> float:
     return value
 
 
+@contextmanager
+def _open_utf8(path: Path) -> Iterator[IO[str]]:
+    """``path`` opened for reading as UTF-8 text. A read that meets bytes
+    that do not decode raises MalformedRecord at the first physical line
+    holding them: a newline byte never occurs inside a multi-byte UTF-8
+    sequence, so decoding the raw lines one by one finds it exactly."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with path.open("rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise MalformedRecord(
+                        path, line_no, f"not UTF-8: {exc.reason} at byte {exc.start + 1}"
+                    ) from None
+        raise
+
+
 def _is_jsonl(path: Path) -> bool:
     return path.suffix.lower() in (".jsonl", ".ndjson")
 
@@ -442,7 +464,7 @@ def load_events(path: str | Path) -> Dataset:
         raise DataError(f"no such file: {path}")
     events: list[InteractionEvent] = []
     if _is_jsonl(path):
-        with path.open(encoding="utf-8") as fh:
+        with _open_utf8(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -457,7 +479,7 @@ def load_events(path: str | Path) -> Dataset:
                     raise MalformedRecord(path, line_no, "record is not an object")
                 events.append(_event_from_record(record, path, line_no))
     else:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with _open_utf8(path) as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []  # an empty file has zero events
             missing = [f for f in _REQUIRED_FIELDS if header and f not in header]

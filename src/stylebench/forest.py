@@ -701,13 +701,7 @@ def load_forest(path: str | Path) -> ForestModel:
     if payload.get("kind") != "forest_model":
         raise ValueError(f"{path} is not a serialized forest model")
     specs = tuple(
-        FeatureSpec(
-            name=s["name"],
-            side=s["side"],
-            column=s["column"],
-            kind=s["kind"],
-            levels=tuple(s["levels"]) if s["levels"] else None,
-        )
+        FeatureSpec(**{**s, "levels": tuple(s["levels"]) if s["levels"] else None})
         for s in payload["schema"]
     )
     schema = FeatureSchema(specs=specs)
@@ -724,14 +718,10 @@ def load_forest(path: str | Path) -> ForestModel:
         trees.append(
             Tree(
                 feature=feature,
-                threshold=np.array(
-                    [math.nan if v is None else v for v in t["threshold"]], dtype=np.float64
-                ),
+                threshold=np.array(t["threshold"], dtype=np.float64),
                 left=np.array(t["left"], dtype=np.int64),
                 right=np.array(t["right"], dtype=np.int64),
-                value=np.array(
-                    [math.nan if v is None else v for v in t["value"]], dtype=np.float64
-                ),
+                value=np.array(t["value"], dtype=np.float64),
                 is_cat=is_cat,
                 members=members,
             )

@@ -56,6 +56,7 @@ from .recommend import (
 
 SEGMENT_ROWS = ("sale_users", "view_users", "new_users", "average")
 METRICS = ("ndcg", "ad", "rp")
+REPORT_FORMATS = ("json", "csv", "markdown")
 
 # flat config key -> (EvalConfig attribute holding the field, or None for
 # EvalConfig itself; field name). Defaults live only in the dataclasses.
@@ -275,21 +276,13 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         pop = popularity_table(split.train)
 
     candidates = split.train.item_ids
-    cand_pos = {item: i for i, item in enumerate(candidates)}
     test_users = split.test.user_ids
     k = cfg.k
 
     with _stage("relevance"):
-        rel = build_relevance(split.test, candidates, cfg.grading)
         # each user's graded candidate positions and their grades
-        graded = {
-            u: (np.array([cand_pos[i] for i in rel[u]], dtype=np.int64),
-                np.array(list(rel[u].values()), dtype=np.float64))
-            for u in test_users
-        }
-    baselines = {
-        u: random_baseline_ndcg(rel[u], len(candidates), k) for u in test_users
-    }
+        graded = build_relevance(split.test, candidates, cfg.grading)
+    baselines = {u: random_baseline_ndcg(g, len(candidates), k) for u, (_, g) in graded.items()}
 
     mask_by_user = purchase_masks(split.train) if cfg.exclude_purchased else {}
 
@@ -412,6 +405,17 @@ def _bootstrap_cell(cfg: EvalConfig, metric: str, row, algo, lists, *args) -> di
 # Rendering
 # ---------------------------------------------------------------------------
 
+# what render_report reads of a report.json: a dict is an object holding
+# at least its keys, None any value
+REPORT_SHAPE = {
+    "config": dict.fromkeys(("algorithms", "k", "seed", "boundary")),
+    "coverage": {},
+    "short_head": dict.fromkeys(
+        ("short_head_fraction", "n_short_head_items", "n_items", "total_sales")
+    ),
+    "cells": {metric: dict.fromkeys(SEGMENT_ROWS, {}) for metric in METRICS},
+}
+
 _ROW_TITLES = {
     "sale_users": "Sale Users",
     "view_users": "View Users",
@@ -453,7 +457,7 @@ def _metric_table_rows(report: EvaluationReport, metric: str) -> list[list[str]]
 def render_report(
     report: EvaluationReport,
     out_dir: str | Path,
-    formats: Iterable[str] = ("json", "csv", "markdown"),
+    formats: Iterable[str] = REPORT_FORMATS,
 ) -> list[Path]:
     """Write report files; returns the paths written.
 
@@ -462,7 +466,7 @@ def render_report(
     unavailable cells.
     """
     formats = set(formats)
-    unknown = formats - {"json", "csv", "markdown"}
+    unknown = formats - set(REPORT_FORMATS)
     if unknown:
         raise ValueError(f"unknown report formats {sorted(unknown)}")
     out_dir = Path(out_dir)

@@ -23,9 +23,6 @@ from .errors import AllUndefined, TooFewUsers, ZeroPopularity
 if TYPE_CHECKING:  # pragma: no cover
     from .recommend import RankedList
 
-# Per-user relevance grades over the candidate set.
-RelevanceJudgments = dict[str, dict[str, float]]
-
 GRADING_MODES = ("graded", "binary", "sales_only")
 
 
@@ -53,24 +50,27 @@ def build_relevance(
     test: Dataset,
     candidates: Iterable[str],
     grading: str = "graded",
-) -> RelevanceJudgments:
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Grade test-period interactions per user, restricted to candidates.
 
+    Gives every test user the positions in ``candidates`` of its graded
+    test items (int64, in ascending item-id order) and their grades
+    (float64); both are empty for a user with no graded candidate.
     Modes: ``graded`` gives 2 to items with a test sale and 1 to items
     with test views only; ``binary`` gives 1 to any interacted item;
     ``sales_only`` gives 1 to sold items and ignores views.
     """
     if grading not in GRADING_MODES:
         raise ValueError(f"grading must be one of {GRADING_MODES}, got {grading!r}")
-    candidate_set = set(candidates)
+    index = {item: p for p, item in enumerate(candidates)}
+    # each test item's candidate position, -1 for an item outside them
+    where = np.array([index.get(i, -1) for i in test.item_ids], dtype=np.int64)
     users, items, sold = test.pairs()
-    keep = np.array([i in candidate_set for i in test.item_ids], dtype=bool)[items]
-    keep &= sold | (grading != "sales_only")
+    keep = (where[items] >= 0) & (sold | (grading != "sales_only"))
     grades = np.where(sold, 2.0, 1.0) if grading == "graded" else np.ones(len(sold))
-    out: RelevanceJudgments = {user: {} for user in test.user_ids}
-    for u, i, g in zip(users[keep].tolist(), items[keep].tolist(), grades[keep].tolist()):
-        out[test.user_ids[u]][test.item_ids[i]] = g
-    return out
+    positions, grades = where[items[keep]], grades[keep]
+    cuts = np.searchsorted(users[keep], np.arange(1, len(test.user_ids)))
+    return dict(zip(test.user_ids, zip(np.split(positions, cuts), np.split(grades, cuts))))
 
 
 def dcg_at_k(rels_in_rank_order: Sequence[float], k: int) -> float:
@@ -154,18 +154,17 @@ def tie_aware_ndcg_arrays(
 
 
 def random_baseline_ndcg(
-    rels: Mapping[str, float],
+    grades: np.ndarray,
     n_candidates: int,
     k: int,
 ) -> float | None:
     """Expected NDCG@k of a uniformly random ranking of the candidates:
     the tie-aware NDCG of all-equal scores, i.e. one tie group spanning
     the whole list, so every rank above the cutoff gets the mean grade.
-    ``rels`` grades (a subset of) the candidates. Bit-identical to
+    ``grades`` grade (a subset of) the candidates. Bit-identical to
     :func:`tie_aware_ndcg_arrays` on an all-zero vector."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    grades = np.fromiter(rels.values(), dtype=np.float64, count=len(rels))
     if n_candidates == 0 or not (grades > 0.0).any():
         return None
     m = min(k, n_candidates)

@@ -14,7 +14,7 @@ from stylebench.als import ConfidenceMatrix
 from stylebench.data import Kind, PopularityTable, Segment, SegmentAssignment
 from stylebench.errors import EmptyTraining, MissingFeatures
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
-from stylebench.metrics import GRADING_MODES, RelevanceJudgments
+from stylebench.metrics import GRADING_MODES
 
 
 def plain_dcg(rels, k):
@@ -311,7 +311,7 @@ def loop_build_relevance(test, candidates, grading="graded"):
             continue
         bucket = sales if e.kind is Kind.SALE else views
         bucket.setdefault(e.user_id, set()).add(e.item_id)
-    out: RelevanceJudgments = {user: {} for user in test.users}
+    out: dict[str, dict[str, float]] = {user: {} for user in test.users}
     for user in test.users:
         grades = out[user]
         sold = sales.get(user, set())

@@ -245,6 +245,25 @@ class TestReportCommand:
                 == (out / "tables" / f"{metric}.csv").read_text()
             )
 
+    def test_report_missing_a_row_is_data_error(self, tmp_path, capsys):
+        rows = ("sale_users", "view_users", "new_users", "average")
+        payload = {
+            "config": {"algorithms": ["MP"], "k": 10, "seed": 0, "boundary": "b"},
+            "coverage": {"MP": {"covered": 1, "uncovered": 0}},
+            "short_head": {"short_head_fraction": 0.5, "n_short_head_items": 1,
+                           "n_items": 2, "total_sales": 3},
+            "cells": {m: {row: {"MP": None} for row in rows} for m in ("ndcg", "ad", "rp")},
+        }
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload))
+        assert dispatch(["report", "--report", str(report), "--out", str(tmp_path / "ok")]) == EXIT_OK
+        del payload["cells"]["rp"]["average"]
+        report.write_text(json.dumps(payload))
+        rc = dispatch(["report", "--report", str(report), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert "'cells.rp.average'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, workspace, tmp_path):
@@ -303,6 +322,15 @@ class TestExitCodes:
         ])
         assert rc == EXIT_USAGE
         assert "pdf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [b"{", b"[]", b"{}", b'{"config": "\xff"}'])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, content):
+        report = tmp_path / "report.json"
+        report.write_bytes(content)
+        rc = dispatch(["report", "--report", str(report), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert f"report {report}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys):

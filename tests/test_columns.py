@@ -130,7 +130,15 @@ def test_column_stages_match_event_loops(split, candidate_pick):
     for candidates in (train.item_ids, sorted(candidate_pick)):
         for grading in GRADING_MODES:
             got_rel = build_relevance(test, candidates, grading)
-            assert got_rel == loop_build_relevance(test, candidates, grading)
+            for positions, grades in got_rel.values():
+                assert positions.dtype == np.int64 and grades.dtype == np.float64
+                ids = [candidates[p] for p in positions]
+                assert ids == sorted(set(ids))
+            got_ids = {
+                user: {candidates[p]: g for p, g in zip(positions.tolist(), grades.tolist())}
+                for user, (positions, grades) in got_rel.items()
+            }
+            assert got_ids == loop_build_relevance(test, candidates, grading)
 
     cand_pos = {item: p for p, item in enumerate(train.item_ids)}
     want_masks = {

@@ -203,6 +203,29 @@ class TestIngestion:
             load_events(f)
         assert exc.value.line_no == 1
 
+    def test_csv_bytes_not_utf8_name_their_physical_line(self, tmp_path):
+        # multi-byte ids put the bad byte past the first decoded chunk
+        rows = [f"u{n},\u00e9{n},view,2022-01-01T00:00:00Z,1" for n in range(400)]
+        f = tmp_path / "events.csv"
+        write_csv(f, rows)
+        f.write_bytes(f.read_bytes() + b"u1,i\xff1,view,2022-01-01T00:00:00Z,1\n")
+        with pytest.raises(MalformedRecord, match="not UTF-8") as exc:
+            load_events(f)
+        assert exc.value.line_no == 402
+        assert str(exc.value).startswith(f"{f}:402:")
+
+    def test_jsonl_bytes_not_utf8_name_their_physical_line(self, tmp_path):
+        f = tmp_path / "events.jsonl"
+        record = (
+            '{"user_id": "u1", "item_id": "%s", "kind": "view", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": 1}\n'
+        )
+        f.write_bytes((record % "i1").encode() + (record % "i\xc3(").encode("latin-1"))
+        with pytest.raises(MalformedRecord, match="not UTF-8") as exc:
+            load_events(f)
+        assert exc.value.line_no == 2
+        assert str(exc.value).startswith(f"{f}:2:")
+
     def test_quantity_beyond_the_cap_rejected(self, tmp_path):
         f = tmp_path / "events.csv"
         write_csv(f, [
@@ -537,6 +560,14 @@ class TestFeatureTables:
             load_feature_table(path, "user_id")
         assert exc.value.line_no == 1
         assert "age" in str(exc.value)
+
+    def test_bytes_not_utf8_name_their_physical_line(self, tmp_path):
+        path = tmp_path / "bad.users.csv"
+        path.write_bytes(b"user_id,style:cat\nu1,caf\xc3\xa9\nu2,caf\xe9\n")
+        with pytest.raises(MalformedRecord, match="not UTF-8") as exc:
+            load_feature_table(path, "user_id")
+        assert exc.value.line_no == 3
+        assert str(exc.value).startswith(f"{path}:3:")
 
     def test_bad_row_after_quoted_newline_names_its_physical_line(self, tmp_path):
         path = tmp_path / "bad.users.csv"

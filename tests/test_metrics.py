@@ -128,7 +128,7 @@ class TestTieAwareNdcg:
 
 class TestRandomBaseline:
     def test_matches_all_tied(self):
-        assert random_baseline_ndcg({"a": 1.0}, 3, 3) == pytest.approx(
+        assert random_baseline_ndcg(np.array([1.0]), 3, 3) == pytest.approx(
             ALL_TIED_EXPECTED, abs=1e-12
         )
 
@@ -139,17 +139,17 @@ class TestRandomBaseline:
             rels = {f"i{j}": float(rng.integers(0, 3)) for j in range(n)}
             k = int(rng.integers(1, 11))
             tied = tie_aware_ndcg_at_k({f"i{j}": 0.0 for j in range(n)}, rels, k)
-            direct = random_baseline_ndcg(rels, n, k)
+            direct = random_baseline_ndcg(np.array(list(rels.values())), n, k)
             if tied is None:
                 assert direct is None
             else:
                 assert direct == pytest.approx(tied, abs=1e-12)
 
     def test_everything_relevant_is_ideal(self):
-        assert random_baseline_ndcg({"a": 1.0, "b": 1.0}, 2, 2) == pytest.approx(1.0)
+        assert random_baseline_ndcg(np.array([1.0, 1.0]), 2, 2) == pytest.approx(1.0)
 
     def test_zero_relevance_undefined(self):
-        assert random_baseline_ndcg({}, 5, 3) is None
+        assert random_baseline_ndcg(np.array([]), 5, 3) is None
 
 
 class TestMicroAverage:
@@ -331,6 +331,14 @@ class TestBootstrap:
         assert covered >= 90
 
 
+def graded_ids(test, candidates, grading="graded"):
+    """build_relevance with each user's positions mapped back to item ids."""
+    return {
+        user: {candidates[p]: g for p, g in zip(positions.tolist(), grades.tolist())}
+        for user, (positions, grades) in build_relevance(test, candidates, grading).items()
+    }
+
+
 class TestBuildRelevance:
     def events(self):
         return [
@@ -341,20 +349,20 @@ class TestBuildRelevance:
         ]
 
     def test_graded_default(self):
-        rel = build_relevance(Dataset.from_events(self.events()), ["A", "B"], "graded")
+        rel = graded_ids(Dataset.from_events(self.events()), ["A", "B"], "graded")
         assert rel["u1"] == {"A": 2.0, "B": 1.0}
         assert rel["u2"] == {"A": 1.0}
 
     def test_candidate_restriction(self):
-        rel = build_relevance(Dataset.from_events(self.events()), ["A", "B"])
+        rel = graded_ids(Dataset.from_events(self.events()), ["A", "B"])
         assert "Z" not in rel["u1"]
 
     def test_binary_mode(self):
-        rel = build_relevance(Dataset.from_events(self.events()), ["A", "B"], "binary")
+        rel = graded_ids(Dataset.from_events(self.events()), ["A", "B"], "binary")
         assert rel["u1"] == {"A": 1.0, "B": 1.0}
 
     def test_sales_only_mode(self):
-        rel = build_relevance(Dataset.from_events(self.events()), ["A", "B"], "sales_only")
+        rel = graded_ids(Dataset.from_events(self.events()), ["A", "B"], "sales_only")
         assert rel["u1"] == {"A": 1.0}
         assert rel["u2"] == {}
 
@@ -363,5 +371,14 @@ class TestBuildRelevance:
             InteractionEvent("u1", "A", Kind.VIEW, T0, 1),
             InteractionEvent("u1", "A", Kind.SALE, T0 + timedelta(hours=1), 1),
         ]
-        rel = build_relevance(Dataset.from_events(events), ["A"])
+        rel = graded_ids(Dataset.from_events(events), ["A"])
         assert rel["u1"] == {"A": 2.0}
+
+    def test_positions_index_the_given_candidates(self):
+        events = self.events() + [InteractionEvent("u3", "Z", Kind.VIEW, T0, 1)]
+        rel = build_relevance(Dataset.from_events(events), ("B", "A"))
+        positions, grades = rel["u1"]
+        assert positions.tolist() == [1, 0] and grades.tolist() == [2.0, 1.0]
+        positions, grades = rel["u3"]
+        assert positions.dtype == np.int64 and grades.dtype == np.float64
+        assert len(positions) == len(grades) == 0

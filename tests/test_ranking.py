@@ -121,7 +121,7 @@ def test_ndcg_from_the_ranking_matches_oracle(scores, grades, k, data):
 def test_random_baseline_matches_oracle_on_equal_scores(n, grades, k):
     rels = {f"i{j}": g for j, g in enumerate(grades[:n]) if g > 0.0}
     oracle = brute_force_tie_aware_ndcg({f"i{j}": 0.0 for j in range(n)}, rels, k)
-    value = random_baseline_ndcg(rels, n, k)
+    value = random_baseline_ndcg(np.array(list(rels.values())), n, k)
     if oracle is None:
         assert value is None
     else:
@@ -140,10 +140,9 @@ def test_random_baseline_matches_oracle_on_equal_scores(n, grades, k):
 def test_random_baseline_equals_kernel_on_zeros(grades, extra, k):
     # grades sum in order, so a pairwise sum (np.sum) would differ in the last bits
     n = len(grades) + extra
-    rels = {f"i{j}": g for j, g in enumerate(grades)}
     g = np.array(grades, dtype=np.float64)
     want = tie_aware_ndcg_arrays(np.zeros(n), np.zeros(min(k, n)), np.arange(len(g)), g)
-    got = random_baseline_ndcg(rels, n, k)
+    got = random_baseline_ndcg(g, n, k)
     if want is None:
         assert got is None
     else:

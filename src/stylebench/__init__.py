@@ -57,11 +57,9 @@ from .metrics import (
     micro_average_ndcg,
     random_baseline_ndcg,
     relative_popularity,
-    relative_popularity_user,
-    symmetric_distinct,
     tie_aware_ndcg_at_k,
 )
-from .recommend import RankedList, recommend_cb, recommend_cf, recommend_mp, top_k_select
+from .recommend import RankedList
 from .synth import SynthConfig, generate_dataset
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from .harness import (
     fit_cb_forest,
     fit_factor_model,
     render_report,
+    report_entries_shape,
     run_evaluation,
     typed_config_value,
 )
@@ -124,6 +125,19 @@ def _lacks(node: dict, shape: dict) -> str | None:
         if inner:
             return f"{key}.{inner}"
     return None
+
+
+def _report_lacks(payload: dict) -> str | None:
+    """Dotted path of the first part of a report that render_report reads
+    and ``payload`` lacks: a REPORT_SHAPE key, ``config.algorithms`` as a
+    list of names, or a key of :func:`report_entries_shape`."""
+    lacking = _lacks(payload, REPORT_SHAPE)
+    if lacking:
+        return lacking
+    algorithms = payload["config"]["algorithms"]
+    if not isinstance(algorithms, list) or not all(isinstance(a, str) for a in algorithms):
+        return "config.algorithms"
+    return _lacks(payload, report_entries_shape(payload))
 
 
 def _report_formats(text: str) -> list[str]:
@@ -304,7 +318,7 @@ def _cmd_report(args) -> int:
     if not report_path.exists():
         raise DataError(f"no such report file: {report_path}")
     payload = _read_object(report_path, "report")
-    lacking = _lacks(payload, REPORT_SHAPE)
+    lacking = _report_lacks(payload)
     if lacking:
         raise DataError(f"report {report_path} has no valid {lacking!r}")
     out_dir = Path(args.out or report_path.parent)

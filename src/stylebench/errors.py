@@ -63,10 +63,6 @@ class SchemaMismatch(StylebenchError):
     """Feature rows do not conform to a model's feature schema."""
 
 
-class EmptyCandidates(StylebenchError):
-    """Top-k selection over an empty score map."""
-
-
 class TooFewUsers(StylebenchError):
     """Pairwise list metrics need at least two users."""
 

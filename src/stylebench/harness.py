@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .recommend import (
     ALGORITHMS,
-    RankedList,
     rank_users,
     score_cb_users,
     score_cf_users,
@@ -302,15 +301,23 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             data.user_features, data.item_features,
         ),
     }
-    lists: dict[str, dict[str, RankedList]] = {}
-    ndcg: dict[str, dict[str, float | None]] = {}
+    # per strategy: the covered users, their top-k item ids as one
+    # (covered users x m) matrix, and their NDCG in the same order
+    covered: dict[str, list[str]] = {}
+    top_items: dict[str, np.ndarray] = {}
+    ndcg: dict[str, list[float | None]] = {}
+    item_ids = np.asarray(candidates)
+    m = min(k, len(candidates))
     for algo in cfg.algorithms:
         with _stage(f"recommend_{algo.lower()}"):
-            lists[algo], ndcg[algo] = {}, {}
-            for ranked, vec in rank_users(scorers[algo](), candidates, k, algo, mask_by_user):
-                user = ranked.user_id
-                lists[algo][user] = ranked
-                ndcg[algo][user] = tie_aware_ndcg_arrays(vec, ranked.scores, *graded[user])
+            covered[algo], tops, ndcg[algo] = [], [], []
+            for user, top, ranked_by in rank_users(scorers[algo](), k, mask_by_user):
+                covered[algo].append(user)
+                tops.append(top)
+                ndcg[algo].append(
+                    tie_aware_ndcg_arrays(ranked_by, ranked_by[top], *graded[user])
+                )
+            top_items[algo] = item_ids[np.array(tops, dtype=np.int64).reshape(-1, m)]
 
     with _stage("short_head"):
         head = short_head_curve(pop)
@@ -326,6 +333,7 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         metric: {row: {} for row in SEGMENT_ROWS} for metric in METRICS
     }
     for algo in cfg.algorithms:
+        row_of = {u: r for r, u in enumerate(covered[algo])}
         for row in SEGMENT_ROWS:
             # CF cannot cover new users, so its new-user and pooled rows
             # stay unavailable
@@ -333,11 +341,14 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
                 for metric in METRICS:
                     cells[metric][row][algo] = None
                 continue
-            members = [u for u in segment_members[row] if u in lists[algo]]
-            ranked = [lists[algo][u] for u in members]
-            cells["ndcg"][row][algo] = _ndcg_cell(ndcg[algo], baselines, members)
-            cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, ranked, k)
-            cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, ranked, pop, k)
+            members = [u for u in segment_members[row] if u in row_of]
+            rows = [row_of[u] for u in members]
+            cells["ndcg"][row][algo] = _ndcg_cell(
+                [ndcg[algo][r] for r in rows], [baselines[u] for u in members]
+            )
+            top = top_items[algo][rows]
+            cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, top, k)
+            cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, top, pop, k)
 
     # threads is an execution detail; keeping it out of the echo keeps
     # report.json byte-identical across --threads settings
@@ -347,8 +358,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         "dataset": stats,
         "coverage": {
             algo: {
-                "covered": len(lists[algo]),
-                "uncovered": len(test_users) - len(lists[algo]),
+                "covered": len(covered[algo]),
+                "uncovered": len(test_users) - len(covered[algo]),
             }
             for algo in cfg.algorithms
         },
@@ -363,15 +374,15 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     return EvaluationReport(payload=payload)
 
 
-def _ndcg_cell(ndcg: dict[str, float | None], baselines, members: list[str]) -> dict | None:
-    if not members:
+def _ndcg_cell(values: list[float | None], baselines: list[float | None]) -> dict | None:
+    """One NDCG cell from its members' values and random baselines."""
+    if not values:
         return None
     try:
-        micro = micro_average_ndcg(ndcg[u] for u in members)
+        micro = micro_average_ndcg(values)
     except AllUndefined:
         return None
-    defined = [u for u in members if ndcg[u] is not None]
-    baseline = float(np.mean([baselines[u] for u in defined]))
+    baseline = float(np.mean([b for v, b in zip(values, baselines) if v is not None]))
     return {
         "value": micro.value,
         "pct_over_random": percent_over_random(micro.value, baseline),
@@ -381,14 +392,15 @@ def _ndcg_cell(ndcg: dict[str, float | None], baselines, members: list[str]) -> 
     }
 
 
-def _bootstrap_cell(cfg: EvalConfig, metric: str, row, algo, lists, *args) -> dict | None:
-    """One AD or RP cell, bootstrapped from the cell's own seed; None with
-    too few lists (AD compares pairs of lists, RP scores each one)."""
+def _bootstrap_cell(cfg: EvalConfig, metric: str, row, algo, top, *args) -> dict | None:
+    """One AD or RP cell from the members' top-k item matrix, bootstrapped
+    from the cell's own seed; None with too few users (AD compares pairs
+    of them, RP scores each one)."""
     ad = metric == "ad"
-    if len(lists) < (2 if ad else 1):
+    if len(top) < (2 if ad else 1):
         return None
     value = (avg_distinct_sampled if ad else relative_popularity)(
-        lists, *args,
+        top, *args,
         seed=derive_seed(cfg.seed, metric, row, algo),
         resamples=cfg.bootstrap_resamples,
     )
@@ -415,6 +427,31 @@ REPORT_SHAPE = {
     ),
     "cells": {metric: dict.fromkeys(SEGMENT_ROWS, {}) for metric in METRICS},
 }
+# what format_cell reads of a non-null cell, per metric
+CELL_FIELDS = {"ndcg": ("value", "pct_over_random"), "ad": ("point", "sd"), "rp": ("point", "sd")}
+
+
+def report_entries_shape(payload: dict) -> dict:
+    """What render_report reads per algorithm of a payload that holds
+    REPORT_SHAPE and lists its algorithms by name: a ``coverage`` entry
+    for each listed algorithm and each coverage key, and the metric's
+    CELL_FIELDS in each non-null cell of a listed algorithm."""
+    algorithms, cells = payload["config"]["algorithms"], payload["cells"]
+    entry = dict.fromkeys(("covered", "uncovered"))
+    return {
+        "coverage": dict.fromkeys([*algorithms, *payload["coverage"]], entry),
+        "cells": {
+            metric: {
+                row: {
+                    a: dict.fromkeys(fields)
+                    for a in algorithms
+                    if cells[metric][row].get(a) is not None
+                }
+                for row in SEGMENT_ROWS
+            }
+            for metric, fields in CELL_FIELDS.items()
+        },
+    }
 
 _ROW_TITLES = {
     "sale_users": "Sale Users",

@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 GRADING_MODES = ("graded", "binary", "sales_only")
 
+# resamples drawn per bootstrap chunk: bounds the (chunk, n) int64 index
+# block, which one (resamples, n) draw made 177 MB for n = 22k
+_BOOTSTRAP_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class MetricValue:
@@ -196,12 +200,13 @@ def percent_over_random(value: float, baseline: float) -> float:
     return 100.0 * (value - baseline) / baseline
 
 
-def symmetric_distinct(list_i: "RankedList", list_j: "RankedList", k: int) -> int:
-    """Cardinality of the symmetric difference of two users' top-k sets.
-
-    0 when the lists agree exactly; 2k when they share nothing.
-    """
-    return len(set(list_i.items[:k]) ^ set(list_j.items[:k]))
+def _item_matrix(lists: "np.ndarray | Sequence[RankedList]", k: int) -> np.ndarray:
+    """Each user's top-k item ids as one row: the first k columns of a
+    (users x m) matrix, or the items of RankedLists of one length stacked.
+    The only place the metrics read a RankedList."""
+    if isinstance(lists, np.ndarray):
+        return lists[:, :k]
+    return np.array([lst.items[:k] for lst in lists])
 
 
 def _pair_from_flat(t: int, n_users: int) -> tuple[int, int]:
@@ -260,68 +265,67 @@ def _summarize(
 
 
 def avg_distinct_sampled(
-    lists: Sequence["RankedList"],
+    lists: "np.ndarray | Sequence[RankedList]",
     k: int,
     seed: int,
     resamples: int = 1000,
 ) -> MetricValue:
     """Mean pairwise symmetric-difference size over sampled user pairs.
 
-    Draws ``round(U)`` distinct pairs uniformly at random (the expected
-    count implied by sampling a 2/(U-1) proportion of the U(U-1)/2 pairs),
-    clamped to the number of pairs that exist. Reports the sample SD
-    across pairs and a percentile bootstrap CI of the mean.
+    ``lists`` is a (users x m) matrix of top-k item ids, or RankedLists of
+    one length. Draws ``round(U)`` distinct pairs uniformly at random (the
+    expected count implied by sampling a 2/(U-1) proportion of the
+    U(U-1)/2 pairs), clamped to the number of pairs that exist. Reports
+    the sample SD across pairs and a percentile bootstrap CI of the mean.
     """
-    n_users = len(lists)
+    top = _item_matrix(lists, k)
+    n_users = len(top)
     if n_users < 2:
         raise TooFewUsers(f"need >= 2 users for pairwise distinctness, got {n_users}")
     total = n_users * (n_users - 1) // 2
     n_pairs = min(round(n_users), total)
     rng = np.random.default_rng(seed)
-    pairs = sample_pair_indices(n_users, n_pairs, rng)
-    values = np.array(
-        [symmetric_distinct(lists[i], lists[j], k) for i, j in pairs],
-        dtype=np.float64,
-    )
+    i, j = np.array(sample_pair_indices(n_users, n_pairs, rng)).T
+    # a row holds distinct items, so |A ^ B| = 2m - 2|A & B|, and the items
+    # two rows share are the adjacent equal ones in their sorted concatenation
+    both = np.sort(np.concatenate((top[i], top[j]), axis=1), axis=1)
+    shared = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
+    values = (2 * top.shape[1] - 2 * shared).astype(np.float64)
     return _summarize(values, seed=rng, resamples=resamples)
 
 
-def avg_distinct_exact(lists: Sequence["RankedList"], k: int) -> float:
-    """Full O(U^2) enumeration of the mean pairwise distinctness."""
-    n_users = len(lists)
+def avg_distinct_exact(lists: "np.ndarray | Sequence[RankedList]", k: int) -> float:
+    """The mean pairwise distinctness over all U(U-1)/2 pairs: an item
+    in c rows is shared by C(c, 2) of them."""
+    top = _item_matrix(lists, k)
+    n_users = len(top)
     if n_users < 2:
         raise TooFewUsers(f"need >= 2 users for pairwise distinctness, got {n_users}")
-    total = 0
-    for i in range(n_users):
-        for j in range(i + 1, n_users):
-            total += symmetric_distinct(lists[i], lists[j], k)
+    _, counts = np.unique(top, return_counts=True)
+    shared = int((counts * (counts - 1) // 2).sum())
+    total = n_users * (n_users - 1) * top.shape[1] - 2 * shared
     return total / (n_users * (n_users - 1) / 2)
 
 
-def relative_popularity_user(
-    lst: "RankedList", pop: PopularityTable, k: int
-) -> float:
-    """Sales quantity of a user's top-k relative to the k most popular items."""
-    denom = sum(pop.top_quantities(k))
-    if denom == 0:
-        raise ZeroPopularity("no units sold in the popularity window")
-    numer = sum(pop.quantities[item] for item in lst.items[:k])
-    return numer / denom
-
-
 def relative_popularity(
-    lists: Sequence["RankedList"],
+    lists: "np.ndarray | Sequence[RankedList]",
     pop: PopularityTable,
     k: int,
     seed: int,
     resamples: int = 1000,
 ) -> MetricValue:
-    """Mean per-user relative popularity with SD and bootstrap CI."""
-    if not lists:
+    """Mean per-user relative popularity with SD and bootstrap CI: the
+    units sold of a user's top-k items over those of the k most popular
+    items. ``lists`` is as for :func:`avg_distinct_sampled`."""
+    top = _item_matrix(lists, k)
+    if not len(top):
         raise ValueError("relative_popularity needs at least one user")
-    values = np.array(
-        [relative_popularity_user(lst, pop, k) for lst in lists], dtype=np.float64
-    )
+    denom = sum(pop.top_quantities(k))
+    if denom == 0:
+        raise ZeroPopularity("no units sold in the popularity window")
+    items, where = np.unique(top, return_inverse=True)
+    units = np.array([pop.quantities[i] for i in items.tolist()], dtype=np.int64)
+    values = units[where].reshape(top.shape).sum(axis=1) / denom
     return _summarize(values, seed=np.random.default_rng(seed), resamples=resamples)
 
 
@@ -339,8 +343,12 @@ def bootstrap_ci(
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     rng = _as_generator(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
-    means = values[idx].mean(axis=1)
+    # _BOOTSTRAP_CHUNK resamples at a time: the same draws as one
+    # (resamples, n) call, with the index block bounded
+    means = np.concatenate([
+        values[rng.integers(0, n, (min(_BOOTSTRAP_CHUNK, resamples - start), n))].mean(axis=1)
+        for start in range(0, resamples, _BOOTSTRAP_CHUNK)
+    ])
     alpha = (1.0 - level) / 2.0
     low, high = np.quantile(means, [alpha, 1.0 - alpha])
     return float(low), float(high)

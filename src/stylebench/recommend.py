@@ -4,10 +4,9 @@ Each strategy is a generator of (user, score vector over the id-ascending
 training candidates): most popular yields one shared units-sold vector,
 collaborative filtering yields a factor-model vector for every user seen
 in training and skips the rest, and the content-based forest scores every
-user that has features. :func:`rank_scores` turns any such vector into a
-top-k list, breaking score ties by ascending item id and truncating to
-min(k, #candidates); :func:`rank_users` ranks a whole stream, and the
-``recommend_*`` functions compose it with a strategy.
+user that has features. :func:`rank_users` ranks any such stream into each
+user's top-k candidate positions, breaking score ties by ascending item id
+and truncating to min(k, #candidates).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .als import FactorModel
 from .data import FeatureTable, PopularityTable
-from .errors import EmptyCandidates, UnknownItem
+from .errors import UnknownItem
 from .forest import ForestModel, encode_entities, predict_forest_grid
 
 ALGORITHMS = ("MP", "CF", "CB")
@@ -31,7 +30,8 @@ _PAIR_BUDGET = 1 << 21
 
 @dataclass(frozen=True)
 class RankedList:
-    """A user's top-k recommendation: parallel item/score tuples."""
+    """A user's top-k recommendation as parallel item/score tuples, which
+    the list metrics take beside a matrix of top-k item ids."""
 
     user_id: str
     items: tuple[str, ...]
@@ -47,70 +47,39 @@ class RankedList:
             raise ValueError("scores must be non-increasing")
 
 
-def rank_scores(
-    user: str,
-    scores: np.ndarray,
-    candidates: Sequence[str],
-    k: int,
-    algorithm: str,
-    exclude: np.ndarray | None = None,
-) -> tuple[RankedList, np.ndarray]:
-    """One user's top-k list from a score vector over id-ascending candidates.
-
-    Candidates at the ``exclude`` positions score ``-inf`` (on a copy, so a
-    shared vector is never touched). The stable descending sort makes equal
-    scores fall back to ascending item id. Returns the list and the vector
-    it was ranked by.
-    """
-    if exclude is not None and len(exclude):
-        scores = scores.copy()
-        scores[exclude] = -np.inf
-    return RankedList(user, *_stable_top(scores, k, candidates), algorithm), scores
-
-
 def rank_users(
     scored: Iterable[tuple[str, np.ndarray]],
-    candidates: Sequence[str],
     k: int,
-    algorithm: str,
     masks: Mapping[str, np.ndarray] | None = None,
-) -> Iterator[tuple[RankedList, np.ndarray]]:
-    """:func:`rank_scores` over a strategy's (user, vector) stream, with
-    each user's ``masks`` entry as ``exclude``.
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Rank a strategy's (user, vector) stream.
 
-    A vector yielded again as the same object (MP's shared vector) is
-    ranked once: users without a mask share its top-k items and scores.
+    Yields (user, top, ranked_by): ``top`` holds the int64 positions of the
+    user's top min(k, n) candidates, from a stable descending sort, so
+    equal scores fall back to ascending position (= item id); ``ranked_by``
+    is the vector ranked, with the user's ``masks`` positions set to
+    ``-inf`` in a copy, so a shared vector is never touched. A vector
+    yielded again as the same object (MP's shared vector) is sorted once:
+    users without a mask share its ``top``.
     """
     masks = masks or {}
     shared = shared_top = None
     for user, vec in scored:
         exclude = masks.get(user)
         if exclude is not None and len(exclude):
-            yield rank_scores(user, vec, candidates, k, algorithm, exclude)
+            vec = vec.copy()
+            vec[exclude] = -np.inf
+            yield user, _top(vec, k), vec
             continue
         if vec is not shared:
-            shared, shared_top = vec, _stable_top(vec, k, candidates)
-        yield RankedList(user, *shared_top, algorithm), vec
+            shared, shared_top = vec, _top(vec, k)
+        yield user, shared_top, vec
 
 
-def _stable_top(
-    scores: np.ndarray, k: int, candidates: Sequence[str]
-) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The top min(k, n) candidates and their scores, ties by position."""
-    top = np.argsort(-scores, kind="stable")[: min(k, len(scores))]
-    return tuple(candidates[i] for i in top), tuple(float(scores[i]) for i in top)
-
-
-def top_k_select(scores: Mapping[str, float], k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The k highest-scoring items, ties broken by ascending item id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not scores:
-        raise EmptyCandidates("no candidate items to rank")
-    items = sorted(scores)
-    vec = np.array([scores[i] for i in items], dtype=np.float64)
-    ranked, _ = rank_scores("", vec, items, k, "")
-    return ranked.items, ranked.scores
+def _top(scores: np.ndarray, k: int) -> np.ndarray:
+    """The top min(k, n) positions, ties by position; a copy, so the full
+    argsort is freed rather than pinned by the caller's rows."""
+    return np.argsort(-scores, kind="stable")[:k].copy()
 
 
 def score_mp_users(
@@ -159,44 +128,3 @@ def score_cb_users(
     for start in range(0, len(users), batch):
         preds = predict_forest_grid(model, enc_users[start : start + batch], enc_items)
         yield from zip(users[start : start + batch], preds)
-
-
-def recommend_mp(
-    pop: PopularityTable, users: Sequence[str], k: int
-) -> list[RankedList]:
-    """The same most-popular list for every user; scores are quantities."""
-    if not pop.quantities:
-        raise EmptyCandidates("popularity table is empty")
-    candidates = sorted(pop.quantities)
-    scored = score_mp_users(pop, sorted(users), candidates)
-    return [ranked for ranked, _ in rank_users(scored, candidates, k, "MP")]
-
-
-def recommend_cf(
-    model: FactorModel,
-    users: Sequence[str],
-    candidates: Sequence[str],
-    k: int,
-) -> tuple[list[RankedList], list[str]]:
-    """Factor-model lists for training-known users; the rest are returned
-    uncovered rather than silently scored."""
-    candidates = sorted(candidates)
-    users = sorted(users)
-    scored = score_cf_users(model, users, candidates)
-    lists = [ranked for ranked, _ in rank_users(scored, candidates, k, "CF")]
-    return lists, [u for u in users if u not in model.user_index]
-
-
-def recommend_cb(
-    model: ForestModel,
-    users: Sequence[str],
-    candidates: Sequence[str],
-    k: int,
-    user_features: FeatureTable,
-    item_features: FeatureTable,
-) -> list[RankedList]:
-    """Forest lists for every user; features stand in for history, so new
-    users are covered too."""
-    candidates = sorted(candidates)
-    scored = score_cb_users(model, sorted(users), candidates, user_features, item_features)
-    return [ranked for ranked, _ in rank_users(scored, candidates, k, "CB")]

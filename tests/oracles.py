@@ -14,7 +14,8 @@ from stylebench.als import ConfidenceMatrix
 from stylebench.data import Kind, PopularityTable, Segment, SegmentAssignment
 from stylebench.errors import EmptyTraining, MissingFeatures
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
-from stylebench.metrics import GRADING_MODES
+from stylebench.errors import TooFewUsers, ZeroPopularity
+from stylebench.metrics import GRADING_MODES, _summarize, sample_pair_indices
 
 
 def plain_dcg(rels, k):
@@ -392,3 +393,53 @@ def loop_augment_labels(train, cm, als, cfg):
         labels=np.array(labels, dtype=np.float64),
         schema=schema,
     )
+
+
+# The per-list versions of the AD and RP kernels and the one-draw
+# bootstrap, kept verbatim as references for the item-matrix metrics and
+# the chunked draws.
+
+
+def symmetric_distinct(list_i, list_j, k):
+    """Cardinality of the symmetric difference of two users' top-k sets.
+
+    0 when the lists agree exactly; 2k when they share nothing.
+    """
+    return len(set(list_i.items[:k]) ^ set(list_j.items[:k]))
+
+
+def loop_avg_distinct_sampled(lists, k, seed, resamples=1000):
+    """Mean pairwise symmetric-difference size over sampled user pairs,
+    one set comparison per pair."""
+    n_users = len(lists)
+    if n_users < 2:
+        raise TooFewUsers(f"need >= 2 users for pairwise distinctness, got {n_users}")
+    total = n_users * (n_users - 1) // 2
+    n_pairs = min(round(n_users), total)
+    rng = np.random.default_rng(seed)
+    pairs = sample_pair_indices(n_users, n_pairs, rng)
+    values = np.array(
+        [symmetric_distinct(lists[i], lists[j], k) for i, j in pairs],
+        dtype=np.float64,
+    )
+    return _summarize(values, seed=rng, resamples=resamples)
+
+
+def relative_popularity_user(lst, pop, k):
+    """Sales quantity of a user's top-k relative to the k most popular items."""
+    denom = sum(pop.top_quantities(k))
+    if denom == 0:
+        raise ZeroPopularity("no units sold in the popularity window")
+    numer = sum(pop.quantities[item] for item in lst.items[:k])
+    return numer / denom
+
+
+def one_draw_bootstrap_ci(values, resamples, level, rng):
+    """Percentile CI of the mean from one (resamples, n) index draw."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    idx = rng.integers(0, n, size=(resamples, n))
+    means = values[idx].mean(axis=1)
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    return float(low), float(high)

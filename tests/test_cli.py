@@ -224,6 +224,17 @@ class TestEvaluate:
         assert digests[0] == digests[1]
 
 
+# a report path -> an edit that leaves that entry malformed
+ENTRY_EDITS = {
+    "cells.ndcg.average.MP.value": lambda p: p["cells"]["ndcg"]["average"].update(MP={}),
+    "cells.ad.sale_users.CF.sd": lambda p: p["cells"]["ad"]["sale_users"].update(CF={"point": 1}),
+    "cells.rp.new_users.MP": lambda p: p["cells"]["rp"]["new_users"].update(MP=[0.5, 0.1]),
+    "coverage.MP.covered": lambda p: p["coverage"].update(MP={}),
+    "coverage.CF": lambda p: p["coverage"].pop("CF"),
+    "config.algorithms": lambda p: p["config"].update(algorithms="MP"),
+}
+
+
 class TestReportCommand:
     def test_rerender_matches(self, workspace, tmp_path):
         _, config, data_path = workspace
@@ -246,14 +257,7 @@ class TestReportCommand:
             )
 
     def test_report_missing_a_row_is_data_error(self, tmp_path, capsys):
-        rows = ("sale_users", "view_users", "new_users", "average")
-        payload = {
-            "config": {"algorithms": ["MP"], "k": 10, "seed": 0, "boundary": "b"},
-            "coverage": {"MP": {"covered": 1, "uncovered": 0}},
-            "short_head": {"short_head_fraction": 0.5, "n_short_head_items": 1,
-                           "n_items": 2, "total_sales": 3},
-            "cells": {m: {row: {"MP": None} for row in rows} for m in ("ndcg", "ad", "rp")},
-        }
+        payload = report_payload({"MP": None})
         report = tmp_path / "report.json"
         report.write_text(json.dumps(payload))
         assert dispatch(["report", "--report", str(report), "--out", str(tmp_path / "ok")]) == EXIT_OK
@@ -263,6 +267,40 @@ class TestReportCommand:
         assert rc == EXIT_DATA
         assert "'cells.rp.average'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", list(ENTRY_EDITS))
+    def test_report_missing_an_entry_is_data_error(self, tmp_path, capsys, path):
+        cells = {
+            "ndcg": {"value": 0.1, "pct_over_random": 5.0},
+            "ad": {"point": 2.0, "sd": 0.5},
+            "rp": {"point": 0.3, "sd": 0.1},
+        }
+        payload = report_payload({"MP": None, "CF": None})
+        for metric, cell in cells.items():
+            for row in payload["cells"][metric].values():
+                row.update(MP=cell, CF=cell)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload))
+        assert dispatch(["report", "--report", str(report), "--out", str(tmp_path / "ok")]) == EXIT_OK
+        ENTRY_EDITS[path](payload)
+        report.write_text(json.dumps(payload))
+        rc = dispatch(["report", "--report", str(report), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert f"report {report} has no valid {path!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def report_payload(cells: dict) -> dict:
+    """A minimal report listing ``cells``' algorithms, each covered once,
+    with ``cells`` in every metric x segment row."""
+    rows = ("sale_users", "view_users", "new_users", "average")
+    return {
+        "config": {"algorithms": list(cells), "k": 10, "seed": 0, "boundary": "b"},
+        "coverage": {a: {"covered": 1, "uncovered": 0} for a in cells},
+        "short_head": {"short_head_fraction": 0.5, "n_short_head_items": 1,
+                       "n_items": 2, "total_sales": 3},
+        "cells": {m: {row: dict(cells) for row in rows} for m in ("ndcg", "ad", "rp")},
+    }
 
 
 class TestEntryPoint:

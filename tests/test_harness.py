@@ -148,12 +148,11 @@ class TestReportGrid:
         assert "CB" not in report.payload["cells"]["ndcg"]["average"]
 
     def test_purchased_mask_drops_items_without_mutating_scores(self):
-        from stylebench.recommend import rank_scores
+        from stylebench.recommend import rank_users
 
         vec = np.array([5.0, 3.0, 1.0])
-        ranked, _ = rank_scores("u", vec, ["A", "B", "C"], 2, "MP",
-                                exclude=np.array([0]))
-        assert ranked.items == ("B", "C")
+        [(_, top, _)] = rank_users([("u", vec)], 2, {"u": np.array([0])})
+        assert tuple(np.array(["A", "B", "C"])[top]) == ("B", "C")
         assert vec[0] == 5.0
 
     def test_exclude_purchased_changes_buyers_cells(self):

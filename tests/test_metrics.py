@@ -9,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_tie_aware_ndcg, plain_dcg
+from oracles import (
+    brute_force_tie_aware_ndcg,
+    loop_avg_distinct_sampled,
+    one_draw_bootstrap_ci,
+    plain_dcg,
+    relative_popularity_user,
+)
 from stylebench.data import Dataset, InteractionEvent, Kind, PopularityTable
 from stylebench.errors import AllUndefined, TooFewUsers, ZeroPopularity
 from stylebench.metrics import (
     _pair_from_flat,
+    _summarize,
     avg_distinct_exact,
     avg_distinct_sampled,
     bootstrap_ci,
@@ -23,9 +30,7 @@ from stylebench.metrics import (
     percent_over_random,
     random_baseline_ndcg,
     relative_popularity,
-    relative_popularity_user,
     sample_pair_indices,
-    symmetric_distinct,
     tie_aware_ndcg_at_k,
 )
 from stylebench.recommend import RankedList
@@ -171,6 +176,16 @@ class TestMicroAverage:
         assert percent_over_random(0.077, 0.0175) == pytest.approx(340.0)
 
 
+def symmetric_distinct(a, b, k):
+    """The distinctness of one pair: the exact mean over that pair alone."""
+    return avg_distinct_exact([a, b], k)
+
+
+def matrix(lists):
+    """The RankedLists' items as the harness's item matrix."""
+    return np.array([lst.items for lst in lists])
+
+
 class TestSymmetricDistinct:
     def test_identical_lists(self):
         a = ranked("u1", [f"i{n}" for n in range(10)])
@@ -237,6 +252,30 @@ class TestAvgDistinct:
         assert out.point == pytest.approx(2.0)
         assert out.n_units == 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_users=st.integers(2, 40),
+        pool=st.integers(1, 25),
+        width=st.integers(1, 12),
+        k=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_kernel_equals_the_pair_loop(self, n_users, pool, width, k, seed):
+        rng = np.random.default_rng(seed)
+        items = [f"i{n:02d}" for n in range(pool)]
+        lists = [
+            ranked(f"u{n}", rng.choice(items, size=min(width, pool), replace=False))
+            for n in range(n_users)
+        ]
+        want = loop_avg_distinct_sampled(lists, k, seed=seed, resamples=50)
+        for given_lists in (lists, matrix(lists)):
+            got = avg_distinct_sampled(given_lists, k, seed=seed, resamples=50)
+            assert got.n_units == want.n_units
+            for field in ("point", "dispersion", "ci_low", "ci_high"):
+                assert np.float64(getattr(got, field)).view(np.uint64) == (
+                    np.float64(getattr(want, field)).view(np.uint64)
+                )
+
     def test_estimator_tracks_exact_enumeration(self):
         rng = np.random.default_rng(42)
         pool = [f"i{n:03d}" for n in range(50)]
@@ -256,6 +295,11 @@ class TestAvgDistinct:
         assert abs(grand_mean - exact) <= 1.96 * se
 
 
+def relative_popularity_of(lst, pop, k):
+    """One list's relative popularity, read off the aggregate over it alone."""
+    return relative_popularity([lst], pop, k, seed=0).point
+
+
 class TestRelativePopularity:
     def pop(self, quantities):
         ranking = tuple(sorted(quantities, key=lambda i: (-quantities[i], i)))
@@ -263,20 +307,20 @@ class TestRelativePopularity:
 
     def test_top_k_recommendation_is_one(self):
         pop = self.pop({"a": 10, "b": 8, "c": 1})
-        assert relative_popularity_user(ranked("u", ["a", "b"]), pop, 2) == 1.0
+        assert relative_popularity_of(ranked("u", ["a", "b"]), pop, 2) == 1.0
 
     def test_zero_sale_items(self):
         pop = self.pop({"a": 10, "b": 8, "c": 0, "d": 0})
-        assert relative_popularity_user(ranked("u", ["c", "d"]), pop, 2) == 0.0
+        assert relative_popularity_of(ranked("u", ["c", "d"]), pop, 2) == 0.0
 
     def test_hand_evaluation(self):
         pop = self.pop({"a": 10, "b": 8, "c": 5, "d": 3})
-        assert relative_popularity_user(ranked("u", ["c", "d"]), pop, 2) == pytest.approx(8 / 18)
+        assert relative_popularity_of(ranked("u", ["c", "d"]), pop, 2) == pytest.approx(8 / 18)
 
     def test_zero_popularity_raises(self):
         pop = self.pop({"a": 0, "b": 0})
         with pytest.raises(ZeroPopularity):
-            relative_popularity_user(ranked("u", ["a"]), pop, 2)
+            relative_popularity_of(ranked("u", ["a"]), pop, 2)
 
     def test_aggregate_matches_external_mean(self):
         rng = np.random.default_rng(8)
@@ -300,6 +344,28 @@ class TestRelativePopularity:
         out = relative_popularity(lists, pop, 2, seed=0)
         assert out.point == 1.0 and out.dispersion == 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        quantities=st.lists(st.integers(0, 50), min_size=1, max_size=30),
+        n_users=st.integers(1, 20),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_equal_the_per_user_oracle(self, quantities, n_users, k, seed):
+        pop = self.pop({f"i{n:02d}": q for n, q in enumerate(quantities)})
+        if sum(pop.top_quantities(k)) == 0:
+            return
+        rng = np.random.default_rng(seed)
+        m = min(k, len(quantities))
+        lists = [
+            ranked(f"u{n}", rng.choice(sorted(pop.quantities), size=m, replace=False))
+            for n in range(n_users)
+        ]
+        per_user = np.array([relative_popularity_user(lst, pop, k) for lst in lists])
+        want = _summarize(per_user, seed=np.random.default_rng(seed), resamples=50)
+        assert relative_popularity(lists, pop, k, seed=seed, resamples=50) == want
+        assert relative_popularity(matrix(lists), pop, k, seed=seed, resamples=50) == want
+
 
 class TestBootstrap:
     def test_constant_values(self):
@@ -320,6 +386,18 @@ class TestBootstrap:
         values = rng.uniform(-3, 9, size=25)
         low, high = bootstrap_ci(values, seed=5)
         assert values.min() <= low <= high <= values.max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    @pytest.mark.parametrize("resamples", [1, 63, 64, 65, 999, 1000])
+    def test_chunked_draws_equal_one_draw(self, n, resamples):
+        values = np.random.default_rng(n).normal(size=n)
+        for seed in (0, 1):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = bootstrap_ci(values, resamples=resamples, seed=got_rng)
+            want = one_draw_bootstrap_ci(values, resamples, 0.95, want_rng)
+            assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+            # the generator is left where the one draw leaves it
+            assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
 
     def test_gaussian_coverage(self):
         rng = np.random.default_rng(123)

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 from oracles import brute_force_tie_aware_ndcg, brute_force_top_k, pop_ranking_mp
 from stylebench.data import Dataset, InteractionEvent, Kind, popularity_table
 from stylebench.metrics import random_baseline_ndcg, tie_aware_ndcg_arrays
-from stylebench.recommend import rank_scores, rank_users, recommend_mp, top_k_select
+from stylebench.recommend import rank_users, score_mp_users
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
 # few distinct values, so most vectors carry large tie groups
 tied_scores = st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, -3.0]), min_size=1, max_size=30)
+
+
+def rank_one(vec, k, exclude):
+    """rank_users over a one-user stream whose mask is ``exclude``."""
+    [(_, top, ranked_by)] = rank_users([("u", vec)], k, {"u": np.array(exclude, dtype=np.int64)})
+    return top, ranked_by
 
 
 @settings(max_examples=300, deadline=None)
@@ -23,14 +29,12 @@ def test_rank_scores_matches_oracle(scores, k, data):
     n = len(scores)
     exclude = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
     vec = np.array(scores)
-    candidates = [f"i{j:03d}" for j in range(n)]
-    ranked, ranked_by = rank_scores(
-        "u", vec, candidates, k, "X", np.array(exclude, dtype=np.int64)
-    )
+    top, ranked_by = rank_one(vec, k, exclude)
     masked = [float("-inf") if j in exclude else s for j, s in enumerate(scores)]
-    top = brute_force_top_k(masked, k)
-    assert ranked.items == tuple(candidates[j] for j in top)
-    assert ranked.scores == tuple(masked[j] for j in top)
+    want = brute_force_top_k(masked, k)
+    assert top.dtype == np.int64
+    assert top.tolist() == want
+    assert ranked_by[top].tolist() == [masked[j] for j in want]
     assert ranked_by.tolist() == masked
     assert vec.tolist() == scores
 
@@ -42,28 +46,19 @@ def test_rank_users_shared_vector_matches_rank_scores(scores, k, data):
     # purchase mask (possibly empty) between unmasked ones
     n = len(scores)
     vec = np.array(scores)
-    candidates = [f"i{j:03d}" for j in range(n)]
     users = [f"u{j}" for j in range(data.draw(st.integers(1, 6)))]
     masks = {
         u: np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
         for u in data.draw(st.sets(st.sampled_from(users)))
     }
-    got = list(rank_users(((u, vec) for u in users), candidates, k, "MP", masks))
-    for user, (ranked, ranked_by) in zip(users, got):
-        want, want_by = rank_scores(user, vec, candidates, k, "MP", masks.get(user))
-        assert ranked == want
-        assert ranked_by.tolist() == want_by.tolist()
+    got = list(rank_users(((u, vec) for u in users), k, masks))
+    assert [user for user, _, _ in got] == users
+    for user, top, ranked_by in got:
+        exclude = set(masks.get(user, np.array([])).tolist())
+        masked = [float("-inf") if j in exclude else s for j, s in enumerate(scores)]
+        assert top.tolist() == brute_force_top_k(masked, k)
+        assert ranked_by.tolist() == masked
     assert vec.tolist() == scores
-
-
-@settings(max_examples=200, deadline=None)
-@given(scores=tied_scores, k=st.integers(1, 40))
-def test_top_k_select_matches_oracle(scores, k):
-    by_item = {f"i{j:03d}": s for j, s in enumerate(scores)}
-    items, values = top_k_select(by_item, k)
-    top = brute_force_top_k(scores, k)
-    assert items == tuple(f"i{j:03d}" for j in top)
-    assert values == tuple(scores[j] for j in top)
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,8 +80,12 @@ def test_recommend_mp_matches_popularity_ranking(sales, n_items, k):
         for n, (j, q) in enumerate(sales)
     ]
     pop = popularity_table(Dataset.from_events(events))
-    users = ["b", "a", "c"]
-    got = [(l.user_id, l.items, l.scores) for l in recommend_mp(pop, users, k)]
+    users = sorted(["b", "a", "c"])
+    candidates = sorted(pop.quantities)
+    got = [
+        (user, tuple(candidates[i] for i in top), tuple(ranked_by[top].tolist()))
+        for user, top, ranked_by in rank_users(score_mp_users(pop, users, candidates), k)
+    ]
     assert got == pop_ranking_mp(pop, users, k)
 
 
@@ -101,12 +100,10 @@ def test_ndcg_from_the_ranking_matches_oracle(scores, grades, k, data):
     n = len(scores)
     exclude = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
     candidates = [f"i{j}" for j in range(n)]
-    ranked, ranked_by = rank_scores(
-        "u", np.array(scores), candidates, k, "X", np.array(exclude, dtype=np.int64)
-    )
+    top, ranked_by = rank_one(np.array(scores), k, exclude)
     positions = np.flatnonzero(grades[:n])
     value = tie_aware_ndcg_arrays(
-        ranked_by, ranked.scores, positions, np.array(grades)[positions]
+        ranked_by, ranked_by[top], positions, np.array(grades)[positions]
     )
     masked = {c: float("-inf") if j in exclude else scores[j] for j, c in enumerate(candidates)}
     oracle = brute_force_tie_aware_ndcg(masked, dict(zip(candidates, grades)), k)

@@ -1,4 +1,4 @@
-"""Recommendation facade: top-k selection, MP/CF/CB list contracts."""
+"""MP/CF/CB score streams ranked by rank_users: the list contracts."""
 
 from datetime import datetime, timedelta, timezone
 
@@ -15,15 +15,15 @@ from stylebench.data import (
     PopularityTable,
     popularity_table,
 )
-from stylebench.errors import EmptyCandidates, MissingFeatures
+from stylebench.errors import MissingFeatures
 from stylebench.forest import ForestConfig, augment_labels, fit_forest
-from stylebench.metrics import symmetric_distinct
+from stylebench.metrics import avg_distinct_exact
 from stylebench.recommend import (
     RankedList,
-    recommend_cb,
-    recommend_cf,
-    recommend_mp,
-    top_k_select,
+    rank_users,
+    score_cb_users,
+    score_cf_users,
+    score_mp_users,
 )
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -33,23 +33,17 @@ def ev(user, item, kind, hours=0, quantity=1):
     return InteractionEvent(user, item, kind, T0 + timedelta(hours=hours), quantity)
 
 
-class TestTopKSelect:
-    def test_plain_sort(self):
-        items, scores = top_k_select({"A": 0.2, "B": 0.9, "C": 0.5}, 2)
-        assert items == ("B", "C")
-        assert scores == (0.9, 0.5)
+def ranked(scored, candidates, k):
+    """(user, items, scores) per user of a score stream ranked by rank_users."""
+    return [
+        (user, tuple(candidates[i] for i in top), tuple(ranked_by[top].tolist()))
+        for user, top, ranked_by in rank_users(scored, k)
+    ]
 
-    def test_tie_broken_by_id(self):
-        items, _ = top_k_select({"B": 0.5, "A": 0.5}, 1)
-        assert items == ("A",)
 
-    def test_truncation(self):
-        items, _ = top_k_select({"A": 1.0, "B": 2.0, "C": 3.0}, 5)
-        assert len(items) == 3
-
-    def test_empty_candidates(self):
-        with pytest.raises(EmptyCandidates):
-            top_k_select({}, 3)
+def mp_lists(pop, users, k):
+    candidates = sorted(pop.quantities)
+    return ranked(score_mp_users(pop, sorted(users), candidates), candidates, k)
 
 
 class TestRankedListInvariants:
@@ -69,17 +63,14 @@ class TestRecommendMp:
         )
 
     def test_identical_lists_for_all_users(self):
-        lists = recommend_mp(self.pop(), ["u2", "u1"], 2)
-        assert [l.user_id for l in lists] == ["u1", "u2"]
-        assert all(l.items == ("C", "A") for l in lists)
-        assert symmetric_distinct(lists[0], lists[1], 2) == 0
+        lists = mp_lists(self.pop(), ["u2", "u1"], 2)
+        assert [user for user, _, _ in lists] == ["u1", "u2"]
+        assert all(items == ("C", "A") for _, items, _ in lists)
+        assert avg_distinct_exact(np.array([items for _, items, _ in lists]), 2) == 0
 
     def test_scores_are_quantities(self):
-        lists = recommend_mp(self.pop(), ["u1"], 3)
-        assert lists[0].scores == (9.0, 5.0, 3.0)
-
-    def test_algorithm_tag(self):
-        assert recommend_mp(self.pop(), ["u1"], 1)[0].algorithm == "MP"
+        lists = mp_lists(self.pop(), ["u1"], 3)
+        assert lists[0][2] == (9.0, 5.0, 3.0)
 
 
 def _train_dataset():
@@ -116,32 +107,33 @@ class TestRecommendCf:
         cfg = AlsConfig(factors=4, iterations=5, seed=1)
         self.model = fit_als(build_confidence(self.train, cfg), cfg)
 
+    def cf_lists(self, users, candidates, k):
+        return ranked(score_cf_users(self.model, users, candidates), candidates, k)
+
     def test_new_user_lands_in_uncovered(self):
-        lists, uncovered = recommend_cf(
-            self.model, ["u1", "stranger"], sorted(self.train.items), 2
-        )
-        assert [l.user_id for l in lists] == ["u1"]
-        assert uncovered == ["stranger"]
+        users = ["u1", "stranger"]
+        lists = self.cf_lists(users, sorted(self.train.items), 2)
+        assert [user for user, _, _ in lists] == ["u1"]
+        covered = {user for user, _, _ in lists}
+        assert [u for u in users if u not in covered] == ["stranger"]
 
     def test_known_user_gets_descending_finite_scores(self):
-        lists, _ = recommend_cf(self.model, ["u2"], sorted(self.train.items), 3)
-        scores = lists[0].scores
+        lists = self.cf_lists(["u2"], sorted(self.train.items), 3)
+        scores = lists[0][2]
         assert len(scores) == 3
         assert all(np.isfinite(s) for s in scores)
         assert list(scores) == sorted(scores, reverse=True)
 
     def test_deterministic(self):
-        a, _ = recommend_cf(self.model, ["u1", "u2"], sorted(self.train.items), 2)
-        b, _ = recommend_cf(self.model, ["u1", "u2"], sorted(self.train.items), 2)
-        assert [(l.user_id, l.items, l.scores) for l in a] == [
-            (l.user_id, l.items, l.scores) for l in b
-        ]
+        a = self.cf_lists(["u1", "u2"], sorted(self.train.items), 2)
+        b = self.cf_lists(["u1", "u2"], sorted(self.train.items), 2)
+        assert a == b
 
     def test_candidate_outside_training_universe(self):
         from stylebench.errors import UnknownItem
 
         with pytest.raises(UnknownItem):
-            recommend_cf(self.model, ["u1"], ["iA", "iUnseen"], 2)
+            self.cf_lists(["u1"], ["iA", "iUnseen"], 2)
 
 
 class TestRecommendCb:
@@ -154,13 +146,18 @@ class TestRecommendCb:
         table = augment_labels(self.train, cm, als_model, fcfg)
         self.forest = fit_forest(table, fcfg)
 
-    def test_every_user_covered_including_new(self):
-        lists = recommend_cb(
-            self.forest, ["u9", "u1"], sorted(self.train.items), 2,
-            self.train.user_features, self.train.item_features,
+    def cb_lists(self, users, k, user_features=None):
+        candidates = sorted(self.train.items)
+        scored = score_cb_users(
+            self.forest, sorted(users), candidates,
+            user_features or self.train.user_features, self.train.item_features,
         )
-        assert [l.user_id for l in lists] == ["u1", "u9"]
-        assert all(len(l.items) == 2 for l in lists)
+        return ranked(scored, candidates, k)
+
+    def test_every_user_covered_including_new(self):
+        lists = self.cb_lists(["u9", "u1"], 2)
+        assert [user for user, _, _ in lists] == ["u1", "u9"]
+        assert all(len(items) == 2 for _, items, _ in lists)
 
     def test_identical_features_identical_lists(self):
         users = FeatureTable(
@@ -174,26 +171,17 @@ class TestRecommendCb:
                 ),
             },
         )
-        lists = recommend_cb(
-            self.forest, ["a", "b"], sorted(self.train.items), 3,
-            users, self.train.item_features,
-        )
-        assert lists[0].items == lists[1].items
-        assert lists[0].scores == lists[1].scores
+        lists = self.cb_lists(["a", "b"], 3, users)
+        assert lists[0][1] == lists[1][1]
+        assert lists[0][2] == lists[1][2]
 
     def test_candidate_smaller_than_k(self):
-        lists = recommend_cb(
-            self.forest, ["u1"], sorted(self.train.items), 10,
-            self.train.user_features, self.train.item_features,
-        )
-        assert len(lists[0].items) == 3
+        lists = self.cb_lists(["u1"], 10)
+        assert len(lists[0][1]) == 3
 
     def test_missing_features_raise(self):
         with pytest.raises(MissingFeatures):
-            recommend_cb(
-                self.forest, ["ghost"], sorted(self.train.items), 2,
-                self.train.user_features, self.train.item_features,
-            )
+            self.cb_lists(["ghost"], 2)
 
 
 class TestCandidateSetDiscipline:
@@ -201,8 +189,8 @@ class TestCandidateSetDiscipline:
         train = _train_dataset()
         pop = popularity_table(train)
         candidates = sorted(train.items)
-        mp = recommend_mp(pop, ["u1", "u2"], 3)
-        assert all(set(l.items) <= set(candidates) for l in mp)
+        mp = mp_lists(pop, ["u1", "u2"], 3)
+        assert all(set(items) <= set(candidates) for _, items, _ in mp)
 
     def test_cb_scores_independent_of_batch_size(self, monkeypatch):
         import stylebench.recommend as recommend

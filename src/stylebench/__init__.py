@@ -11,7 +11,6 @@ from .als import (
     FactorModel,
     build_confidence,
     fit_als,
-    predict_scores,
 )
 from .data import (
     Dataset,

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .errors import EmptyTraining, SingularSystem, UnknownItem, UnknownUser
+from .errors import EmptyTraining, SingularSystem, UnknownUser
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class ConfidenceMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.ratings.shape
-
-    def confidence(self, user_id: str, item_id: str) -> float:
-        """Confidence for one cell; 1.0 when the pair was never observed."""
-        r = self.ratings[self.user_index[user_id], self.item_index[item_id]]
-        return 1.0 + self.alpha * float(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,19 +220,6 @@ def fit_als(m: ConfidenceMatrix, cfg: AlsConfig) -> FactorModel:
         loss_trace=tuple(trace),
         config=cfg,
     )
-
-
-def predict_scores(model: FactorModel, user_id: str, item_ids: list[str]) -> list[float]:
-    """Dot-product scores x_u . y_i for the given items, in input order.
-
-    Raises UnknownUser for users absent from training (new users) and
-    UnknownItem for items outside the training item universe.
-    """
-    try:
-        idx = np.array([model.item_index[i] for i in item_ids], dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownItem(f"item {exc.args[0]!r} was not in training") from None
-    return [float(v) for v in model.scores_for_user(user_id, idx)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import typing
 from datetime import datetime
@@ -115,22 +116,41 @@ def _read_object(path: Path, what: str) -> dict:
     return raw
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) that formats as a
+    finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _lacks(node: dict, shape: dict) -> str | None:
     """Dotted path of the first key of ``shape`` that ``node`` lacks, or
-    holds as a non-object where ``shape`` wants one."""
+    holds as a non-object where ``shape`` wants one (a dict) or as other
+    than a finite number where it wants one (``float``)."""
     for key, sub in shape.items():
-        if key not in node or (sub is not None and not isinstance(node[key], dict)):
+        if key not in node:
             return key
-        inner = sub and _lacks(node[key], sub)
-        if inner:
-            return f"{key}.{inner}"
+        if sub is float:
+            if not _is_number(node[key]):
+                return key
+        elif sub is not None:
+            if not isinstance(node[key], dict):
+                return key
+            inner = _lacks(node[key], sub)
+            if inner:
+                return f"{key}.{inner}"
     return None
 
 
 def _report_lacks(payload: dict) -> str | None:
     """Dotted path of the first part of a report that render_report reads
     and ``payload`` lacks: a REPORT_SHAPE key, ``config.algorithms`` as a
-    list of names, or a key of :func:`report_entries_shape`."""
+    list of names, or a key of :func:`report_entries_shape`, each of the
+    kind the shape wants."""
     lacking = _lacks(payload, REPORT_SHAPE)
     if lacking:
         return lacking

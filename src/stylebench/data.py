@@ -163,10 +163,6 @@ class FeatureTable:
     def index_of(self, entity_id: str) -> int:
         return self._index[entity_id]
 
-    def row(self, entity_id: str) -> dict[str, object]:
-        i = self._index[entity_id]
-        return {name: col.values[i] for name, col in self.columns.items()}
-
     def __eq__(self, other):
         if not isinstance(other, FeatureTable):
             return NotImplemented

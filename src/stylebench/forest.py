@@ -28,6 +28,12 @@ from .errors import DegenerateTableWarning, MissingFeatures, SchemaMismatch
 # split scans prefixes of the levels ordered by mean label instead.
 _EXACT_SUBSET_LEVELS = 12
 _ZERO_SSE = 1e-12
+# A depth counts its split keys in dense per-feature bins while they number
+# at most this many per key; above it (a numeric column with about one
+# distinct value per row, at deep levels) it sorts the keys instead. On a
+# table with an all-distinct numeric column, bins were faster up to about
+# 4-6 per key and slower from 8.
+_DENSE_BINS_PER_KEY = 4
 
 
 @dataclass(frozen=True)
@@ -275,12 +281,14 @@ def _mask_seed(seed: int) -> int:
 class _FitState:
     """What every tree of one ``fit_forest`` call reads, built once per call.
 
-    ``codes`` holds a categorical column as its level codes and a numeric
-    column as the index of each value in ``values``, the concatenation of
-    every numeric column's sorted distinct values. Within one column that
-    index is a dense rank, so a split search only counts (node, code) keys,
-    and a threshold is the midpoint of two adjacent values present in the
-    node.
+    ``codes[f]`` holds feature ``f`` of every row (feature-major, so one
+    depth's gather is a flat take): a categorical feature as its level
+    codes, a numeric one as the index of each value in ``values``, the
+    concatenation of every numeric feature's sorted distinct values. Within
+    one feature that index is a dense rank, so a split search only counts
+    (node, code) keys, and a threshold is the midpoint of two adjacent
+    values present in the node. Feature ``f``'s codes lie in ``code_lo[f]``
+    up to ``code_lo[f] + code_width[f]``.
     """
 
     x: np.ndarray
@@ -291,24 +299,30 @@ class _FitState:
     codes: np.ndarray
     values: np.ndarray
     n_codes: int  # every code is below this
+    code_lo: np.ndarray
+    code_width: np.ndarray
     max_levels: int
 
     @classmethod
     def build(cls, table: AugmentedTable, cfg: ForestConfig) -> "_FitState":
         x = table.features
-        codes = np.empty(x.shape, dtype=np.int64)
+        codes = np.empty(x.shape[::-1], dtype=np.int64)
+        code_lo = np.zeros(x.shape[1], dtype=np.int64)
+        code_width = np.empty(x.shape[1], dtype=np.int64)
         values: list[np.ndarray] = []
         n_values = 0
         for f, spec in enumerate(table.schema.specs):
             if spec.kind == "categorical":
-                codes[:, f] = x[:, f]
-                if np.any(codes[:, f] != x[:, f]) or not (
-                    0 <= codes[:, f].min() and codes[:, f].max() < len(spec.levels or ())
+                codes[f] = x[:, f]
+                code_width[f] = len(spec.levels or ())
+                if np.any(codes[f] != x[:, f]) or not (
+                    0 <= codes[f].min() and codes[f].max() < code_width[f]
                 ):
                     raise ValueError(f"feature {spec.name!r} holds values that are not level codes")
             else:
                 distinct, rank = np.unique(x[:, f], return_inverse=True)
-                codes[:, f] = n_values + rank
+                codes[f] = n_values + rank
+                code_lo[f], code_width[f] = n_values, len(distinct)
                 values.append(distinct)
                 n_values += len(distinct)
         max_levels = table.schema.max_levels()
@@ -321,6 +335,8 @@ class _FitState:
             codes=codes,
             values=np.concatenate(values) if values else np.empty(0),
             n_codes=max(n_values, max_levels),
+            code_lo=code_lo,
+            code_width=code_width,
             max_levels=max_levels,
         )
 
@@ -428,6 +444,51 @@ def _best_subsets(seg, code, kn, ks, seg_n, seg_s, min_leaf):
     return best, left
 
 
+def _count_keys(state: _FitState, chosen, rows, slot, w, wy):
+    """Weighted row count and label sum of every (segment, code) key of one
+    depth, in key order.
+
+    Row ``r`` and choice position ``j`` give one key: its segment is
+    ``slot[r] * m + j``, its code that of feature ``chosen[slot[r], j]``.
+    Keys sort by segment, numeric segments before categorical ones, then by
+    code. Returns each key's segment and code, ``kn`` and ``ks``, and the
+    number of numeric keys.
+
+    Each segment gets a run of dense bins as wide as its feature's code
+    range, filled by ``np.bincount``. Every drawn row weighs at least 1, so
+    the keys present are the non-empty bins. A depth with more than
+    ``_DENSE_BINS_PER_KEY`` bins per key sorts its keys with ``np.unique``
+    instead. Either way a key's weights are added in row order (all of them
+    come from one choice position), so both give the same sums, bit for bit.
+    """
+    n_cand, m = chosen.shape
+    n_seg = n_cand * m
+    seg_feat = chosen.ravel()
+    # (m, rows) arrays, one row per choice position: flat takes are cheaper
+    # than a 2-d fancy index, and the weights become a tile, not a repeat
+    feat = np.take(chosen.T, slot, axis=1)
+    codes = np.take(state.codes, feat * state.codes.shape[1] + rows)
+    w, wy = np.tile(w, m), np.tile(wy, m)
+    seg_cat = state.is_cat[seg_feat]
+    order = np.argsort(seg_cat, kind="stable")  # segments in key order
+    start = np.concatenate(([0], np.cumsum(state.code_width[seg_feat[order]])))
+    if start[-1] <= _DENSE_BINS_PER_KEY * codes.size:
+        base = np.empty(n_seg, dtype=np.int64)
+        base[order] = start[:-1] - state.code_lo[seg_feat[order]]
+        bins = (np.take(base.reshape(n_cand, m).T, slot, axis=1) + codes).ravel()
+        kn = np.bincount(bins, w, start[-1])
+        key = np.flatnonzero(kn)
+        seg = order[np.searchsorted(start, key, side="right") - 1]
+        n_num = int(np.searchsorted(key, start[n_seg - seg_cat.sum()]))
+        return seg, key - base[seg], kn[key], np.bincount(bins, wy, start[-1])[key], n_num
+    seg = slot * m + np.arange(m)[:, None] + np.where(state.is_cat[feat], n_seg, 0)
+    keys, inv = np.unique((seg * state.n_codes + codes).ravel(), return_inverse=True)
+    seg, code = np.divmod(keys, state.n_codes)
+    n_num = int(np.searchsorted(seg, n_seg))
+    seg[n_num:] -= n_seg
+    return seg, code, np.bincount(inv, w), np.bincount(inv, wy), n_num
+
+
 def _fit_tree(state: _FitState, tree_index: int) -> Tree:
     """Grow one tree level by level, searching all open nodes of a depth at
     once; nodes are numbered breadth-first.
@@ -441,7 +502,7 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
     rng = np.random.default_rng(
         np.random.SeedSequence([_mask_seed(cfg.seed), 1, tree_index])
     )
-    n, p = state.codes.shape
+    p, n = state.codes.shape
     m = state.n_split_features
     mult = np.bincount(rng.integers(0, n, size=n), minlength=n)
     rows = np.flatnonzero(mult)
@@ -475,24 +536,13 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
         rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
         slot = cand_of_node[slot[keep]]
 
-        # One (segment, code) key per row and chosen feature, where segment
-        # = candidate * m + choice position; categorical segments sort last.
         n_seg = n_cand * m
-        feat = chosen[slot]
-        seg = slot[:, None] * m + np.arange(m) + np.where(state.is_cat[feat], n_seg, 0)
-        keys, inv = np.unique(
-            (seg * state.n_codes + state.codes[rows[:, None], feat]).ravel(),
-            return_inverse=True,
-        )
-        kn = np.bincount(inv, np.repeat(w, m))
-        ks = np.bincount(inv, np.repeat(wy, m))
-        seg, code = np.divmod(keys, state.n_codes)
-        n_num = int(np.searchsorted(seg, n_seg))
+        seg, code, kn, ks, n_num = _count_keys(state, chosen, rows, slot, w, wy)
         seg_n, seg_s = np.repeat(node_n[cand], m), np.repeat(node_s[cand], m)
         crit_num, last = _best_prefixes(
             seg[:n_num], kn[:n_num], ks[:n_num], seg_n, seg_s, cfg.min_leaf
         )
-        cat_seg, cat_code = seg[n_num:] - n_seg, code[n_num:]
+        cat_seg, cat_code = seg[n_num:], code[n_num:]
         crit_cat, left = _best_subsets(
             cat_seg, cat_code, kn[n_num:], ks[n_num:], seg_n, seg_s, cfg.min_leaf
         )
@@ -531,7 +581,7 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
         f_row = feature[nodes][slot]
         go_left = state.x[rows, f_row] <= split_threshold[slot]
         cat = np.flatnonzero(state.is_cat[f_row])
-        go_left[cat] = split_members[slot[cat], state.codes[rows[cat], f_row[cat]]]
+        go_left[cat] = split_members[slot[cat], state.codes[f_row[cat], rows[cat]]]
         slot = 2 * slot + ~go_left
         n_open = 2 * len(nodes)
 

@@ -418,12 +418,12 @@ def _bootstrap_cell(cfg: EvalConfig, metric: str, row, algo, top, *args) -> dict
 # ---------------------------------------------------------------------------
 
 # what render_report reads of a report.json: a dict is an object holding
-# at least its keys, None any value
+# at least its keys, float a finite number, None any value
 REPORT_SHAPE = {
     "config": dict.fromkeys(("algorithms", "k", "seed", "boundary")),
     "coverage": {},
     "short_head": dict.fromkeys(
-        ("short_head_fraction", "n_short_head_items", "n_items", "total_sales")
+        ("short_head_fraction", "n_short_head_items", "n_items", "total_sales"), float
     ),
     "cells": {metric: dict.fromkeys(SEGMENT_ROWS, {}) for metric in METRICS},
 }
@@ -443,7 +443,7 @@ def report_entries_shape(payload: dict) -> dict:
         "cells": {
             metric: {
                 row: {
-                    a: dict.fromkeys(fields)
+                    a: dict.fromkeys(fields, float)
                     for a in algorithms
                     if cells[metric][row].get(a) is not None
                 }

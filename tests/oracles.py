@@ -10,9 +10,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from stylebench.als import ConfidenceMatrix
-from stylebench.data import Kind, PopularityTable, Segment, SegmentAssignment
-from stylebench.errors import EmptyTraining, MissingFeatures
+from stylebench.als import ConfidenceMatrix, FactorModel
+from stylebench.data import FeatureTable, Kind, PopularityTable, Segment, SegmentAssignment
+from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.errors import TooFewUsers, ZeroPopularity
 from stylebench.metrics import GRADING_MODES, _summarize, sample_pair_indices
@@ -443,3 +443,28 @@ def one_draw_bootstrap_ci(values, resamples, level, rng):
     alpha = (1.0 - level) / 2.0
     low, high = np.quantile(means, [alpha, 1.0 - alpha])
     return float(low), float(high)
+
+
+def confidence(cm: ConfidenceMatrix, user_id: str, item_id: str) -> float:
+    """Confidence for one cell; 1.0 when the pair was never observed."""
+    r = cm.ratings[cm.user_index[user_id], cm.item_index[item_id]]
+    return 1.0 + cm.alpha * float(r)
+
+
+def predict_scores(model: FactorModel, user_id: str, item_ids: list[str]) -> list[float]:
+    """Dot-product scores x_u . y_i for the given items, in input order.
+
+    Raises UnknownUser for users absent from training (new users) and
+    UnknownItem for items outside the training item universe.
+    """
+    try:
+        idx = np.array([model.item_index[i] for i in item_ids], dtype=np.int64)
+    except KeyError as exc:
+        raise UnknownItem(f"item {exc.args[0]!r} was not in training") from None
+    return [float(v) for v in model.scores_for_user(user_id, idx)]
+
+
+def feature_row(table: FeatureTable, entity_id: str) -> dict[str, object]:
+    """One entity's feature values by column name."""
+    i = table.index_of(entity_id)
+    return {name: col.values[i] for name, col in table.columns.items()}

@@ -225,6 +225,7 @@ class TestEvaluate:
 
 
 # a report path -> an edit that leaves that entry malformed
+# case id -> edit of a valid report; the error names the id up to any "="
 ENTRY_EDITS = {
     "cells.ndcg.average.MP.value": lambda p: p["cells"]["ndcg"]["average"].update(MP={}),
     "cells.ad.sale_users.CF.sd": lambda p: p["cells"]["ad"]["sale_users"].update(CF={"point": 1}),
@@ -232,6 +233,25 @@ ENTRY_EDITS = {
     "coverage.MP.covered": lambda p: p["coverage"].update(MP={}),
     "coverage.CF": lambda p: p["coverage"].pop("CF"),
     "config.algorithms": lambda p: p["config"].update(algorithms="MP"),
+    'cells.ndcg.average.MP.value="x"': lambda p: p["cells"]["ndcg"]["average"].update(
+        MP={"value": "x", "pct_over_random": 5.0}
+    ),
+    "cells.ndcg.view_users.CF.pct_over_random=NaN": lambda p: p["cells"]["ndcg"][
+        "view_users"
+    ].update(CF={"value": 0.1, "pct_over_random": float("nan")}),
+    "cells.ndcg.new_users.MP.value=10**400": lambda p: p["cells"]["ndcg"]["new_users"].update(
+        MP={"value": 10**400, "pct_over_random": 5.0}
+    ),
+    "cells.ad.average.MP.point=null": lambda p: p["cells"]["ad"]["average"].update(
+        MP={"point": None, "sd": 0.5}
+    ),
+    "cells.rp.sale_users.CF.sd=true": lambda p: p["cells"]["rp"]["sale_users"].update(
+        CF={"point": 0.3, "sd": True}
+    ),
+    'short_head.short_head_fraction="x"': lambda p: p["short_head"].update(
+        short_head_fraction="x"
+    ),
+    "short_head.total_sales=null": lambda p: p["short_head"].update(total_sales=None),
 }
 
 
@@ -286,7 +306,8 @@ class TestReportCommand:
         report.write_text(json.dumps(payload))
         rc = dispatch(["report", "--report", str(report), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
-        assert f"report {report} has no valid {path!r}" in capsys.readouterr().err
+        lacking = path.split("=")[0]
+        assert f"report {report} has no valid {lacking!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

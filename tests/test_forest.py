@@ -6,6 +6,7 @@ import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -518,9 +519,14 @@ class TestForestSerialization:
 
 
 class TestLevelwiseSearch:
+    # 0 sends every depth to the np.unique branch of the key count
+    @pytest.mark.parametrize(
+        "bins_per_key",
+        [pytest.param(0, id="unique"), pytest.param(forest._DENSE_BINS_PER_KEY, id="default")],
+    )
     @settings(max_examples=60, deadline=None)
     @given(case=st.data())
-    def test_every_split_is_the_per_node_optimum(self, case):
+    def test_every_split_is_the_per_node_optimum(self, bins_per_key, case):
         n = case.draw(st.integers(12, 60), label="rows")
         n_num = case.draw(st.integers(0, 2), label="numeric columns")
         n_cat = case.draw(st.integers(1 if n_num == 0 else 0, 2), label="categorical columns")
@@ -552,7 +558,8 @@ class TestLevelwiseSearch:
             features_per_split=case.draw(st.integers(1, p), label="features_per_split"),
             seed=case.draw(st.integers(0, 2**32), label="seed"),
         )
-        model = fit_forest(table_from(x, y, FeatureSchema(specs=tuple(specs))), cfg)
+        with mock.patch.object(forest, "_DENSE_BINS_PER_KEY", bins_per_key):
+            model = fit_forest(table_from(x, y, FeatureSchema(specs=tuple(specs))), cfg)
         for t, tree in enumerate(model.trees):
             # replay the tree's RNG contract: bootstrap, then one feature-subset
             # draw per depth for that depth's splittable nodes in node order
@@ -587,6 +594,80 @@ class TestLevelwiseSearch:
                     crit = y[left].sum() ** 2 / len(left) + y[right].sum() ** 2 / len(right)
                     assert crit == pytest.approx(best[0], rel=1e-9)
                     level += [(tree.left[node], left), (tree.right[node], right)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.data())
+    def test_dense_bins_and_sorted_keys_grow_equal_trees(self, case):
+        n = case.draw(st.integers(12, 300), label="rows")
+        rng = np.random.default_rng(case.draw(st.integers(0, 2**32), label="data seed"))
+        columns, specs = [], []
+        if case.draw(st.booleans(), label="all-distinct numeric column"):
+            columns.append(rng.permutation(n) * 0.37 - 5.0)
+            specs.append(FeatureSpec(name="user.d", side="user", column="d", kind="numeric"))
+        for j in range(case.draw(st.integers(0, 2), label="few-valued numeric columns")):
+            columns.append(rng.integers(0, case.draw(st.integers(1, 8)), n) * 0.5)
+            specs.append(FeatureSpec(name=f"user.n{j}", side="user", column=f"n{j}", kind="numeric"))
+        n_cat = case.draw(st.integers(1 if not specs else 0, 2), label="categorical columns")
+        for j in range(n_cat):
+            n_levels = case.draw(st.integers(2, 20))
+            columns.append(rng.integers(0, n_levels, n))
+            specs.append(
+                FeatureSpec(
+                    name=f"item.c{j}", side="item", column=f"c{j}", kind="categorical",
+                    levels=tuple(f"lv{c}" for c in range(n_levels)),
+                )
+            )
+        x = np.array(columns, dtype=np.float64).T
+        table = table_from(x, rng.normal(size=n), FeatureSchema(specs=tuple(specs)))
+        cfg = ForestConfig(
+            n_trees=3,
+            max_depth=8,
+            min_leaf=case.draw(st.integers(1, 4), label="min_leaf"),
+            features_per_split=case.draw(st.integers(1, x.shape[1]), label="features_per_split"),
+            seed=case.draw(st.integers(0, 2**32), label="seed"),
+        )
+        count_keys = forest._count_keys
+        models, counts = [], ([], [])
+        for bins_per_key, seen in zip((0, np.inf), counts):  # all sorted, all binned
+
+            def recording(*args, seen=seen):
+                seen.append(count_keys(*args))
+                return seen[-1]
+
+            with mock.patch.object(forest, "_DENSE_BINS_PER_KEY", bins_per_key), \
+                    mock.patch.object(forest, "_count_keys", recording):
+                models.append(fit_forest(table, cfg))
+        # the same keys, in the same order, with the same sums bit for bit
+        assert len(counts[0]) == len(counts[1])
+        for (*a, a_num), (*b, b_num) in zip(*counts):
+            assert a_num == b_num
+            for x_a, x_b in zip(a, b):
+                assert x_a.dtype == x_b.dtype and np.array_equal(x_a.view(np.uint64), x_b.view(np.uint64))
+        for ta, tb in zip(*(model.trees for model in models)):
+            for name in ("feature", "left", "right", "is_cat", "members"):
+                assert np.array_equal(getattr(ta, name), getattr(tb, name))
+            for name in ("threshold", "value"):
+                assert np.array_equal(
+                    getattr(ta, name).view(np.uint64), getattr(tb, name).view(np.uint64)
+                )
+
+    def test_all_distinct_column_falls_back_to_sorted_keys(self, monkeypatch):
+        # one np.unique call ranks the numeric column; any more count keys
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        rng = np.random.default_rng(5)
+        few_valued = rng.integers(0, 4, 2000) * 1.0
+        for column, sorted_depths in ((few_valued, False), (rng.permutation(2000) * 1.0, True)):
+            calls.clear()
+            x, schema = column.reshape(-1, 1), numeric_table(1)[1]
+            fit_forest(table_from(x, np.sin(x[:, 0]), schema), ForestConfig(n_trees=1, seed=6))
+            assert (len(calls) > 1) == sorted_depths
 
     def test_concurrent_fits_in_threads_match_sequential(self):
         tables = []

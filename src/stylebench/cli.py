@@ -109,6 +109,8 @@ def _load_config(path: str | None) -> dict:
 def _read_object(path: Path, what: str) -> dict:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -203,15 +205,23 @@ def _eval_config(raw: dict, args, boundary: datetime) -> EvalConfig:
         raise DataError(str(exc)) from None
 
 
-def _inputs(args) -> tuple[dict, Path, Dataset, datetime]:
-    """Config, data path, dataset and split boundary of a data command. The
-    boundary is the ``--boundary`` flag, else the config's, else the one
-    the generator manifest next to the data file records."""
-    raw = _load_config(args.config)
+def _out(value, is_dir: bool = True) -> Path:
+    """The ``--out`` path, checked before any work: a directory, or for
+    ``train`` a file, that may not yet exist but is not the other kind."""
+    path = Path(_require(value, "--out"))
+    if path.exists() and path.is_dir() != is_dir:
+        raise _UsageError(f"--out {path} is {'not ' if is_dir else ''}a directory")
+    return path
+
+
+def _inputs(args, raw: dict) -> tuple[Path, Dataset, datetime]:
+    """Data path, dataset and split boundary of a data command, given its
+    config. The boundary is the ``--boundary`` flag, else the config's,
+    else the one the generator manifest next to the data file records."""
     data_path = Path(_require(args.data or raw.get("data"), "--data"))
     data = load_events(data_path)
     if args.boundary:
-        return raw, data_path, data, args.boundary
+        return data_path, data, args.boundary
     value, source = raw.get("boundary"), f"config {args.config}"
     manifest = data_path.parent / "manifest.json"
     if not value and manifest.exists():
@@ -222,7 +232,7 @@ def _inputs(args) -> tuple[dict, Path, Dataset, datetime]:
             "or keep the generator manifest next to the data file"
         )
     try:
-        return raw, data_path, data, parse_timestamp(typed_config_value("boundary", value, str))
+        return data_path, data, parse_timestamp(typed_config_value("boundary", value, str))
     except ValueError as exc:
         raise DataError(f"{source}: {exc}") from None
 
@@ -249,7 +259,7 @@ def _input_digests(data_path: Path) -> dict:
 def _cmd_synth(args) -> int:
     raw = _load_config(args.config)
     cfg = _synth_config(raw, args)
-    out_dir = Path(args.out or raw.get("out") or "synth_out")
+    out_dir = _out(args.out or raw.get("out") or "synth_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate_dataset(cfg)
     data_path = out_dir / "interactions.csv"
@@ -268,7 +278,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _, _, data, boundary = _inputs(args)
+    _, data, boundary = _inputs(args, _load_config(args.config))
     split = temporal_split(data, boundary)
     stats = dataset_stats(split, segment_users(split))
     print(f"boundary: {format_timestamp(boundary)}")
@@ -286,8 +296,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    raw, _, data, boundary = _inputs(args)
-    out_dir = Path(_require(args.out or raw.get("out"), "--out"))
+    raw = _load_config(args.config)
+    out_dir = _out(args.out or raw.get("out"))
+    _, data, boundary = _inputs(args, raw)
     out_dir.mkdir(parents=True, exist_ok=True)
     split = temporal_split(data, boundary)
     write_events(split.train, out_dir / "train.csv")
@@ -300,8 +311,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw, _, data, boundary = _inputs(args)
-    out_path = Path(_require(args.out or raw.get("out"), "--out"))
+    raw = _load_config(args.config)
+    out_path = _out(args.out or raw.get("out"), is_dir=False)
+    _, data, boundary = _inputs(args, raw)
     cfg = _eval_config(raw, args, boundary)
     train = temporal_split(data, boundary).train
     confidence, model = fit_factor_model(cfg, train)
@@ -314,8 +326,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    raw, data_path, data, boundary = _inputs(args)
-    out_dir = Path(args.out or raw.get("out") or "eval_out")
+    raw = _load_config(args.config)
+    out_dir = _out(args.out or raw.get("out") or "eval_out")
+    data_path, data, boundary = _inputs(args, raw)
     cfg = _eval_config(raw, args, boundary)
     report = run_evaluation(cfg, data)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,13 +348,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     report_path = Path(args.report)
+    out_dir = _out(args.out or report_path.parent)
     if not report_path.exists():
         raise DataError(f"no such report file: {report_path}")
     payload = _read_object(report_path, "report")
     lacking = _report_lacks(payload)
     if lacking:
         raise DataError(f"report {report_path} has no valid {lacking!r}")
-    out_dir = Path(args.out or report_path.parent)
     written = render_report(EvaluationReport(payload), out_dir, formats=args.format)
     for path in written:
         print(f"wrote {path}")

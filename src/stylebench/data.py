@@ -411,9 +411,14 @@ def _open_utf8(path: Path) -> Iterator[IO[str]]:
     """``path`` opened for reading as UTF-8 text. A read that meets bytes
     that do not decode raises MalformedRecord at the first physical line
     holding them: a newline byte never occurs inside a multi-byte UTF-8
-    sequence, so decoding the raw lines one by one finds it exactly."""
+    sequence, so decoding the raw lines one by one finds it exactly. A path
+    that cannot be opened (a directory, say) raises DataError naming it."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError:
         with path.open("rb") as fh:

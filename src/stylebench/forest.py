@@ -184,20 +184,6 @@ class Tree:
             left[..., cat] = self.members[nodes[cat], codes]
         return left
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        n = len(x)
-        cur = np.zeros(n, dtype=np.int64)
-        row_ids = np.arange(n)
-        for _ in range(self.n_nodes):
-            feat = self.feature[cur]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            vals = x[row_ids, np.where(internal, feat, 0)]
-            nxt = np.where(self.goes_left(cur, vals), self.left[cur], self.right[cur])
-            cur = np.where(internal, nxt, cur)
-        return self.value[cur]
-
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
@@ -286,19 +272,17 @@ class _FitState:
     codes, a numeric one as the index of each value in ``values``, the
     concatenation of every numeric feature's sorted distinct values. Within
     one feature that index is a dense rank, so a split search only counts
-    (node, code) keys, and a threshold is the midpoint of two adjacent
-    values present in the node. Feature ``f``'s codes lie in ``code_lo[f]``
-    up to ``code_lo[f] + code_width[f]``.
+    (node, code) keys, a threshold is the midpoint of two adjacent values
+    present in the node, and rows are routed by comparing codes. Feature
+    ``f``'s codes lie in ``code_lo[f]`` up to ``code_lo[f] + code_width[f]``.
     """
 
-    x: np.ndarray
     y: np.ndarray
     cfg: ForestConfig
     n_split_features: int
     is_cat: np.ndarray
     codes: np.ndarray
     values: np.ndarray
-    n_codes: int  # every code is below this
     code_lo: np.ndarray
     code_width: np.ndarray
     max_levels: int
@@ -325,19 +309,16 @@ class _FitState:
                 code_lo[f], code_width[f] = n_values, len(distinct)
                 values.append(distinct)
                 n_values += len(distinct)
-        max_levels = table.schema.max_levels()
         return cls(
-            x=x,
             y=table.labels,
             cfg=cfg,
             n_split_features=cfg.resolved_features_per_split(x.shape[1]),
             is_cat=np.array([spec.kind == "categorical" for spec in table.schema.specs]),
             codes=codes,
             values=np.concatenate(values) if values else np.empty(0),
-            n_codes=max(n_values, max_levels),
             code_lo=code_lo,
             code_width=code_width,
-            max_levels=max_levels,
+            max_levels=table.schema.max_levels(),
         )
 
 
@@ -454,12 +435,12 @@ def _count_keys(state: _FitState, chosen, rows, slot, w, wy):
     code. Returns each key's segment and code, ``kn`` and ``ks``, and the
     number of numeric keys.
 
-    Each segment gets a run of dense bins as wide as its feature's code
-    range, filled by ``np.bincount``. Every drawn row weighs at least 1, so
-    the keys present are the non-empty bins. A depth with more than
-    ``_DENSE_BINS_PER_KEY`` bins per key sorts its keys with ``np.unique``
-    instead. Either way a key's weights are added in row order (all of them
-    come from one choice position), so both give the same sums, bit for bit.
+    Each segment gets a run of bins as wide as its feature's code range, so
+    bins increase in key order, and as every drawn row weighs at least 1 the
+    keys present are the non-empty bins. ``np.bincount`` fills them densely; a depth with more than
+    ``_DENSE_BINS_PER_KEY`` bins per key finds them with ``np.unique``
+    instead. Either way a key's weights are added in row order, so both give
+    the same sums, bit for bit.
     """
     n_cand, m = chosen.shape
     n_seg = n_cand * m
@@ -472,21 +453,19 @@ def _count_keys(state: _FitState, chosen, rows, slot, w, wy):
     seg_cat = state.is_cat[seg_feat]
     order = np.argsort(seg_cat, kind="stable")  # segments in key order
     start = np.concatenate(([0], np.cumsum(state.code_width[seg_feat[order]])))
+    base = np.empty(n_seg, dtype=np.int64)
+    base[order] = start[:-1] - state.code_lo[seg_feat[order]]
+    bins = (np.take(base.reshape(n_cand, m).T, slot, axis=1) + codes).ravel()
     if start[-1] <= _DENSE_BINS_PER_KEY * codes.size:
-        base = np.empty(n_seg, dtype=np.int64)
-        base[order] = start[:-1] - state.code_lo[seg_feat[order]]
-        bins = (np.take(base.reshape(n_cand, m).T, slot, axis=1) + codes).ravel()
         kn = np.bincount(bins, w, start[-1])
         key = np.flatnonzero(kn)
-        seg = order[np.searchsorted(start, key, side="right") - 1]
-        n_num = int(np.searchsorted(key, start[n_seg - seg_cat.sum()]))
-        return seg, key - base[seg], kn[key], np.bincount(bins, wy, start[-1])[key], n_num
-    seg = slot * m + np.arange(m)[:, None] + np.where(state.is_cat[feat], n_seg, 0)
-    keys, inv = np.unique((seg * state.n_codes + codes).ravel(), return_inverse=True)
-    seg, code = np.divmod(keys, state.n_codes)
-    n_num = int(np.searchsorted(seg, n_seg))
-    seg[n_num:] -= n_seg
-    return seg, code, np.bincount(inv, w), np.bincount(inv, wy), n_num
+        kn, ks = kn[key], np.bincount(bins, wy, start[-1])[key]
+    else:
+        key, inv = np.unique(bins, return_inverse=True)
+        kn, ks = np.bincount(inv, w), np.bincount(inv, wy)
+    seg = order[np.searchsorted(start, key, side="right") - 1]
+    n_num = int(np.searchsorted(key, start[n_seg - seg_cat.sum()]))
+    return seg, key - base[seg], kn, ks, n_num
 
 
 def _fit_tree(state: _FitState, tree_index: int) -> Tree:
@@ -554,6 +533,9 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
         won = np.flatnonzero(split) * m + choice[split]
         t = last[won]
         numeric = t >= 0
+        # the threshold lies in [below, above), so a row goes left exactly
+        # when its code is at most ``code[t]`` (unused at categorical nodes)
+        split_code = code[t]
         t = t[numeric]
         split_threshold = np.full(len(won), np.nan)
         below, above = state.values[code[t]], state.values[code[t + 1]]
@@ -579,9 +561,10 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
         rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
         slot = split_of_cand[slot[keep]]
         f_row = feature[nodes][slot]
-        go_left = state.x[rows, f_row] <= split_threshold[slot]
+        row_code = state.codes[f_row, rows]
+        go_left = row_code <= split_code[slot]
         cat = np.flatnonzero(state.is_cat[f_row])
-        go_left[cat] = split_members[slot[cat], state.codes[f_row[cat], rows[cat]]]
+        go_left[cat] = split_members[slot[cat], row_code[cat]]
         slot = 2 * slot + ~go_left
         n_open = 2 * len(nodes)
 
@@ -625,16 +608,16 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
             DegenerateTableWarning,
             stacklevel=2,
         )
-    state = _FitState.build(table, cfg)
-    if threads > 1:
-        # the state is pickled once per task chunk, so one chunk per worker
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            trees = tuple(
-                pool.map(functools.partial(_fit_tree, state), range(cfg.n_trees),
-                         chunksize=math.ceil(cfg.n_trees / threads))
-            )
+    fit = functools.partial(_fit_tree, _FitState.build(table, cfg))
+    # the state is pickled once per task chunk, so one chunk per worker, and
+    # one worker per chunk: a forked pool starts all its workers at once
+    chunksize = math.ceil(cfg.n_trees / max(threads, 1))
+    n_chunks = math.ceil(cfg.n_trees / chunksize)
+    if n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            trees = tuple(pool.map(fit, range(cfg.n_trees), chunksize=chunksize))
     else:
-        trees = tuple(_fit_tree(state, t) for t in range(cfg.n_trees))
+        trees = tuple(map(fit, range(cfg.n_trees)))
     return ForestModel(
         trees=trees,
         schema=table.schema,
@@ -645,16 +628,14 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
 
 
 def predict_forest(model: ForestModel, rows: np.ndarray) -> np.ndarray:
-    """Mean of per-tree predictions for each encoded feature row."""
+    """Mean of per-tree predictions for each encoded feature row: the grid
+    walk with every column on the user side and one featureless item."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.schema.n_features:
         raise SchemaMismatch(
             f"expected rows of width {model.schema.n_features}, got {rows.shape}"
         )
-    total = np.zeros(len(rows), dtype=np.float64)
-    for tree in model.trees:
-        total += tree.predict(rows)
-    return total / len(model.trees)
+    return _co_partition(model, rows.shape[1], rows, np.empty((1, 0)))[:, 0]
 
 
 def predict_forest_grid(
@@ -663,13 +644,7 @@ def predict_forest_grid(
     """Mean of per-tree predictions for every (user, item) pair.
 
     Entry (u, i) equals ``predict_forest`` on the row ``enc_users[u]``
-    followed by ``enc_items[i]``, bit for bit: each pair gets one leaf value
-    per tree and trees are summed in the same order. Every node tests either
-    a user column or an item column, so each node is decided once per user
-    or once per item (QuickScorer, Lucchese et al., SIGIR 2015), never once
-    per pair. Each tree then co-partitions the users and the items from the
-    root down: a user-side node splits the user subset, an item-side node
-    the item subset, and a leaf is the answer for its whole block of pairs.
+    followed by ``enc_items[i]``, bit for bit.
     """
     enc_users = np.asarray(enc_users, dtype=np.float64)
     enc_items = np.asarray(enc_items, dtype=np.float64)
@@ -682,6 +657,21 @@ def predict_forest_grid(
             f"expected user and item rows of widths {widths}, "
             f"got {enc_users.shape} and {enc_items.shape}"
         )
+    return _co_partition(model, n_user, enc_users, enc_items)
+
+
+def _co_partition(model, n_user, enc_users, enc_items):
+    """The forest's mean leaf value for every (user, item) pair, where a
+    pair's feature row is the user's ``n_user`` columns and then the item's.
+
+    Each pair gets one leaf value per tree and trees are summed in order.
+    Every node tests either a user column or an item column, so each node is
+    decided once per user or once per item (QuickScorer, Lucchese et al.,
+    SIGIR 2015), never once per pair. Each tree then co-partitions the users
+    and the items from the root down: a user-side node splits the user
+    subset, an item-side node the item subset, and a leaf is the answer for
+    its whole block of pairs.
+    """
     total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
     leaf = np.empty(total.shape, dtype=np.intp)
     for tree in model.trees:

@@ -255,6 +255,10 @@ def fit_cb_forest(cfg: EvalConfig, train: Dataset, confidence, factor_model):
     """The run's ALS-augmented content-based forest."""
     forest_cfg = dataclasses.replace(cfg.forest, seed=derive_seed(cfg.seed, "forest"))
     table = forest_mod.augment_labels(train, confidence, factor_model, forest_cfg)
+    try:
+        forest_cfg.resolved_features_per_split(table.schema.n_features)
+    except ValueError as exc:
+        raise DataError(f"config key 'forest_features_per_split': {exc}") from None
     return forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
 
 

@@ -468,3 +468,31 @@ def feature_row(table: FeatureTable, entity_id: str) -> dict[str, object]:
     """One entity's feature values by column name."""
     i = table.index_of(entity_id)
     return {name: col.values[i] for name, col in table.columns.items()}
+
+
+def tree_predict(tree, x: np.ndarray) -> np.ndarray:
+    """One tree's leaf value for each feature row, walking every row from
+    the root one node per round: numeric nodes send ``value <= threshold``
+    left, categorical nodes the level codes in ``members``."""
+    cur = np.zeros(len(x), dtype=np.int64)
+    row_ids = np.arange(len(x))
+    for _ in range(tree.n_nodes):
+        feat = tree.feature[cur]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        vals = x[row_ids, np.where(internal, feat, 0)]
+        with np.errstate(invalid="ignore"):
+            left = vals <= tree.threshold[cur]
+        cat = tree.is_cat[cur]
+        left[cat] = tree.members[cur[cat], vals[cat].astype(np.int64)]
+        cur = np.where(internal, np.where(left, tree.left[cur], tree.right[cur]), cur)
+    return tree.value[cur]
+
+
+def forest_mean(model, x: np.ndarray) -> np.ndarray:
+    """Mean of the trees' ``tree_predict`` values, summed in tree order."""
+    total = np.zeros(len(x), dtype=np.float64)
+    for tree in model.trees:
+        total += tree_predict(tree, x)
+    return total / len(model.trees)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stylebench import cli
 from stylebench.als import load_model
 from stylebench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
 from stylebench.data import load_events
@@ -456,6 +457,77 @@ class TestExitCodes:
         ])
         assert rc == EXIT_DATA
         assert f"{users}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["data", "config", "users sidecar", "manifest"])
+    def test_unreadable_input_is_data_error(self, workspace, tmp_path, capsys, what):
+        _, config, data_path = workspace
+        data = tmp_path / "interactions.csv"
+        data.write_bytes(data_path.read_bytes())
+        paths = {
+            "data": data,
+            "config": tmp_path / "cfg",
+            "users sidecar": tmp_path / "interactions.users.csv",
+            "manifest": tmp_path / "manifest.json",
+        }
+        if what == "data":
+            data.unlink()
+        paths[what].mkdir()
+        argv = ["stats", "--data", str(data)]
+        if what == "config":
+            argv += ["--config", str(paths[what])]
+        assert dispatch(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(paths[what]) in err and "Traceback" not in err
+
+    def test_report_directory_is_data_error(self, tmp_path, capsys):
+        rc = dispatch(["report", "--report", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert f"report {tmp_path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "evaluate", "report"])
+    def test_out_of_the_wrong_kind_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        _, config, data_path = workspace
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("load_events", "generate_dataset", "render_report"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "out"
+        if command == "train":
+            out.mkdir()
+        else:
+            out.write_text("")
+        argv = {
+            "synth": ["synth"],
+            "split": ["split", "--data", str(data_path)],
+            "train": ["train", "--data", str(data_path), "--algo", "forest"],
+            "evaluate": ["evaluate", "--data", str(data_path)],
+            "report": ["report", "--report", str(tmp_path / "report.json")],
+        }[command]
+        if command != "report":
+            argv += ["--config", str(config)]
+        assert dispatch([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert f"--out {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_over_wide_features_per_split_is_data_error(self, workspace, tmp_path, capsys, command):
+        _, config, data_path = workspace
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(
+            {**json.loads(config.read_text()), "forest_features_per_split": 99}
+        ))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(wide), "--data", str(data_path), "--out", str(out)]
+        if command == "train":
+            argv += ["--algo", "forest"]
+        assert dispatch(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "forest_features_per_split" in err and "99" in err
+        assert not out.exists()
 
 
 class TestInputs:

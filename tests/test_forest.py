@@ -31,7 +31,7 @@ from stylebench.forest import (
     save_forest,
 )
 
-from oracles import loop_augment_labels, per_node_best_split
+from oracles import forest_mean, loop_augment_labels, per_node_best_split, tree_predict
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -266,6 +266,38 @@ class TestFitForest:
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
             assert np.array_equal(ta.value, tb.value, equal_nan=True)
 
+    @pytest.mark.parametrize(
+        "n_trees, threads, workers",
+        [(10, 8, [5]), (5, 2, [2]), (7, 3, [3]), (1, 4, []), (3, 1, [])],
+    )
+    def test_pool_starts_one_worker_per_chunk(self, monkeypatch, n_trees, threads, workers):
+        # a forked pool starts all max_workers at its first submit, so a
+        # worker without a chunk would only idle
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", SerialPool)
+        x, schema = numeric_table(60, seed=5)
+        table = table_from(x, x[:, 0] ** 2, schema)
+        cfg = ForestConfig(n_trees=n_trees, seed=6)
+        pooled = fit_forest(table, cfg, threads=threads)
+        assert started == workers
+        for ta, tb in zip(pooled.trees, fit_forest(table, cfg).trees, strict=True):
+            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+            assert np.array_equal(ta.value, tb.value, equal_nan=True)
+
     def test_threshold_between_adjacent_doubles_separates(self):
         below = np.nextafter(1.0, 2.0)
         above = np.nextafter(below, 2.0)  # (below + above) / 2 rounds to above
@@ -407,15 +439,14 @@ class TestPredictForest:
     def test_single_tree_equals_leaf_mean(self):
         model, _ = self._model(n_trees=1)
         rows = np.array([[0.3], [0.8]])
-        np.testing.assert_array_equal(
-            predict_forest(model, rows), model.trees[0].predict(rows)
-        )
+        got, want = predict_forest(model, rows), tree_predict(model.trees[0], rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_matches_external_tree_average(self):
         model, _ = self._model(n_trees=100)
         rows = np.random.default_rng(19).uniform(size=(50, 1))
-        external = np.mean([t.predict(rows) for t in model.trees], axis=0)
-        np.testing.assert_allclose(predict_forest(model, rows), external, atol=1e-12)
+        got, want = predict_forest(model, rows), forest_mean(model, rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_schema_mismatch(self):
         model, _ = self._model(n_trees=2)
@@ -468,7 +499,9 @@ class TestPredictForestGrid:
 
         users, items = entities("user"), entities("item")
         rows = np.hstack([np.repeat(users, len(items), axis=0), np.tile(items, (len(users), 1))])
-        expected = predict_forest(model, rows).reshape(len(users), len(items))
+        expected = forest_mean(model, rows).reshape(len(users), len(items))
+        flat = predict_forest(model, rows).reshape(expected.shape)
+        assert np.array_equal(flat.view(np.uint64), expected.view(np.uint64))
         with tempfile.TemporaryDirectory() as tmp:
             save_forest(model, Path(tmp) / "forest.json")
             loaded = load_forest(Path(tmp) / "forest.json")

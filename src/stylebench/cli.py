@@ -42,6 +42,7 @@ from .harness import (
     REPORT_SHAPE,
     EvalConfig,
     EvaluationReport,
+    check_forest_width,
     fit_cb_forest,
     fit_factor_model,
     render_report,
@@ -315,6 +316,8 @@ def _cmd_train(args) -> int:
     out_path = _out(args.out or raw.get("out"), is_dir=False)
     _, data, boundary = _inputs(args, raw)
     cfg = _eval_config(raw, args, boundary)
+    if args.algo == "forest":
+        check_forest_width(cfg, data)
     train = temporal_split(data, boundary).train
     confidence, model = fit_factor_model(cfg, train)
     if args.algo == "als":

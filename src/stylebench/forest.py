@@ -627,15 +627,30 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
     )
 
 
+# (row, node) decisions per tree that predict_forest makes at once: 1M
+# keeps a chunk's float64 feature gather at 8 MiB and its table at 1 MiB.
+_ROW_NODE_BUDGET = 1 << 20
+
+
 def predict_forest(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     """Mean of per-tree predictions for each encoded feature row: the grid
-    walk with every column on the user side and one featureless item."""
+    walk with every column on the user side and one featureless item.
+
+    The walk decides every node for every row, so rows go in chunks of at
+    most ``_ROW_NODE_BUDGET`` (row, node) decisions per tree. A row's score
+    does not depend on the other rows, so the chunks change no bit.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.schema.n_features:
         raise SchemaMismatch(
             f"expected rows of width {model.schema.n_features}, got {rows.shape}"
         )
-    return _co_partition(model, rows.shape[1], rows, np.empty((1, 0)))[:, 0]
+    step = max(1, _ROW_NODE_BUDGET // max(t.n_nodes for t in model.trees))
+    no_item = np.empty((1, 0))
+    return np.concatenate([
+        _co_partition(model, rows.shape[1], rows[start : start + step], no_item)[:, 0]
+        for start in range(0, max(len(rows), 1), step)
+    ])
 
 
 def predict_forest_grid(

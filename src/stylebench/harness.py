@@ -251,14 +251,23 @@ def fit_factor_model(cfg: EvalConfig, train: Dataset):
     return confidence, als_mod.fit_als(confidence, als_cfg)
 
 
+def check_forest_width(cfg: EvalConfig, data: Dataset) -> None:
+    """Reject a ``forest_features_per_split`` wider than the feature tables'
+    columns as a data error, so nothing is fitted for a forest that cannot
+    be. Without both tables there is nothing to check yet."""
+    if data.user_features is None or data.item_features is None:
+        return
+    schema = forest_mod.FeatureSchema.from_tables(data.user_features, data.item_features)
+    try:
+        cfg.forest.resolved_features_per_split(schema.n_features)
+    except ValueError as exc:
+        raise DataError(f"config key 'forest_features_per_split': {exc}") from None
+
+
 def fit_cb_forest(cfg: EvalConfig, train: Dataset, confidence, factor_model):
     """The run's ALS-augmented content-based forest."""
     forest_cfg = dataclasses.replace(cfg.forest, seed=derive_seed(cfg.seed, "forest"))
     table = forest_mod.augment_labels(train, confidence, factor_model, forest_cfg)
-    try:
-        forest_cfg.resolved_features_per_split(table.schema.n_features)
-    except ValueError as exc:
-        raise DataError(f"config key 'forest_features_per_split': {exc}") from None
     return forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
 
 
@@ -266,6 +275,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     """Execute the full pipeline and assemble the report grid."""
     if cfg.boundary is None:
         raise DataError("evaluation requires a split boundary timestamp")
+    if "CB" in cfg.algorithms:
+        check_forest_width(cfg, data)
     with _stage("temporal_split"):
         split = temporal_split(data, cfg.boundary)
         if not split.train.events:
@@ -285,7 +296,6 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     with _stage("relevance"):
         # each user's graded candidate positions and their grades
         graded = build_relevance(split.test, candidates, cfg.grading)
-    baselines = {u: random_baseline_ndcg(g, len(candidates), k) for u, (_, g) in graded.items()}
 
     mask_by_user = purchase_masks(split.train) if cfg.exclude_purchased else {}
 
@@ -306,22 +316,32 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         ),
     }
     # per strategy: the covered users, their top-k item ids as one
-    # (covered users x m) matrix, and their NDCG in the same order
+    # (covered users x m) matrix, and their NDCG (NaN where undefined) in
+    # the same order, all filled block by block
     covered: dict[str, list[str]] = {}
     top_items: dict[str, np.ndarray] = {}
-    ndcg: dict[str, list[float | None]] = {}
+    ndcg: dict[str, np.ndarray] = {}
     item_ids = np.asarray(candidates)
     m = min(k, len(candidates))
     for algo in cfg.algorithms:
         with _stage(f"recommend_{algo.lower()}"):
-            covered[algo], tops, ndcg[algo] = [], [], []
-            for user, top, ranked_by in rank_users(scorers[algo](), k, mask_by_user):
-                covered[algo].append(user)
-                tops.append(top)
-                ndcg[algo].append(
-                    tie_aware_ndcg_arrays(ranked_by, ranked_by[top], *graded[user])
-                )
-            top_items[algo] = item_ids[np.array(tops, dtype=np.int64).reshape(-1, m)]
+            covered[algo] = []
+            tops, values = [np.empty((0, m), dtype=np.int64)], [np.empty(0)]
+            for users, top, ranked_by in rank_users(scorers[algo](), k, mask_by_user):
+                rel = [graded[u] for u in users]
+                values.append(tie_aware_ndcg_arrays(
+                    ranked_by, top, [p for p, _ in rel], [g for _, g in rel]
+                ))
+                # a shared row's one top-k row stands for each of its users
+                tops.append(np.broadcast_to(top, (len(users), m)))
+                covered[algo] += users
+            top_items[algo] = item_ids[np.concatenate(tops)]
+            ndcg[algo] = np.concatenate(values)
+
+    # after the fits, so its temporaries reuse memory they have freed
+    baselines = dict(zip(graded, random_baseline_ndcg(
+        [grades for _, grades in graded.values()], len(candidates), k
+    )))
 
     with _stage("short_head"):
         head = short_head_curve(pop)
@@ -348,7 +368,7 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             members = [u for u in segment_members[row] if u in row_of]
             rows = [row_of[u] for u in members]
             cells["ndcg"][row][algo] = _ndcg_cell(
-                [ndcg[algo][r] for r in rows], [baselines[u] for u in members]
+                ndcg[algo][rows], np.array([baselines[u] for u in members])
             )
             top = top_items[algo][rows]
             cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, top, k)
@@ -378,15 +398,16 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     return EvaluationReport(payload=payload)
 
 
-def _ndcg_cell(values: list[float | None], baselines: list[float | None]) -> dict | None:
-    """One NDCG cell from its members' values and random baselines."""
-    if not values:
+def _ndcg_cell(values: np.ndarray, baselines: np.ndarray) -> dict | None:
+    """One NDCG cell from its members' values and random baselines, NaN
+    where undefined."""
+    if not len(values):
         return None
     try:
         micro = micro_average_ndcg(values)
     except AllUndefined:
         return None
-    baseline = float(np.mean([b for v, b in zip(values, baselines) if v is not None]))
+    baseline = float(np.mean(baselines[~np.isnan(values)]))
     return {
         "value": micro.value,
         "pct_over_random": percent_over_random(micro.value, baseline),

@@ -108,88 +108,151 @@ def tie_aware_ndcg_at_k(
 
     ``scores`` must cover the whole candidate set for the user; ``rels``
     holds this user's grades for (a subset of) those items. Returns None
-    when the user has no relevant item (ideal DCG is zero).
+    when the user has no relevant item (ideal DCG is zero). One row of
+    :func:`tie_aware_ndcg_arrays`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     svals = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
     grades = np.array([rels.get(i, 0.0) for i in scores], dtype=np.float64)
-    return tie_aware_ndcg_arrays(
-        svals, -np.sort(-svals)[:k], np.arange(len(svals)), grades
+    top = np.argsort(-svals, kind="stable")[:k]
+    [value] = tie_aware_ndcg_arrays(
+        svals[None, :], top[None, :], [np.arange(len(svals))], [grades]
     )
+    return None if np.isnan(value) else value
+
+
+def _ragged(parts: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user arrays as (owner of each entry, entries) in user order."""
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    owner = np.repeat(np.arange(len(parts)), lengths)
+    flat = np.concatenate(parts).astype(dtype, copy=False) if len(parts) else np.empty(0, dtype)
+    return owner, flat
+
+
+def _ideal_dcg(owner: np.ndarray, grades: np.ndarray, n_users: int, m: int) -> np.ndarray:
+    """Each user's DCG@m of its grades sorted in descending order, summed
+    rank by rank from 0.0 like :func:`dcg_at_k`; 0.0 without a grade.
+    ``owner`` (ascending) names the user of each grade."""
+    order = np.lexsort((-grades, owner))
+    owner, grades = owner[order], grades[order]
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    keep = rank < m
+    owner, grades, rank = owner[keep], grades[keep], rank[keep]
+    logs = np.array([math.log2(i + 2) for i in range(int(rank.max(initial=-1)) + 1)])
+    return np.bincount(owner, weights=grades / logs[rank], minlength=n_users)
 
 
 def tie_aware_ndcg_arrays(
     svals: np.ndarray,
-    top_scores: Sequence[float],
-    positions: np.ndarray,
-    grades: np.ndarray,
-) -> float | None:
-    """Tie-aware NDCG read off a ranking, at k = ``len(top_scores)``.
+    top: np.ndarray,
+    positions: Sequence[np.ndarray],
+    grades: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Tie-aware NDCG@m of a block of users, read off their ranking.
 
-    ``svals`` is the vector the user was ranked by, ``top_scores`` its top
-    min(k, n) scores in rank order (NDCG@k equals NDCG@n when k > n), and
-    ``grades`` the user's non-negative grades at candidate ``positions``.
-    Every distinct value in ``top_scores`` is one tie group, starting at
-    its first rank there and spanning as many ranks as ``svals`` holds
-    that value; it contributes its mean grade at every rank it covers
-    above the cutoff (McSherry & Najork, ECIR 2008), so nothing over the
-    candidates is sorted. Returns None when there is no candidate or no
-    positive grade.
+    ``svals`` is a (rows x n) block of the scores ranked and ``top`` its
+    (rows x m) top positions in rank order, m = min(k, n) (NDCG@k equals
+    NDCG@n when k > n). ``positions`` and ``grades`` hold each user's
+    non-negative grades at its candidate positions; the block has one row
+    per user, or one row ranked for every user. Every distinct score in a
+    row's top-m is one tie group, starting at its first rank there and
+    spanning as many ranks as the row holds that score; it contributes its
+    mean grade at every rank it covers above the cutoff (McSherry &
+    Najork, ECIR 2008), so nothing over the candidates is sorted. Returns
+    one float64 per user, NaN where there is no candidate or no positive
+    grade.
     """
-    if len(svals) == 0 or not (grades > 0.0).any():
-        return None
-    m = len(top_scores)
-    ideal = dcg_at_k(np.sort(grades)[::-1], m)
-    top = np.array(top_scores, dtype=np.float64)
-    starts = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
-    values = top[starts]
-    # only the last group can reach past the top-k; the others lie inside it
-    last_end = starts[-1] + np.count_nonzero(svals == values[-1])
-    ends = np.concatenate((starts[1:], [last_end]))
-    # a graded score below every group lands in the dropped bin len(values)
-    group = np.searchsorted(-values, -svals[positions])
-    grade_sums = np.bincount(group, weights=grades, minlength=len(values) + 1)
+    n_rows, m = top.shape
+    n_users = len(positions)
+    if n_rows not in (1, n_users):
+        raise ValueError(f"{n_rows} score rows for {n_users} users")
+    row = np.arange(n_users) if n_rows == n_users else np.zeros(n_users, dtype=np.int64)
+    owner, pos = _ragged(positions, np.int64)
+    _, flat = _ragged(grades, np.float64)
+    ideal = _ideal_dcg(owner, flat, n_users, m)
+    out = np.full(n_users, np.nan)
+    if m == 0:
+        return out
+    # each row's tie groups: a group starts where the top-m score changes
+    tops = np.take_along_axis(svals, top, axis=1)
+    first = np.ones((n_rows, m), dtype=bool)
+    np.not_equal(tops[:, 1:], tops[:, :-1], out=first[:, 1:])
+    group_at = first.cumsum(axis=1) - 1
+    last = group_at[:, -1]
+    width = int(last.max()) + 1
+    # groups past a row's last one start at m and end at m + 1: one rank
+    # below the cutoff, so their gain is 0 / 1 * 0.0 = +0.0
+    starts = np.full((n_rows, width), m)
+    at_row, at_rank = np.nonzero(first)
+    starts[at_row, group_at[at_row, at_rank]] = at_rank
+    ends = np.full((n_rows, width), m + 1)
+    ends[:, :-1] = np.where(starts[:, 1:] < m, starts[:, 1:], m + 1)
+    # only the last group can reach past the top-m; the others lie inside it
+    rows = np.arange(n_rows)
+    ends[rows, last] = starts[rows, last] + np.count_nonzero(svals == tops[:, -1:], axis=1)
     prefix = _discount_prefix(m)
     spans = prefix[np.minimum(ends, m)] - prefix[starts]
-    gains = grade_sums[:-1] / (ends - starts) * spans
+    # a graded position's group: its rank's group inside the top-m, the last
+    # group for the last score's ties below the cutoff, else the dropped bin
+    rank_of = np.full((n_rows, svals.shape[1]), m)
+    rank_of[rows[:, None], top] = np.arange(m)
+    r = row[owner]
+    rank = rank_of[r, pos]
+    group = np.where(
+        rank < m,
+        group_at[r, np.minimum(rank, m - 1)],
+        np.where(svals[r, pos] == tops[r, -1], last[r], width),
+    )
+    # one bincount sums every user's grades per group in position order
+    sums = np.bincount(
+        owner * (width + 1) + group, weights=flat, minlength=n_users * (width + 1)
+    ).reshape(n_users, width + 1)[:, :width]
+    gains = sums / (ends - starts)[row] * spans[row]
     # cumsum adds the groups strictly in rank order; np.sum would pair them
-    return gains.cumsum()[-1] / ideal
+    total = gains.cumsum(axis=1)[:, -1]
+    defined = ideal > 0.0
+    out[defined] = total[defined] / ideal[defined]
+    return out
 
 
 def random_baseline_ndcg(
-    grades: np.ndarray,
+    grades: Sequence[np.ndarray],
     n_candidates: int,
     k: int,
-) -> float | None:
-    """Expected NDCG@k of a uniformly random ranking of the candidates:
-    the tie-aware NDCG of all-equal scores, i.e. one tie group spanning
-    the whole list, so every rank above the cutoff gets the mean grade.
-    ``grades`` grade (a subset of) the candidates. Bit-identical to
-    :func:`tie_aware_ndcg_arrays` on an all-zero vector."""
+) -> np.ndarray:
+    """Expected NDCG@k of a uniformly random ranking of the candidates, per
+    user: the tie-aware NDCG of all-equal scores, i.e. one tie group
+    spanning the whole list, so every rank above the cutoff gets the mean
+    grade. ``grades`` holds each user's grades of (a subset of) the
+    candidates. NaN where there is no candidate or no positive grade.
+    Bit-identical to :func:`tie_aware_ndcg_arrays` on an all-zero row."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n_candidates == 0 or not (grades > 0.0).any():
-        return None
+    owner, flat = _ragged(grades, np.float64)
     m = min(k, n_candidates)
-    # summed left to right like the kernel's bincount; np.sum would pair them
-    total = grades.cumsum()[-1]
-    return total / n_candidates * _discount_prefix(m)[m] / dcg_at_k(np.sort(grades)[::-1], m)
+    ideal = _ideal_dcg(owner, flat, len(grades), m)
+    out = np.full(len(grades), np.nan)
+    if n_candidates == 0:
+        return out
+    # summed in order like the kernel's bincount; np.sum would pair them
+    total = np.bincount(owner, weights=flat, minlength=len(grades))
+    defined = ideal > 0.0
+    out[defined] = total[defined] / n_candidates * _discount_prefix(m)[m] / ideal[defined]
+    return out
 
 
 def micro_average_ndcg(per_user: Iterable[float | None]) -> MicroAverage:
-    """Mean NDCG over users where it is defined, reporting exclusions."""
-    defined: list[float] = []
-    excluded = 0
-    for value in per_user:
-        if value is None:
-            excluded += 1
-        else:
-            defined.append(value)
-    if not defined:
+    """Mean NDCG over users where it is defined (not None or NaN),
+    reporting exclusions."""
+    values = np.array(list(per_user), dtype=np.float64)
+    undefined = np.isnan(values)
+    if undefined.all():
         raise AllUndefined("every user lacks relevant test items")
     return MicroAverage(
-        value=float(np.mean(defined)), n_users=len(defined), n_excluded=excluded
+        value=float(np.mean(values[~undefined])),
+        n_users=int(np.count_nonzero(~undefined)),
+        n_excluded=int(np.count_nonzero(undefined)),
     )
 
 
@@ -209,19 +272,20 @@ def _item_matrix(lists: "np.ndarray | Sequence[RankedList]", k: int) -> np.ndarr
     return np.array([lst.items[:k] for lst in lists])
 
 
-def _pair_from_flat(t: int, n_users: int) -> tuple[int, int]:
-    """Map a flat index in [0, C(n,2)) to the (i, j) pair with i < j.
+def _pair_from_flat(t: np.ndarray, n_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map flat indices in [0, C(n,2)) to the (i, j) pairs with i < j.
 
     Pairs are ordered (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
-    i = int((2 * n_users - 1 - math.sqrt((2 * n_users - 1) ** 2 - 8 * t)) // 2)
-    # integer fixup against sqrt rounding at row boundaries
-    while i * (2 * n_users - i - 1) // 2 > t:
-        i -= 1
-    while (i + 1) * (2 * n_users - i - 2) // 2 <= t:
-        i += 1
-    j = t - i * (2 * n_users - i - 1) // 2 + i + 1
-    return i, j
+    t = np.asarray(t, dtype=np.int64)
+    n2 = 2 * n_users
+    i = ((n2 - 1 - np.sqrt((n2 - 1) ** 2 - 8 * t)) // 2).astype(np.int64)
+    # integer fix-ups against sqrt rounding at row boundaries
+    while (over := i * (n2 - i - 1) // 2 > t).any():
+        i[over] -= 1
+    while (under := (i + 1) * (n2 - i - 2) // 2 <= t).any():
+        i[under] += 1
+    return i, t - i * (n2 - i - 1) // 2 + i + 1
 
 
 def _as_generator(seed: "int | np.random.Generator") -> np.random.Generator:
@@ -232,25 +296,26 @@ def _as_generator(seed: "int | np.random.Generator") -> np.random.Generator:
 
 def sample_pair_indices(
     n_users: int, n_pairs: int, seed: "int | np.random.Generator"
-) -> list[tuple[int, int]]:
-    """Draw distinct (i, j) user pairs uniformly via flat-index arithmetic."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw distinct (i, j) user pairs uniformly via flat-index arithmetic,
+    as two int64 arrays.
+
+    Draws batches of ``n_pairs`` flat indices until ``n_pairs`` distinct
+    ones are seen, and keeps the first ``n_pairs`` of them in draw order.
+    """
     total = n_users * (n_users - 1) // 2
     if n_pairs > total:
         raise ValueError("cannot draw more distinct pairs than exist")
     if n_pairs == total:
-        return [_pair_from_flat(t, n_users) for t in range(total)]
+        return _pair_from_flat(np.arange(total), n_users)
     rng = _as_generator(seed)
-    chosen: set[int] = set()
-    flats: list[int] = []
+    flats = np.empty(0, dtype=np.int64)
     while len(flats) < n_pairs:
-        for t in rng.integers(0, total, size=n_pairs):
-            t = int(t)
-            if t not in chosen:
-                chosen.add(t)
-                flats.append(t)
-                if len(flats) == n_pairs:
-                    break
-    return [_pair_from_flat(t, n_users) for t in flats]
+        drawn = np.concatenate((flats, rng.integers(0, total, size=n_pairs)))
+        # first draws of each value, in draw order; the kept ones come first
+        _, first = np.unique(drawn, return_index=True)
+        flats = drawn[np.sort(first)]
+    return _pair_from_flat(flats[:n_pairs], n_users)
 
 
 def _summarize(
@@ -285,7 +350,7 @@ def avg_distinct_sampled(
     total = n_users * (n_users - 1) // 2
     n_pairs = min(round(n_users), total)
     rng = np.random.default_rng(seed)
-    i, j = np.array(sample_pair_indices(n_users, n_pairs, rng)).T
+    i, j = sample_pair_indices(n_users, n_pairs, rng)
     # a row holds distinct items, so |A ^ B| = 2m - 2|A & B|, and the items
     # two rows share are the adjacent equal ones in their sorted concatenation
     both = np.sort(np.concatenate((top[i], top[j]), axis=1), axis=1)

@@ -1,12 +1,14 @@
 """One scoring path for the three strategies.
 
-Each strategy is a generator of (user, score vector over the id-ascending
-training candidates): most popular yields one shared units-sold vector,
-collaborative filtering yields a factor-model vector for every user seen
-in training and skips the rest, and the content-based forest scores every
-user that has features. :func:`rank_users` ranks any such stream into each
-user's top-k candidate positions, breaking score ties by ascending item id
-and truncating to min(k, #candidates).
+Each strategy is a generator of (users, score block over the id-ascending
+training candidates). A block has one row per user, or one row that every
+user of the block shares: most popular yields its units-sold row once for
+all users, collaborative filtering yields factor-model rows for the users
+seen in training and skips the rest, and the content-based forest yields
+a block for every batch of users that have features. :func:`rank_users`
+ranks any such stream block by block into each user's top-k candidate
+positions, breaking score ties by ascending item id and truncating to
+min(k, #candidates).
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ ALGORITHMS = ("MP", "CF", "CB")
 # (user, candidate) pairs the forest scores at once: 2M pairs keep a CB
 # batch's leaf ids and score totals at tens of MB.
 _PAIR_BUDGET = 1 << 21
+# (user, candidate) pairs ranked and graded at once: 64k pairs keep each
+# block's scores, its top-k sort keys and the NDCG kernel's temporaries
+# under about 1 MiB, so ranking never holds a users x candidates matrix.
+_RANK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,65 +54,97 @@ class RankedList:
 
 
 def rank_users(
-    scored: Iterable[tuple[str, np.ndarray]],
+    scored: Iterable[tuple[Sequence[str], np.ndarray]],
     k: int,
     masks: Mapping[str, np.ndarray] | None = None,
-) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """Rank a strategy's (user, vector) stream.
+) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """Rank a strategy's (users, block) stream, block by block.
 
-    Yields (user, top, ranked_by): ``top`` holds the int64 positions of the
-    user's top min(k, n) candidates, from a stable descending sort, so
-    equal scores fall back to ascending position (= item id); ``ranked_by``
-    is the vector ranked, with the user's ``masks`` positions set to
-    ``-inf`` in a copy, so a shared vector is never touched. A vector
-    yielded again as the same object (MP's shared vector) is sorted once:
-    users without a mask share its ``top``.
+    Yields (users, top, ranked_by): ``ranked_by`` is a (rows x n) block of
+    the scores ranked and ``top`` its (rows x min(k, n)) int64 top
+    positions, from a stable descending order, so equal scores fall back
+    to ascending position (= item id). ``rows`` is ``len(users)``, or 1
+    when a single row is ranked for every user. A user's ``masks``
+    positions are set to ``-inf`` before ranking, always in a copy, so no
+    block the scorers yield is written. A one-row block is shared: it is
+    ranked once for its users without a mask, and each masked user gets a
+    masked copy of the row. Every yielded block holds at most
+    ``_RANK_PAIRS`` pairs, or one row when a row is wider, and a shared
+    row is yielded for at most ``_RANK_PAIRS // min(k, n)`` users at once.
     """
-    masks = masks or {}
-    shared = shared_top = None
-    for user, vec in scored:
-        exclude = masks.get(user)
-        if exclude is not None and len(exclude):
-            vec = vec.copy()
-            vec[exclude] = -np.inf
-            yield user, _top(vec, k), vec
-            continue
-        if vec is not shared:
-            shared, shared_top = vec, _top(vec, k)
-        yield user, shared_top, vec
+    masks = {u: cols for u, cols in (masks or {}).items() if len(cols)}
+    for users, block in scored:
+        users, shared = list(users), len(block) == 1
+        if shared:
+            plain = [u for u in users if u not in masks]
+            top = _top_k(block, k)
+            # grading keeps one sum per user and tie group (at most min(k, n))
+            step = max(1, _RANK_PAIRS // max(1, top.shape[1]))
+            for start in range(0, len(plain), step):
+                yield plain[start : start + step], top, block
+            users = [u for u in users if u in masks]
+        step = max(1, _RANK_PAIRS // max(1, block.shape[1]))
+        for start in range(0, len(users), step):
+            chunk = users[start : start + step]
+            rows = np.repeat(block, len(chunk), axis=0) if shared else block[start : start + step]
+            hit = [r for r, u in enumerate(chunk) if u in masks]
+            if hit:
+                cols = [masks[chunk[r]] for r in hit]
+                rows = rows if shared else rows.copy()
+                rows[np.repeat(hit, [len(c) for c in cols]), np.concatenate(cols)] = -np.inf
+            yield chunk, _top_k(rows, k), rows
 
 
-def _top(scores: np.ndarray, k: int) -> np.ndarray:
-    """The top min(k, n) positions, ties by position; a copy, so the full
-    argsort is freed rather than pinned by the caller's rows."""
-    return np.argsort(-scores, kind="stable")[:k].copy()
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's top min(k, n) positions, ties by position.
+
+    Equals the first min(k, n) columns of the rows' stable argsort of
+    ``-scores``: a partition finds each row's m-th largest score, and only
+    the columns at or above it, all of which precede the rest in that
+    order, are sorted stably by (row, -score).
+    """
+    neg = -scores
+    n_rows, n = neg.shape
+    m = min(k, n)
+    if m == n:
+        return np.argsort(neg, axis=1, kind="stable")
+    cut = np.partition(neg, m - 1, axis=1)[:, m - 1 : m]
+    row, col = np.nonzero(neg <= cut)
+    col = col[np.lexsort((neg[row, col], row))]
+    first = np.searchsorted(row, np.arange(n_rows))
+    return col[first[:, None] + np.arange(m)]
 
 
 def score_mp_users(
     pop: PopularityTable, users: Sequence[str], candidates: Sequence[str]
-) -> Iterator[tuple[str, np.ndarray]]:
-    """The units-sold vector, shared by every user."""
-    vec = np.array([pop.quantities[i] for i in candidates], dtype=np.float64)
-    return ((user, vec) for user in users)
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The units-sold row, yielded once as a 1 x n block shared by every user."""
+    row = np.array([[pop.quantities[i] for i in candidates]], dtype=np.float64)
+    return iter([(list(users), row)])
 
 
 def score_cf_users(
     model: FactorModel, users: Sequence[str], candidates: Sequence[str]
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Factor-model vectors for training-known users; the rest are skipped.
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Factor-model blocks for training-known users; the rest are skipped.
 
-    Each user is one x_u . Y^T product, so a vector never depends on which
-    other users are scored.
+    The candidates' factor rows are gathered once. Each user's row is one
+    Yc . x_u product, so a row never depends on which other users are
+    scored (one gemm over a block of users could round differently).
     """
     try:
         cand_idx = np.array([model.item_index[i] for i in candidates], dtype=np.int64)
     except KeyError as exc:
         raise UnknownItem(f"candidate {exc.args[0]!r} was not in training") from None
-    return (
-        (user, model.scores_for_user(user, cand_idx))
-        for user in users
-        if user in model.user_index
-    )
+    factors = model.item_factors[cand_idx]
+    known = [u for u in users if u in model.user_index]
+    step = max(1, _RANK_PAIRS // max(1, len(candidates)))
+    for start in range(0, len(known), step):
+        chunk = known[start : start + step]
+        block = np.empty((len(chunk), len(candidates)))
+        for r, user in enumerate(chunk):
+            block[r] = factors @ model.user_factors[model.user_index[user]]
+        yield chunk, block
 
 
 def score_cb_users(
@@ -115,8 +153,8 @@ def score_cb_users(
     candidates: Sequence[str],
     user_features: FeatureTable,
     item_features: FeatureTable,
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield (user_id, score vector over candidates) from the forest.
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Yield (users, score block over candidates) from the forest.
 
     Encodes each side once and scores the user x candidate grid in user
     batches. A batch holds as many users as fit ``_PAIR_BUDGET`` pairs,
@@ -127,4 +165,4 @@ def score_cb_users(
     batch = max(1, _PAIR_BUDGET // max(1, len(candidates)))
     for start in range(0, len(users), batch):
         preds = predict_forest_grid(model, enc_users[start : start + batch], enc_items)
-        yield from zip(users[start : start + batch], preds)
+        yield list(users[start : start + batch]), preds

@@ -15,7 +15,7 @@ from stylebench.data import FeatureTable, Kind, PopularityTable, Segment, Segmen
 from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.errors import TooFewUsers, ZeroPopularity
-from stylebench.metrics import GRADING_MODES, _summarize, sample_pair_indices
+from stylebench.metrics import GRADING_MODES, _summarize
 
 
 def plain_dcg(rels, k):
@@ -417,7 +417,7 @@ def loop_avg_distinct_sampled(lists, k, seed, resamples=1000):
     total = n_users * (n_users - 1) // 2
     n_pairs = min(round(n_users), total)
     rng = np.random.default_rng(seed)
-    pairs = sample_pair_indices(n_users, n_pairs, rng)
+    pairs = loop_sample_pair_indices(n_users, n_pairs, rng)
     values = np.array(
         [symmetric_distinct(lists[i], lists[j], k) for i, j in pairs],
         dtype=np.float64,
@@ -496,3 +496,106 @@ def forest_mean(model, x: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         total += tree_predict(tree, x)
     return total / len(model.trees)
+
+
+# The per-user ranking, NDCG and random-baseline kernels and the
+# one-draw-at-a-time pair sampler, kept as bit-for-bit references for the
+# block kernels and the vectorized sampler.
+
+
+def per_user_rank_users(scored, k, masks=None):
+    """Rank a (user, vector) stream one user at a time.
+
+    Yields (user, top, ranked_by): the positions of the top min(k, n)
+    scores from a stable descending sort, and the vector ranked, with the
+    user's ``masks`` positions set to ``-inf`` in a copy. A vector yielded
+    again as the same object is sorted once for the users without a mask.
+    """
+    masks = masks or {}
+    shared = shared_top = None
+    for user, vec in scored:
+        exclude = masks.get(user)
+        if exclude is not None and len(exclude):
+            vec = vec.copy()
+            vec[exclude] = -np.inf
+            yield user, np.argsort(-vec, kind="stable")[:k].copy(), vec
+            continue
+        if vec is not shared:
+            shared, shared_top = vec, np.argsort(-vec, kind="stable")[:k].copy()
+        yield user, shared_top, vec
+
+
+def _loop_dcg(rels_in_rank_order, k):
+    total = 0.0
+    for i, rel in enumerate(rels_in_rank_order[:k], start=1):
+        total += rel / math.log2(i + 1)
+    return total
+
+
+def _discount_prefix(n):
+    disc = 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
+    return np.concatenate(([0.0], np.cumsum(disc)))
+
+
+def per_user_tie_aware_ndcg(svals, top_scores, positions, grades):
+    """Tie-aware NDCG of one user from its ranked vector ``svals`` and top
+    min(k, n) scores in rank order; None without a candidate or a positive
+    grade. Each distinct top score is a tie group spanning as many ranks as
+    ``svals`` holds it, contributing its mean grade above the cutoff."""
+    if len(svals) == 0 or not (grades > 0.0).any():
+        return None
+    m = len(top_scores)
+    ideal = _loop_dcg(np.sort(grades)[::-1], m)
+    top = np.array(top_scores, dtype=np.float64)
+    starts = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
+    values = top[starts]
+    last_end = starts[-1] + np.count_nonzero(svals == values[-1])
+    ends = np.concatenate((starts[1:], [last_end]))
+    group = np.searchsorted(-values, -svals[positions])
+    grade_sums = np.bincount(group, weights=grades, minlength=len(values) + 1)
+    prefix = _discount_prefix(m)
+    spans = prefix[np.minimum(ends, m)] - prefix[starts]
+    gains = grade_sums[:-1] / (ends - starts) * spans
+    return gains.cumsum()[-1] / ideal
+
+
+def per_user_random_baseline(grades, n_candidates, k):
+    """Expected NDCG@k of a uniformly random ranking for one user; None
+    without a candidate or a positive grade."""
+    if n_candidates == 0 or not (grades > 0.0).any():
+        return None
+    m = min(k, n_candidates)
+    total = grades.cumsum()[-1]
+    return total / n_candidates * _discount_prefix(m)[m] / _loop_dcg(np.sort(grades)[::-1], m)
+
+
+def loop_pair_from_flat(t, n_users):
+    """The (i, j) pair, i < j, at flat index ``t`` of the row-major pairs."""
+    i = int((2 * n_users - 1 - math.sqrt((2 * n_users - 1) ** 2 - 8 * t)) // 2)
+    while i * (2 * n_users - i - 1) // 2 > t:
+        i -= 1
+    while (i + 1) * (2 * n_users - i - 2) // 2 <= t:
+        i += 1
+    return i, t - i * (2 * n_users - i - 1) // 2 + i + 1
+
+
+def loop_sample_pair_indices(n_users, n_pairs, seed):
+    """Distinct user pairs: batches of ``n_pairs`` flat draws, scanned one
+    draw at a time until ``n_pairs`` distinct ones are kept."""
+    total = n_users * (n_users - 1) // 2
+    if n_pairs > total:
+        raise ValueError("cannot draw more distinct pairs than exist")
+    if n_pairs == total:
+        return [loop_pair_from_flat(t, n_users) for t in range(total)]
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    chosen = set()
+    flats = []
+    while len(flats) < n_pairs:
+        for t in rng.integers(0, total, size=n_pairs):
+            t = int(t)
+            if t not in chosen:
+                chosen.add(t)
+                flats.append(t)
+                if len(flats) == n_pairs:
+                    break
+    return [loop_pair_from_flat(t, n_users) for t in flats]

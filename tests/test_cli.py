@@ -514,7 +514,18 @@ class TestExitCodes:
         assert f"--out {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "train"])
-    def test_over_wide_features_per_split_is_data_error(self, workspace, tmp_path, capsys, command):
+    def test_over_wide_features_per_split_is_data_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        # caught before anything is fitted: ALS and label augmentation must not run
+        import stylebench.als
+        import stylebench.forest
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("fitted before the config was checked")
+
+        monkeypatch.setattr(stylebench.als, "fit_als", not_called)
+        monkeypatch.setattr(stylebench.forest, "augment_labels", not_called)
         _, config, data_path = workspace
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps(

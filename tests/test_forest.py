@@ -453,6 +453,20 @@ class TestPredictForest:
         with pytest.raises(SchemaMismatch):
             predict_forest(model, np.zeros((3, 2)))
 
+    def test_row_chunks_change_no_bit(self, monkeypatch):
+        import stylebench.forest as forest
+
+        model, _ = self._model(n_trees=5)
+        rows = np.random.default_rng(20).uniform(-1.0, 2.0, size=(37, 1))
+        whole = predict_forest(model, rows)
+        nodes = max(t.n_nodes for t in model.trees)
+        # one row per chunk, three rows per chunk (the last chunk short)
+        for budget in (1, 3 * nodes):
+            monkeypatch.setattr(forest, "_ROW_NODE_BUDGET", budget)
+            got = predict_forest(model, rows)
+            assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+        assert predict_forest(model, rows[:0]).shape == (0,)
+
 
 class TestPredictForestGrid:
     @settings(max_examples=60, deadline=None)

@@ -150,10 +150,10 @@ class TestReportGrid:
     def test_purchased_mask_drops_items_without_mutating_scores(self):
         from stylebench.recommend import rank_users
 
-        vec = np.array([5.0, 3.0, 1.0])
-        [(_, top, _)] = rank_users([("u", vec)], 2, {"u": np.array([0])})
-        assert tuple(np.array(["A", "B", "C"])[top]) == ("B", "C")
-        assert vec[0] == 5.0
+        vec = np.array([[5.0, 3.0, 1.0]])
+        [(_, top, _)] = rank_users([(["u"], vec)], 2, {"u": np.array([0])})
+        assert tuple(np.array(["A", "B", "C"])[top[0]]) == ("B", "C")
+        assert vec[0, 0] == 5.0
 
     def test_exclude_purchased_changes_buyers_cells(self):
         import dataclasses

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_tie_aware_ndcg,
     loop_avg_distinct_sampled,
+    loop_pair_from_flat,
+    loop_sample_pair_indices,
     one_draw_bootstrap_ci,
     plain_dcg,
     relative_popularity_user,
@@ -133,9 +135,8 @@ class TestTieAwareNdcg:
 
 class TestRandomBaseline:
     def test_matches_all_tied(self):
-        assert random_baseline_ndcg(np.array([1.0]), 3, 3) == pytest.approx(
-            ALL_TIED_EXPECTED, abs=1e-12
-        )
+        [value] = random_baseline_ndcg([np.array([1.0])], 3, 3)
+        assert value == pytest.approx(ALL_TIED_EXPECTED, abs=1e-12)
 
     def test_equals_single_tie_group(self):
         rng = np.random.default_rng(5)
@@ -144,17 +145,18 @@ class TestRandomBaseline:
             rels = {f"i{j}": float(rng.integers(0, 3)) for j in range(n)}
             k = int(rng.integers(1, 11))
             tied = tie_aware_ndcg_at_k({f"i{j}": 0.0 for j in range(n)}, rels, k)
-            direct = random_baseline_ndcg(np.array(list(rels.values())), n, k)
+            [direct] = random_baseline_ndcg([np.array(list(rels.values()))], n, k)
             if tied is None:
-                assert direct is None
+                assert np.isnan(direct)
             else:
                 assert direct == pytest.approx(tied, abs=1e-12)
 
     def test_everything_relevant_is_ideal(self):
-        assert random_baseline_ndcg(np.array([1.0, 1.0]), 2, 2) == pytest.approx(1.0)
+        [value] = random_baseline_ndcg([np.array([1.0, 1.0])], 2, 2)
+        assert value == pytest.approx(1.0)
 
     def test_zero_relevance_undefined(self):
-        assert random_baseline_ndcg(np.array([]), 5, 3) is None
+        assert np.isnan(random_baseline_ndcg([np.array([])], 5, 3)).all()
 
 
 class TestMicroAverage:
@@ -164,9 +166,10 @@ class TestMicroAverage:
         assert out.n_users == 2 and out.n_excluded == 0
 
     def test_undefined_excluded(self):
-        out = micro_average_ndcg([0.5, None])
-        assert out.value == pytest.approx(0.5)
-        assert out.n_excluded == 1
+        for values in ([0.5, None], np.array([0.5, np.nan])):
+            out = micro_average_ndcg(values)
+            assert out.value == pytest.approx(0.5)
+            assert out.n_users == 1 and out.n_excluded == 1
 
     def test_all_undefined_raises(self):
         with pytest.raises(AllUndefined):
@@ -215,23 +218,54 @@ class TestSymmetricDistinct:
         assert (d == 0) == (set(a.items) == set(b.items))
 
 
+def pairs_of(i, j):
+    return list(zip(i.tolist(), j.tolist()))
+
+
 class TestPairSampling:
     def test_flat_index_bijection(self):
         for n in (2, 3, 5, 11):
-            seen = set()
-            for t in range(n * (n - 1) // 2):
-                i, j = _pair_from_flat(t, n)
-                assert 0 <= i < j < n
-                seen.add((i, j))
-            assert len(seen) == n * (n - 1) // 2
+            total = n * (n - 1) // 2
+            pairs = pairs_of(*_pair_from_flat(np.arange(total), n))
+            assert all(0 <= i < j < n for i, j in pairs)
+            assert len(set(pairs)) == total
+            assert pairs == [loop_pair_from_flat(t, n) for t in range(total)]
+
+    def test_flat_index_fixups_at_row_boundaries(self):
+        # at this n, sqrt rounds the row of a row's last flat index one too
+        # high; the fix-ups must land every flat index on the loop's pair
+        n = 300_000_001
+        total = n * (n - 1) // 2
+        rows = np.array([0, 1, 2, 3, n // 2, n - 3, n - 2], dtype=np.int64)
+        starts = rows * (2 * n - rows - 1) // 2
+        flats = np.unique(np.clip(np.concatenate([starts - 1, starts, starts + 1]), 0, total - 1))
+        got = pairs_of(*_pair_from_flat(flats, n))
+        assert got == [loop_pair_from_flat(int(t), n) for t in flats]
 
     def test_distinct_and_uniform_support(self):
-        pairs = sample_pair_indices(30, 30, seed=4)
+        pairs = pairs_of(*sample_pair_indices(30, 30, seed=4))
         assert len(pairs) == len(set(pairs)) == 30
         assert all(0 <= i < j < 30 for i, j in pairs)
 
     def test_draws_everything_when_clamped(self):
-        assert sample_pair_indices(3, 3, seed=0) == [(0, 1), (0, 2), (1, 2)]
+        assert pairs_of(*sample_pair_indices(3, 3, seed=0)) == [(0, 1), (0, 2), (1, 2)]
+
+    @given(n_users=st.integers(0, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_draw_loop(self, n_users, data, seed):
+        # same pairs and same generator state afterwards, on tiny totals with
+        # many collisions and on n_pairs == total, where nothing is drawn
+        total = n_users * (n_users - 1) // 2
+        n_pairs = data.draw(st.integers(0, total), label="n_pairs")
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        i, j = sample_pair_indices(n_users, n_pairs, rng)
+        assert i.dtype == j.dtype == np.int64
+        assert pairs_of(i, j) == loop_sample_pair_indices(n_users, n_pairs, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_too_many_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            sample_pair_indices(3, 4, seed=0)
 
 
 class TestAvgDistinct:

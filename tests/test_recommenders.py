@@ -34,10 +34,13 @@ def ev(user, item, kind, hours=0, quantity=1):
 
 
 def ranked(scored, candidates, k):
-    """(user, items, scores) per user of a score stream ranked by rank_users."""
+    """(user, items, scores) per user of a score stream ranked by rank_users;
+    a one-row block's ranking stands for each of its users."""
     return [
-        (user, tuple(candidates[i] for i in top), tuple(ranked_by[top].tolist()))
-        for user, top, ranked_by in rank_users(scored, k)
+        (user, tuple(candidates[i] for i in top[r % len(top)]),
+         tuple(rows[r % len(rows)][top[r % len(top)]].tolist()))
+        for users, top, rows in rank_users(scored, k)
+        for r, user in enumerate(users)
     ]
 
 
@@ -129,6 +132,24 @@ class TestRecommendCf:
         b = self.cf_lists(["u1", "u2"], sorted(self.train.items), 2)
         assert a == b
 
+    def test_rows_equal_per_user_products(self, monkeypatch):
+        # blocks of one and two rows give every user the bits of its own
+        # x_u . Y^T product over the candidates
+        import stylebench.recommend as recommend
+
+        users = ["u3", "stranger", "u1", "u2"]
+        candidates = ["iC", "iA"]
+        idx = np.array([self.model.item_index[i] for i in candidates])
+        for budget in (1, 2 * len(candidates)):
+            monkeypatch.setattr(recommend, "_RANK_PAIRS", budget)
+            blocks = list(score_cf_users(self.model, users, candidates))
+            assert [len(b) for _, b in blocks] == ([1, 1, 1] if budget == 1 else [2, 1])
+            got = {u: row for us, b in blocks for u, row in zip(us, b)}
+            assert list(got) == ["u3", "u1", "u2"]
+            for user, row in got.items():
+                want = self.model.scores_for_user(user, idx)
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
     def test_candidate_outside_training_universe(self):
         from stylebench.errors import UnknownItem
 
@@ -211,10 +232,11 @@ class TestCandidateSetDiscipline:
             monkeypatch.setattr(recommend, "_PAIR_BUDGET", batch * len(candidates))
             by_batch[batch] = {
                 u: vec.tolist()
-                for u, vec in recommend.score_cb_users(
+                for us, block in recommend.score_cb_users(
                     model, users, candidates,
                     train.user_features, train.item_features,
                 )
+                for u, vec in zip(us, block)
             }
         assert by_batch[1] == by_batch[2] == by_batch[16]
 
@@ -240,7 +262,7 @@ class TestCandidateSetDiscipline:
             out = recommend.score_cb_users(
                 model, users, candidates, train.user_features, train.item_features
             )
-            return np.array([vec for _, vec in out])
+            return np.concatenate([block for _, block in out])
 
         grid = recommend.predict_forest_grid
         monkeypatch.setattr(recommend, "predict_forest_grid", counted)

@@ -42,7 +42,7 @@ from .harness import (
     REPORT_SHAPE,
     EvalConfig,
     EvaluationReport,
-    check_forest_width,
+    check_forest_inputs,
     fit_cb_forest,
     fit_factor_model,
     render_report,
@@ -317,7 +317,7 @@ def _cmd_train(args) -> int:
     _, data, boundary = _inputs(args, raw)
     cfg = _eval_config(raw, args, boundary)
     if args.algo == "forest":
-        check_forest_width(cfg, data)
+        check_forest_inputs(cfg, data)
     train = temporal_split(data, boundary).train
     confidence, model = fit_factor_model(cfg, train)
     if args.algo == "als":

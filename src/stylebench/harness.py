@@ -34,7 +34,7 @@ from .data import (
     segment_users,
     temporal_split,
 )
-from .errors import AllUndefined, DataError, StylebenchError, ZeroSales
+from .errors import AllUndefined, DataError, MissingFeatures, StylebenchError, ZeroSales
 from .metrics import (
     GRADING_MODES,
     avg_distinct_sampled,
@@ -251,12 +251,20 @@ def fit_factor_model(cfg: EvalConfig, train: Dataset):
     return confidence, als_mod.fit_als(confidence, als_cfg)
 
 
-def check_forest_width(cfg: EvalConfig, data: Dataset) -> None:
-    """Reject a ``forest_features_per_split`` wider than the feature tables'
-    columns as a data error, so nothing is fitted for a forest that cannot
-    be. Without both tables there is nothing to check yet."""
-    if data.user_features is None or data.item_features is None:
-        return
+def check_forest_inputs(cfg: EvalConfig, data: Dataset) -> None:
+    """Reject, as a data error, data without a user or item feature table
+    and a ``forest_features_per_split`` wider than the tables' columns, so
+    nothing is fitted for a forest that cannot be."""
+    missing = [
+        side
+        for side, table in (("user", data.user_features), ("item", data.item_features))
+        if table is None
+    ]
+    if missing:
+        raise MissingFeatures(
+            f"the CB forest needs user and item feature tables; the data has no "
+            f"{' or '.join(missing)} feature table"
+        )
     schema = forest_mod.FeatureSchema.from_tables(data.user_features, data.item_features)
     try:
         cfg.forest.resolved_features_per_split(schema.n_features)
@@ -276,7 +284,7 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     if cfg.boundary is None:
         raise DataError("evaluation requires a split boundary timestamp")
     if "CB" in cfg.algorithms:
-        check_forest_width(cfg, data)
+        check_forest_inputs(cfg, data)
     with _stage("temporal_split"):
         split = temporal_split(data, cfg.boundary)
         if not split.train.events:

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from stylebench.als import ConfidenceMatrix, FactorModel
 from stylebench.data import FeatureTable, Kind, PopularityTable, Segment, SegmentAssignment
-from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
+from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem, UnknownUser
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.errors import TooFewUsers, ZeroPopularity
 from stylebench.metrics import GRADING_MODES, _summarize
@@ -451,6 +451,20 @@ def confidence(cm: ConfidenceMatrix, user_id: str, item_id: str) -> float:
     return 1.0 + cm.alpha * float(r)
 
 
+def scores_for_user(model: FactorModel, user_id: str, item_idx: np.ndarray) -> np.ndarray:
+    """Score vector x_u . Y^T over the given item indices.
+
+    Raises UnknownUser for users absent from training (new users).
+    """
+    try:
+        u = model.user_index[user_id]
+    except KeyError:
+        raise UnknownUser(
+            f"user {user_id!r} was not in training; CF cannot score new users"
+        ) from None
+    return model.item_factors[item_idx] @ model.user_factors[u]
+
+
 def predict_scores(model: FactorModel, user_id: str, item_ids: list[str]) -> list[float]:
     """Dot-product scores x_u . y_i for the given items, in input order.
 
@@ -461,7 +475,7 @@ def predict_scores(model: FactorModel, user_id: str, item_ids: list[str]) -> lis
         idx = np.array([model.item_index[i] for i in item_ids], dtype=np.int64)
     except KeyError as exc:
         raise UnknownItem(f"item {exc.args[0]!r} was not in training") from None
-    return [float(v) for v in model.scores_for_user(user_id, idx)]
+    return [float(v) for v in scores_for_user(model, user_id, idx)]
 
 
 def feature_row(table: FeatureTable, entity_id: str) -> dict[str, object]:

@@ -1,7 +1,9 @@
 """ALS engine: confidence construction, exact subproblem solves, loss
 monotonicity, determinism, ranking quality on synthetic factors."""
 
+import math
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,11 +19,14 @@ from oracles import (
     per_row_als_loss,
     per_row_als_solve,
     predict_scores,
+    scores_for_user,
 )
 from stylebench import als
 from stylebench.als import (
     AlsConfig,
     FactorModel,
+    _exact_sum,
+    _plan_rows,
     _solve_side,
     _training_loss,
     build_confidence,
@@ -96,7 +101,7 @@ class TestSolveSide:
                 cols.append(int(c))
                 vals.append(float(rng.choice([1.0, 5.0])))
         mat = sp.csr_matrix((vals, (rows, cols)), shape=(5, n_items))
-        solved = _solve_side(mat, item_factors, alpha, lam)
+        solved = _solve_side(_plan_rows(mat, alpha), item_factors, lam)
         for u in range(5):
             lo, hi = mat.indptr[u], mat.indptr[u + 1]
             expected = dense_implicit_als_user_solve(
@@ -113,7 +118,7 @@ class TestSolveSide:
         mat = sp.csr_matrix(
             (list(observed.values()), (rows, cols)), shape=(4, 6)
         )
-        fast = _training_loss(x, y, mat, alpha=40.0, lam=0.1)
+        fast = _training_loss(x, y, _plan_rows(mat, 40.0), lam=0.1)
         slow = dense_implicit_als_loss(x, y, observed, alpha=40.0, lam=0.1)
         assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -121,7 +126,9 @@ class TestSolveSide:
 @st.composite
 def csr_problems(draw):
     """A CSR matrix with empty rows, one-entry rows and a run of rows of one
-    shared length, in drawn order, plus factor matrices for both sides."""
+    shared length, in drawn order, then copies of drawn rows inserted at
+    drawn places: exact repeats, or the same cells in another column order
+    or with other ratings. Plus factor matrices for both sides."""
     n_cols = draw(st.integers(1, 10))
     shared = draw(st.integers(1, n_cols))
     lengths = [0, 1] + [shared] * draw(st.integers(4, 9))
@@ -129,13 +136,29 @@ def csr_problems(draw):
     lengths = draw(st.permutations(lengths))
     n_f = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    indices = [rng.choice(n_cols, size=k, replace=False) for k in lengths]
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    data = rng.choice([1.0, 5.0], size=indptr[-1])
+    rows = [
+        (rng.choice(n_cols, size=k, replace=False), rng.choice([1.0, 5.0], size=k))
+        for k in lengths
+    ]
+    for _ in range(draw(st.integers(0, 8))):
+        cols, data = rows[draw(st.integers(0, len(rows) - 1))]
+        change = draw(st.sampled_from(["none", "order", "ratings"]))
+        if change == "order":
+            perm = rng.permutation(len(cols))
+            cols, data = cols[perm], data[perm]
+        elif change == "ratings":
+            data = rng.choice([1.0, 5.0], size=len(data))
+        rows.insert(draw(st.integers(0, len(rows))), (cols, data))
+    indptr = np.cumsum([0] + [len(cols) for cols, _ in rows])
     mat = sp.csr_matrix(
-        (data, np.concatenate(indices).astype(np.int32), indptr), shape=(len(lengths), n_cols)
+        (
+            np.concatenate([data for _, data in rows]),
+            np.concatenate([cols for cols, _ in rows]).astype(np.int32),
+            indptr,
+        ),
+        shape=(len(rows), n_cols),
     )
-    return mat, rng.normal(size=(n_cols, n_f)), rng.normal(size=(len(lengths), n_f))
+    return mat, rng.normal(size=(n_cols, n_f)), rng.normal(size=(len(rows), n_f))
 
 
 class TestStackedSolves:
@@ -147,8 +170,9 @@ class TestStackedSolves:
         mat, other, x = problem
         alpha, lam = 40.0, 0.1
         with mock.patch.object(als, "_CHUNK_ROWS", chunk):
-            solved = _solve_side(mat, other, alpha, lam)
-            loss = _training_loss(x, other, mat, alpha, lam)
+            plan = _plan_rows(mat, alpha)
+            solved = _solve_side(plan, other, lam)
+            loss = _training_loss(x, other, plan, lam)
         expected = per_row_als_solve(mat, other, alpha, lam)
         assert np.array_equal(solved.view(np.uint64), expected.view(np.uint64))
         assert loss == per_row_als_loss(x, other, mat, alpha, lam)
@@ -176,6 +200,85 @@ class TestStackedSolves:
         monkeypatch.setattr(np.linalg, "solve", singular_at_target)
         with pytest.raises(SingularSystem, match=r"singular subproblem at row 2 "):
             fit_als(cm, cfg)
+
+    def test_singular_system_shared_by_two_rows_names_the_lower(self, monkeypatch):
+        # rows 1 and 3 have one system (column 0, rating 5), solved once at
+        # row 1; solved row by row in chunks of 2, they would fall apart
+        mat = sp.csr_matrix(([1.0, 5.0, 1.0, 5.0], [0, 0, 1, 0], [0, 1, 2, 3, 4]), shape=(4, 2))
+        other = np.random.default_rng(0).normal(size=(2, 3))
+        alpha, lam = 40.0, 0.1
+        target = other.T @ other + lam * np.eye(3) + alpha * 5.0 * np.outer(other[0], other[0])
+        solve = np.linalg.solve
+
+        def singular_at_target(a, b):
+            stack = np.reshape(a, (-1, 3, 3))
+            if any(np.allclose(s, target, rtol=1e-9, atol=0.0) for s in stack):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_target)
+        monkeypatch.setattr(als, "_CHUNK_ROWS", 2)
+        with pytest.raises(SingularSystem, match=r"singular subproblem at row 1 "):
+            _solve_side(_plan_rows(mat, alpha), other, lam)
+
+
+def _fraction_sum(values):
+    """The exact sum of float values, correctly rounded to a float."""
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
+class TestExactSum:
+    """``_exact_sum`` against ``math.fsum`` and exact rational arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_equals_fsum(self, values):
+        array = np.array(values, dtype=np.float64)
+        try:
+            want = math.fsum(values)
+        except OverflowError:  # fsum also fails on an intermediate overflow
+            try:
+                want = _fraction_sum(values)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _exact_sum(array)
+                return
+        assert np.float64(_exact_sum(array)).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [0.0, -0.0, 0.0],
+        [5e-324] * 1000,  # subnormals summing into the normal range
+        [2.2250738585072014e-308, -5e-324, 1e-320],
+        [1e-310, -1e-310, 3e-321, 7e-323],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1e292, 1.0],
+        [1e300] * 100 + [1e-300] * 100 + [-1e300] * 99,
+        [0.1] * 10_000,
+        [3.0, 2.0**53, 1.0, -(2.0**53)],  # a tie rounded to even
+    ])
+    def test_edge_cases(self, values):
+        array = np.array(values, dtype=np.float64)
+        want = _fraction_sum(values)
+        assert np.float64(_exact_sum(array)).view(np.uint64) == np.float64(want).view(np.uint64)
+        if all(v >= 0 for v in values):  # no intermediate overflow
+            assert _exact_sum(array) == math.fsum(values)
+
+    def test_squares_of_factors(self):
+        # what the regularizer sums: tens of thousands of squares over a
+        # wide range of exponents
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2000, 32)) * np.exp(rng.normal(scale=20.0, size=(2000, 1)))
+        values = x**2
+        assert _exact_sum(values) == math.fsum(values.ravel().tolist())
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            _exact_sum(np.full(2, 1.7976931348623157e308))
+
+    @pytest.mark.parametrize("values", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 2.0]])
+    def test_non_finite_as_fsum(self, values):
+        got, want = _exact_sum(np.array(values)), math.fsum(values)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestFitAls:
@@ -278,7 +381,7 @@ def _held_out_percentile_rank(n_users, n_items, latent, factors, seed,
             if i not in trained_items[u] and f"i{i:04d}" in model.item_index
         ]
         idx = np.array([model.item_index[f"i{i:04d}"] for i in pool], dtype=np.int64)
-        scores = model.scores_for_user(user_id, idx)
+        scores = scores_for_user(model, user_id, idx)
         order = np.argsort(-scores, kind="stable")
         rank_of = {pool[j]: r for r, j in enumerate(order)}
         for i in held_out[u]:

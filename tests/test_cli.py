@@ -540,6 +540,34 @@ class TestExitCodes:
         assert "forest_features_per_split" in err and "99" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    @pytest.mark.parametrize("missing", [("users",), ("items",), ("users", "items")])
+    def test_cb_without_feature_tables_is_data_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command, missing
+    ):
+        # caught before anything is fitted: ALS must not run
+        import stylebench.als
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("fitted before the feature tables were checked")
+
+        monkeypatch.setattr(stylebench.als, "fit_als", not_called)
+        _, config, data_path = workspace
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in data_path.parent.iterdir():  # the manifest holds the boundary
+            if path.name.split(".")[1] not in missing:
+                (data / path.name).write_bytes(path.read_bytes())
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--data", str(data / "interactions.csv"),
+                "--out", str(out)]
+        if command == "train":
+            argv += ["--algo", "forest"]
+        assert dispatch(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"no {' or '.join(side[:-1] for side in missing)} feature table" in err
+        assert not out.exists()
+
 
 class TestInputs:
     """Config keys, data path and boundary: one step shared by every data command."""

@@ -20,7 +20,6 @@ from .data import (
     Kind,
     PopularityTable,
     Segment,
-    SegmentAssignment,
     TemporalSplit,
     dataset_stats,
     load_events,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class Kind(enum.Enum):
 
 
 class Segment(enum.Enum):
+    """A test user's segment; its code is the member's position here."""
+
     NEW = "new_users"
     VIEW = "view_users"
     SALE = "sale_users"
@@ -257,22 +259,6 @@ class TemporalSplit:
     train: Dataset
     test: Dataset
     boundary: datetime
-
-
-@dataclass(frozen=True)
-class SegmentAssignment:
-    """Test users labeled by their training-period history only."""
-
-    mapping: dict[str, Segment]
-
-    def counts(self) -> dict[Segment, int]:
-        out = {seg: 0 for seg in Segment}
-        for seg in self.mapping.values():
-            out[seg] += 1
-        return out
-
-    def users_in(self, segment: Segment) -> list[str]:
-        return sorted(u for u, s in self.mapping.items() if s == segment)
 
 
 @dataclass(frozen=True)
@@ -577,19 +563,37 @@ def temporal_split(data: Dataset, boundary: datetime) -> TemporalSplit:
     return TemporalSplit(train=train, test=test, boundary=boundary)
 
 
-def segment_users(split: TemporalSplit) -> SegmentAssignment:
-    """Label each test-period user from training history alone.
+def user_rows(data: Dataset, user_ids: Sequence[str]) -> np.ndarray:
+    """Each id's row in ``data.user_ids``, or ``len(data.user_ids)`` for an
+    id not there: one row past the last, so an array over the rows with
+    one more, empty, entry reads nothing for it."""
+    index = {u: r for r, u in enumerate(data.user_ids)}
+    return np.fromiter((index.get(u, len(index)) for u in user_ids), np.int64, len(user_ids))
+
+
+def take_rows(indptr: np.ndarray, rows: np.ndarray, *flats) -> tuple[np.ndarray, ...]:
+    """``rows`` (which may repeat) of ragged arrays, row r running from
+    ``indptr[r]`` to ``indptr[r + 1]`` of each of ``flats``, as their own
+    indptr and each flat array's entries, row after row."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    out = np.concatenate(([0], np.cumsum(lengths)))
+    at = np.arange(out[-1]) + np.repeat(starts - out[:-1], lengths)
+    return (out, *(flat[at] for flat in flats))
+
+
+def segment_users(split: TemporalSplit) -> np.ndarray:
+    """Each test row's segment code (int8), from training history alone.
 
     Sale users have at least one training purchase; view users have
     training views but no sales; new users have no training activity.
     """
     train = split.train
-    sold = {train.user_ids[u] for u in set(train.user[train.sale].tolist())}
-    active = {train.user_ids[u] for u in set(train.user.tolist())}
-    return SegmentAssignment(mapping={
-        user: Segment.SALE if user in sold else Segment.VIEW if user in active else Segment.NEW
-        for user in split.test.user_ids
-    })
+    # a code per training row, and a new-user one past them for absent users
+    code = np.zeros(len(train.user_ids) + 1, dtype=np.int8)
+    code[train.user] = 1
+    code[train.user[train.sale]] = 2
+    return code[user_rows(train, split.test.user_ids)]
 
 
 def popularity_table(data: Dataset) -> PopularityTable:
@@ -626,12 +630,13 @@ def _side_stats(data: Dataset) -> dict:
     }
 
 
-def dataset_stats(split: TemporalSplit, seg: SegmentAssignment) -> dict:
+def dataset_stats(split: TemporalSplit, segments: np.ndarray) -> dict:
     """The train/test descriptive tables, with each segment's share of the
-    test users: report.json's ``dataset`` section."""
-    counts = seg.counts()
+    test users (``segments`` holds their codes): report.json's ``dataset``
+    section."""
+    counts = np.bincount(segments, minlength=len(Segment)).tolist()
     test = _side_stats(split.test)
     test["segments"] = {
-        s.value: {"users": counts[s], "pct": _pct(counts[s], test["users"])} for s in Segment
+        s.value: {"users": n, "pct": _pct(n, test["users"])} for s, n in zip(Segment, counts)
     }
     return {"train": _side_stats(split.train), "test": test}

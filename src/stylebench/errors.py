@@ -47,10 +47,6 @@ class EmptyTraining(StylebenchError):
     """Training dataset contains no interactions."""
 
 
-class UnknownUser(StylebenchError):
-    """User id absent from a trained factor model (a new user)."""
-
-
 class UnknownItem(StylebenchError):
     """Item id absent from a trained factor model."""
 

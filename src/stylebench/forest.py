@@ -192,8 +192,6 @@ class ForestModel:
     trees: tuple[Tree, ...]
     schema: FeatureSchema
     config: ForestConfig
-    label_min: float
-    label_max: float
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +616,7 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
             trees = tuple(pool.map(fit, range(cfg.n_trees), chunksize=chunksize))
     else:
         trees = tuple(map(fit, range(cfg.n_trees)))
-    return ForestModel(
-        trees=trees,
-        schema=table.schema,
-        config=cfg,
-        label_min=float(y.min()),
-        label_max=float(y.max()),
-    )
+    return ForestModel(trees=trees, schema=table.schema, config=cfg)
 
 
 # (row, node) decisions per tree that predict_forest makes at once: 1M
@@ -730,8 +722,6 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
         "kind": "forest_model",
         "schema": [asdict(s) for s in model.schema.specs],
         "config": asdict(model.config),
-        "label_min": model.label_min,
-        "label_max": model.label_max,
         "trees": [
             {
                 "feature": t.feature.tolist(),
@@ -781,10 +771,4 @@ def load_forest(path: str | Path) -> ForestModel:
                 members=members,
             )
         )
-    return ForestModel(
-        trees=tuple(trees),
-        schema=schema,
-        config=ForestConfig(**payload["config"]),
-        label_min=payload["label_min"],
-        label_max=payload["label_max"],
-    )
+    return ForestModel(trees=tuple(trees), schema=schema, config=ForestConfig(**payload["config"]))

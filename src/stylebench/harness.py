@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .data import (
     parse_timestamp,
     popularity_table,
     segment_users,
+    take_rows,
     temporal_split,
+    user_rows,
 )
 from .errors import AllUndefined, DataError, MissingFeatures, StylebenchError, ZeroSales
 from .metrics import (
@@ -235,13 +237,15 @@ def short_head_curve(pop: PopularityTable) -> ShortHeadCurve:
 # ---------------------------------------------------------------------------
 
 
-def purchase_masks(train: Dataset) -> dict[str, np.ndarray]:
-    """Each buyer's training purchases as train item (= candidate) positions."""
+def purchase_masks(train: Dataset, user_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's training purchases as train item (= candidate)
+    positions, ragged ``(indptr, positions)`` over ``user_ids``; a user
+    who bought nothing in training has an empty row."""
     users, items, sold = train.pairs()
     users, items = users[sold], items[sold]
-    starts = np.flatnonzero(np.diff(users, prepend=-1))
-    # zip ends with the users: np.split of no sales still gives one chunk
-    return dict(zip([train.user_ids[u] for u in users[starts]], np.split(items, starts[1:])))
+    # a row per training user, and an empty one past them for absent users
+    indptr = np.searchsorted(users, np.arange(len(train.user_ids) + 2))
+    return take_rows(indptr, user_rows(train, user_ids), items)
 
 
 def fit_factor_model(cfg: EvalConfig, train: Dataset):
@@ -252,9 +256,11 @@ def fit_factor_model(cfg: EvalConfig, train: Dataset):
 
 
 def check_forest_inputs(cfg: EvalConfig, data: Dataset) -> None:
-    """Reject, as a data error, data without a user or item feature table
-    and a ``forest_features_per_split`` wider than the tables' columns, so
-    nothing is fitted for a forest that cannot be."""
+    """Reject, as a data error, data the CB forest cannot be fitted and
+    scored on, so nothing is fitted for a forest that cannot be: no user or
+    item feature table, a user of the data or an item with a training event
+    without a feature row, or a ``forest_features_per_split`` wider than
+    the tables' columns."""
     missing = [
         side
         for side, table in (("user", data.user_features), ("item", data.item_features))
@@ -265,6 +271,17 @@ def check_forest_inputs(cfg: EvalConfig, data: Dataset) -> None:
             f"the CB forest needs user and item feature tables; the data has no "
             f"{' or '.join(missing)} feature table"
         )
+    train_items = sorted({e.item_id for e in data.events if e.timestamp < cfg.boundary})
+    for side, table, ids in (
+        ("user", data.user_features, data.user_ids),
+        ("item", data.item_features, train_items),
+    ):
+        absent = next((i for i in ids if i not in table), None)
+        if absent is not None:
+            raise MissingFeatures(
+                f"the CB forest needs a feature row for every user and training "
+                f"item; {side} {absent!r} has none"
+            )
     schema = forest_mod.FeatureSchema.from_tables(data.user_features, data.item_features)
     try:
         cfg.forest.resolved_features_per_split(schema.n_features)
@@ -292,8 +309,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         if not split.test.events:
             raise DataError("no test events at or after the boundary")
     with _stage("segment_users"):
-        seg = segment_users(split)
-        stats = dataset_stats(split, seg)
+        segments = segment_users(split)
+        stats = dataset_stats(split, segments)
     with _stage("popularity"):
         pop = popularity_table(split.train)
 
@@ -302,10 +319,10 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     k = cfg.k
 
     with _stage("relevance"):
-        # each user's graded candidate positions and their grades
-        graded = build_relevance(split.test, candidates, cfg.grading)
+        # each test row's graded candidate positions and their grades, ragged
+        indptr, positions, grades = build_relevance(split.test, candidates, cfg.grading)
 
-    mask_by_user = purchase_masks(split.train) if cfg.exclude_purchased else {}
+    masks = purchase_masks(split.train, test_users) if cfg.exclude_purchased else None
 
     factor_model = forest_model = None
     if "CF" in cfg.algorithms or "CB" in cfg.algorithms:
@@ -323,49 +340,43 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             data.user_features, data.item_features,
         ),
     }
-    # per strategy: the covered users, their top-k item ids as one
-    # (covered users x m) matrix, and their NDCG (NaN where undefined) in
-    # the same order, all filled block by block
-    covered: dict[str, list[str]] = {}
+    # per strategy: its covered users' top-k item ids as one (covered x m)
+    # matrix and their NDCG (NaN where undefined), both filled block by
+    # block, and each test row's row in them, -1 for a user not covered
+    at: dict[str, np.ndarray] = {}
     top_items: dict[str, np.ndarray] = {}
     ndcg: dict[str, np.ndarray] = {}
     item_ids = np.asarray(candidates)
     m = min(k, len(candidates))
     for algo in cfg.algorithms:
         with _stage(f"recommend_{algo.lower()}"):
-            covered[algo] = []
+            at[algo] = np.full(len(test_users), -1)
             tops, values = [np.empty((0, m), dtype=np.int64)], [np.empty(0)]
-            for users, top, ranked_by in rank_users(scorers[algo](), k, mask_by_user):
-                rel = [graded[u] for u in users]
+            for rows, top, ranked_by in rank_users(scorers[algo](), k, masks):
+                # covered users are numbered in the order their blocks come
+                at[algo][rows] = np.arange(len(rows)) + at[algo].max() + 1
                 values.append(tie_aware_ndcg_arrays(
-                    ranked_by, top, [p for p, _ in rel], [g for _, g in rel]
+                    ranked_by, top, *take_rows(indptr, rows, positions, grades)
                 ))
                 # a shared row's one top-k row stands for each of its users
-                tops.append(np.broadcast_to(top, (len(users), m)))
-                covered[algo] += users
+                tops.append(np.broadcast_to(top, (len(rows), m)))
             top_items[algo] = item_ids[np.concatenate(tops)]
             ndcg[algo] = np.concatenate(values)
 
     # after the fits, so its temporaries reuse memory they have freed
-    baselines = dict(zip(graded, random_baseline_ndcg(
-        [grades for _, grades in graded.values()], len(candidates), k
-    )))
+    baselines = random_baseline_ndcg(indptr, grades, len(candidates), k)
 
     with _stage("short_head"):
         head = short_head_curve(pop)
 
-    segment_members = {
-        "sale_users": seg.users_in(Segment.SALE),
-        "view_users": seg.users_in(Segment.VIEW),
-        "new_users": seg.users_in(Segment.NEW),
-        "average": test_users,
-    }
+    # each report row's members as a mask over the test rows
+    in_row = {s.value: segments == code for code, s in enumerate(Segment)}
+    in_row["average"] = np.ones(len(test_users), dtype=bool)
 
     cells: dict[str, dict[str, dict[str, dict | None]]] = {
         metric: {row: {} for row in SEGMENT_ROWS} for metric in METRICS
     }
     for algo in cfg.algorithms:
-        row_of = {u: r for r, u in enumerate(covered[algo])}
         for row in SEGMENT_ROWS:
             # CF cannot cover new users, so its new-user and pooled rows
             # stay unavailable
@@ -373,11 +384,10 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
                 for metric in METRICS:
                     cells[metric][row][algo] = None
                 continue
-            members = [u for u in segment_members[row] if u in row_of]
-            rows = [row_of[u] for u in members]
-            cells["ndcg"][row][algo] = _ndcg_cell(
-                ndcg[algo][rows], np.array([baselines[u] for u in members])
-            )
+            # ascending test rows: the members in user-id order
+            members = in_row[row] & (at[algo] >= 0)
+            rows = at[algo][members]
+            cells["ndcg"][row][algo] = _ndcg_cell(ndcg[algo][rows], baselines[members])
             top = top_items[algo][rows]
             cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, top, k)
             cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, top, pop, k)
@@ -390,8 +400,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         "dataset": stats,
         "coverage": {
             algo: {
-                "covered": len(covered[algo]),
-                "uncovered": len(test_users) - len(covered[algo]),
+                "covered": len(ndcg[algo]),
+                "uncovered": len(test_users) - len(ndcg[algo]),
             }
             for algo in cfg.algorithms
         },

@@ -10,7 +10,6 @@ arbitrary tie ordering would otherwise introduce.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -54,12 +53,13 @@ def build_relevance(
     test: Dataset,
     candidates: Iterable[str],
     grading: str = "graded",
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grade test-period interactions per user, restricted to candidates.
 
-    Gives every test user the positions in ``candidates`` of its graded
+    Gives ragged ``(indptr, positions, grades)`` over the rows of
+    ``test.user_ids``: row r's positions in ``candidates`` of its graded
     test items (int64, in ascending item-id order) and their grades
-    (float64); both are empty for a user with no graded candidate.
+    (float64) run from ``indptr[r]`` to ``indptr[r + 1]``, empty for none.
     Modes: ``graded`` gives 2 to items with a test sale and 1 to items
     with test views only; ``binary`` gives 1 to any interacted item;
     ``sales_only`` gives 1 to sold items and ignores views.
@@ -72,9 +72,8 @@ def build_relevance(
     users, items, sold = test.pairs()
     keep = (where[items] >= 0) & (sold | (grading != "sales_only"))
     grades = np.where(sold, 2.0, 1.0) if grading == "graded" else np.ones(len(sold))
-    positions, grades = where[items[keep]], grades[keep]
-    cuts = np.searchsorted(users[keep], np.arange(1, len(test.user_ids)))
-    return dict(zip(test.user_ids, zip(np.split(positions, cuts), np.split(grades, cuts))))
+    indptr = np.searchsorted(users[keep], np.arange(len(test.user_ids) + 1))
+    return indptr, where[items[keep]], grades[keep]
 
 
 def dcg_at_k(rels_in_rank_order: Sequence[float], k: int) -> float:
@@ -87,16 +86,10 @@ def dcg_at_k(rels_in_rank_order: Sequence[float], k: int) -> float:
     return total
 
 
-@functools.lru_cache(maxsize=64)
 def _discount_prefix(n: int) -> np.ndarray:
-    """Prefix sums of the DCG discount: D[p] = sum_{i<=p} 1/log2(i+1).
-
-    Cached per n (a run uses one n = min(k, #candidates)), so read-only.
-    """
+    """Prefix sums of the DCG discount: D[p] = sum_{i<=p} 1/log2(i+1)."""
     disc = 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
-    prefix = np.concatenate(([0.0], np.cumsum(disc)))
-    prefix.flags.writeable = False
-    return prefix
+    return np.concatenate(([0.0], np.cumsum(disc)))
 
 
 def tie_aware_ndcg_at_k(
@@ -117,17 +110,9 @@ def tie_aware_ndcg_at_k(
     grades = np.array([rels.get(i, 0.0) for i in scores], dtype=np.float64)
     top = np.argsort(-svals, kind="stable")[:k]
     [value] = tie_aware_ndcg_arrays(
-        svals[None, :], top[None, :], [np.arange(len(svals))], [grades]
+        svals[None, :], top[None, :], np.array([0, len(svals)]), np.arange(len(svals)), grades
     )
     return None if np.isnan(value) else value
-
-
-def _ragged(parts: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user arrays as (owner of each entry, entries) in user order."""
-    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-    owner = np.repeat(np.arange(len(parts)), lengths)
-    flat = np.concatenate(parts).astype(dtype, copy=False) if len(parts) else np.empty(0, dtype)
-    return owner, flat
 
 
 def _ideal_dcg(owner: np.ndarray, grades: np.ndarray, n_users: int, m: int) -> np.ndarray:
@@ -146,31 +131,32 @@ def _ideal_dcg(owner: np.ndarray, grades: np.ndarray, n_users: int, m: int) -> n
 def tie_aware_ndcg_arrays(
     svals: np.ndarray,
     top: np.ndarray,
-    positions: Sequence[np.ndarray],
-    grades: Sequence[np.ndarray],
+    indptr: np.ndarray,
+    positions: np.ndarray,
+    grades: np.ndarray,
 ) -> np.ndarray:
     """Tie-aware NDCG@m of a block of users, read off their ranking.
 
     ``svals`` is a (rows x n) block of the scores ranked and ``top`` its
     (rows x m) top positions in rank order, m = min(k, n) (NDCG@k equals
-    NDCG@n when k > n). ``positions`` and ``grades`` hold each user's
-    non-negative grades at its candidate positions; the block has one row
-    per user, or one row ranked for every user. Every distinct score in a
-    row's top-m is one tie group, starting at its first rank there and
-    spanning as many ranks as the row holds that score; it contributes its
-    mean grade at every rank it covers above the cutoff (McSherry &
-    Najork, ECIR 2008), so nothing over the candidates is sorted. Returns
+    NDCG@n when k > n). Ragged ``(indptr, positions, grades)``, indptr
+    from 0, hold each user's non-negative grades at its candidate
+    positions; the block has one row per user, or one row ranked for every
+    user. Every distinct score in a row's top-m is one tie group, starting
+    at its first rank there and spanning as many ranks as the row holds
+    that score; it contributes its mean grade at every rank it covers above
+    the cutoff (McSherry & Najork, ECIR 2008), so nothing over the
+    candidates is sorted. Returns
     one float64 per user, NaN where there is no candidate or no positive
     grade.
     """
     n_rows, m = top.shape
-    n_users = len(positions)
+    n_users = len(indptr) - 1
     if n_rows not in (1, n_users):
         raise ValueError(f"{n_rows} score rows for {n_users} users")
     row = np.arange(n_users) if n_rows == n_users else np.zeros(n_users, dtype=np.int64)
-    owner, pos = _ragged(positions, np.int64)
-    _, flat = _ragged(grades, np.float64)
-    ideal = _ideal_dcg(owner, flat, n_users, m)
+    owner = np.repeat(np.arange(n_users), np.diff(indptr))
+    ideal = _ideal_dcg(owner, grades, n_users, m)
     out = np.full(n_users, np.nan)
     if m == 0:
         return out
@@ -198,15 +184,15 @@ def tie_aware_ndcg_arrays(
     rank_of = np.full((n_rows, svals.shape[1]), m)
     rank_of[rows[:, None], top] = np.arange(m)
     r = row[owner]
-    rank = rank_of[r, pos]
+    rank = rank_of[r, positions]
     group = np.where(
         rank < m,
         group_at[r, np.minimum(rank, m - 1)],
-        np.where(svals[r, pos] == tops[r, -1], last[r], width),
+        np.where(svals[r, positions] == tops[r, -1], last[r], width),
     )
     # one bincount sums every user's grades per group in position order
     sums = np.bincount(
-        owner * (width + 1) + group, weights=flat, minlength=n_users * (width + 1)
+        owner * (width + 1) + group, weights=grades, minlength=n_users * (width + 1)
     ).reshape(n_users, width + 1)[:, :width]
     gains = sums / (ends - starts)[row] * spans[row]
     # cumsum adds the groups strictly in rank order; np.sum would pair them
@@ -217,26 +203,29 @@ def tie_aware_ndcg_arrays(
 
 
 def random_baseline_ndcg(
-    grades: Sequence[np.ndarray],
+    indptr: np.ndarray,
+    grades: np.ndarray,
     n_candidates: int,
     k: int,
 ) -> np.ndarray:
     """Expected NDCG@k of a uniformly random ranking of the candidates, per
     user: the tie-aware NDCG of all-equal scores, i.e. one tie group
     spanning the whole list, so every rank above the cutoff gets the mean
-    grade. ``grades`` holds each user's grades of (a subset of) the
-    candidates. NaN where there is no candidate or no positive grade.
-    Bit-identical to :func:`tie_aware_ndcg_arrays` on an all-zero row."""
+    grade. Ragged ``(indptr, grades)``, indptr from 0, hold each user's
+    grades of (a subset of) the candidates. NaN where there is no candidate
+    or no positive grade. Bit-identical to :func:`tie_aware_ndcg_arrays`
+    on an all-zero row."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    owner, flat = _ragged(grades, np.float64)
+    n_users = len(indptr) - 1
+    owner = np.repeat(np.arange(n_users), np.diff(indptr))
     m = min(k, n_candidates)
-    ideal = _ideal_dcg(owner, flat, len(grades), m)
-    out = np.full(len(grades), np.nan)
+    ideal = _ideal_dcg(owner, grades, n_users, m)
+    out = np.full(n_users, np.nan)
     if n_candidates == 0:
         return out
     # summed in order like the kernel's bincount; np.sum would pair them
-    total = np.bincount(owner, weights=flat, minlength=len(grades))
+    total = np.bincount(owner, weights=grades, minlength=n_users)
     defined = ideal > 0.0
     out[defined] = total[defined] / n_candidates * _discount_prefix(m)[m] / ideal[defined]
     return out

@@ -1,25 +1,25 @@
 """One scoring path for the three strategies.
 
-Each strategy is a generator of (users, score block over the id-ascending
-training candidates). A block has one row per user, or one row that every
-user of the block shares: most popular yields its units-sold row once for
-all users, collaborative filtering yields factor-model rows for the users
-seen in training and skips the rest, and the content-based forest yields
-a block for every batch of users that have features. :func:`rank_users`
-ranks any such stream block by block into each user's top-k candidate
-positions, breaking score ties by ascending item id and truncating to
-min(k, #candidates).
+Each strategy is a generator of (rows, score block over the id-ascending
+training candidates), ``rows`` indexing its user ids. A block has one row
+per user, or one row that every user of the block shares: most popular
+yields its units-sold row once for all users, collaborative filtering yields
+factor-model rows for the users seen in training and skips the rest, and the
+content-based forest yields a block for every batch of users that have
+features. :func:`rank_users` ranks any such stream block by block into each
+user's top-k candidate positions, breaking score ties by ascending item id
+and truncating to min(k, #candidates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .als import FactorModel
-from .data import FeatureTable, PopularityTable
+from .data import FeatureTable, PopularityTable, take_rows
 from .errors import UnknownItem
 from .forest import ForestModel, encode_entities, predict_forest_grid
 
@@ -54,45 +54,45 @@ class RankedList:
 
 
 def rank_users(
-    scored: Iterable[tuple[Sequence[str], np.ndarray]],
+    scored: Iterable[tuple[np.ndarray, np.ndarray]],
     k: int,
-    masks: Mapping[str, np.ndarray] | None = None,
-) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
-    """Rank a strategy's (users, block) stream, block by block.
+    masks: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rank a strategy's (rows, block) stream, block by block.
 
-    Yields (users, top, ranked_by): ``ranked_by`` is a (rows x n) block of
-    the scores ranked and ``top`` its (rows x min(k, n)) int64 top
-    positions, from a stable descending order, so equal scores fall back
-    to ascending position (= item id). ``rows`` is ``len(users)``, or 1
-    when a single row is ranked for every user. A user's ``masks``
-    positions are set to ``-inf`` before ranking, always in a copy, so no
+    Yields (rows, top, ranked_by): ``ranked_by`` is a (len(rows) x n)
+    block of the scores ranked, or one row ranked for every user, and
+    ``top`` its int64 top min(k, n) positions, from a stable descending
+    order, so equal scores fall back to ascending position (= item id). A
+    user's positions in the ragged ``(indptr, positions)`` ``masks`` over
+    the rows are set to ``-inf`` before ranking, always in a copy, so no
     block the scorers yield is written. A one-row block is shared: it is
     ranked once for its users without a mask, and each masked user gets a
     masked copy of the row. Every yielded block holds at most
     ``_RANK_PAIRS`` pairs, or one row when a row is wider, and a shared
     row is yielded for at most ``_RANK_PAIRS // min(k, n)`` users at once.
     """
-    masks = {u: cols for u, cols in (masks or {}).items() if len(cols)}
-    for users, block in scored:
-        users, shared = list(users), len(block) == 1
+    indptr, cols = masks or (None, None)
+    for rows, block in scored:
+        shared = len(block) == 1
         if shared:
-            plain = [u for u in users if u not in masks]
-            top = _top_k(block, k)
+            hit = indptr[rows + 1] > indptr[rows] if masks else np.zeros(len(rows), dtype=bool)
+            plain, top = rows[~hit], _top_k(block, k)
             # grading keeps one sum per user and tie group (at most min(k, n))
             step = max(1, _RANK_PAIRS // max(1, top.shape[1]))
             for start in range(0, len(plain), step):
                 yield plain[start : start + step], top, block
-            users = [u for u in users if u in masks]
+            rows = rows[hit]
         step = max(1, _RANK_PAIRS // max(1, block.shape[1]))
-        for start in range(0, len(users), step):
-            chunk = users[start : start + step]
-            rows = np.repeat(block, len(chunk), axis=0) if shared else block[start : start + step]
-            hit = [r for r, u in enumerate(chunk) if u in masks]
-            if hit:
-                cols = [masks[chunk[r]] for r in hit]
-                rows = rows if shared else rows.copy()
-                rows[np.repeat(hit, [len(c) for c in cols]), np.concatenate(cols)] = -np.inf
-            yield chunk, _top_k(rows, k), rows
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            scores = np.repeat(block, len(chunk), axis=0) if shared else block[start : start + step]
+            if masks:
+                ptr, hide = take_rows(indptr, chunk, cols)
+                if len(hide):
+                    scores = scores if shared else scores.copy()
+                    scores[np.repeat(np.arange(len(chunk)), np.diff(ptr)), hide] = -np.inf
+            yield chunk, _top_k(scores, k), scores
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -117,15 +117,15 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 def score_mp_users(
     pop: PopularityTable, users: Sequence[str], candidates: Sequence[str]
-) -> Iterator[tuple[list[str], np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The units-sold row, yielded once as a 1 x n block shared by every user."""
     row = np.array([[pop.quantities[i] for i in candidates]], dtype=np.float64)
-    return iter([(list(users), row)])
+    return iter([(np.arange(len(users)), row)])
 
 
 def score_cf_users(
     model: FactorModel, users: Sequence[str], candidates: Sequence[str]
-) -> Iterator[tuple[list[str], np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Factor-model blocks for training-known users; the rest are skipped.
 
     The candidates' factor rows are gathered once. Each user's row is one
@@ -137,13 +137,14 @@ def score_cf_users(
     except KeyError as exc:
         raise UnknownItem(f"candidate {exc.args[0]!r} was not in training") from None
     factors = model.item_factors[cand_idx]
-    known = [u for u in users if u in model.user_index]
+    at = np.fromiter((model.user_index.get(u, -1) for u in users), np.int64, len(users))
+    known = np.flatnonzero(at >= 0)  # the users the model has factors for
     step = max(1, _RANK_PAIRS // max(1, len(candidates)))
     for start in range(0, len(known), step):
         chunk = known[start : start + step]
         block = np.empty((len(chunk), len(candidates)))
-        for r, user in enumerate(chunk):
-            block[r] = factors @ model.user_factors[model.user_index[user]]
+        for r, u in enumerate(at[chunk]):
+            block[r] = factors @ model.user_factors[u]
         yield chunk, block
 
 
@@ -153,8 +154,8 @@ def score_cb_users(
     candidates: Sequence[str],
     user_features: FeatureTable,
     item_features: FeatureTable,
-) -> Iterator[tuple[list[str], np.ndarray]]:
-    """Yield (users, score block over candidates) from the forest.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (rows, score block over candidates) from the forest.
 
     Encodes each side once and scores the user x candidate grid in user
     batches. A batch holds as many users as fit ``_PAIR_BUDGET`` pairs,
@@ -165,4 +166,4 @@ def score_cb_users(
     batch = max(1, _PAIR_BUDGET // max(1, len(candidates)))
     for start in range(0, len(users), batch):
         preds = predict_forest_grid(model, enc_users[start : start + batch], enc_items)
-        yield list(users[start : start + batch]), preds
+        yield np.arange(start, start + len(preds)), preds

@@ -11,8 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from stylebench.als import ConfidenceMatrix, FactorModel
-from stylebench.data import FeatureTable, Kind, PopularityTable, Segment, SegmentAssignment
-from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem, UnknownUser
+from stylebench.data import FeatureTable, Kind, PopularityTable, Segment
+from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.errors import TooFewUsers, ZeroPopularity
 from stylebench.metrics import GRADING_MODES, _summarize
@@ -259,7 +259,7 @@ def loop_build_confidence(train, cfg):
 
 
 def loop_segment_users(split):
-    """Label each test-period user from training history alone.
+    """Label each test-period user from training history alone: {user: Segment}.
 
     Sale users have at least one training purchase; view users have
     training views but no sales; new users have no training activity.
@@ -279,7 +279,7 @@ def loop_segment_users(split):
             mapping[user] = Segment.VIEW
         else:
             mapping[user] = Segment.NEW
-    return SegmentAssignment(mapping=mapping)
+    return mapping
 
 
 def loop_popularity_table(data):
@@ -329,6 +329,18 @@ def loop_build_relevance(test, candidates, grading="graded"):
             for item in sold:
                 grades[item] = 1.0
     return out
+
+
+def ragged(*columns):
+    """Lists of per-row arrays, one list per flat array and the lists of
+    equal lengths, as one ragged (indptr, flat, ...) tuple."""
+    indptr = np.cumsum([0] + [len(row) for row in columns[0]])
+    return (indptr, *(np.concatenate(rows) if rows else np.empty(0) for rows in columns))
+
+
+def row_slices(indptr, flat):
+    """A ragged array's rows as a list of slices."""
+    return [flat[indptr[r] : indptr[r + 1]] for r in range(len(indptr) - 1)]
 
 
 def loop_purchased_in_train(train):
@@ -443,6 +455,10 @@ def one_draw_bootstrap_ci(values, resamples, level, rng):
     alpha = (1.0 - level) / 2.0
     low, high = np.quantile(means, [alpha, 1.0 - alpha])
     return float(low), float(high)
+
+
+class UnknownUser(Exception):
+    """A user id absent from a trained factor model (a new user)."""
 
 
 def confidence(cm: ConfidenceMatrix, user_id: str, item_id: str) -> float:

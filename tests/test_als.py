@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    UnknownUser,
     confidence,
     dense_implicit_als_loss,
     dense_implicit_als_user_solve,
@@ -35,7 +36,7 @@ from stylebench.als import (
     save_model,
 )
 from stylebench.data import Dataset, InteractionEvent, Kind
-from stylebench.errors import EmptyTraining, SingularSystem, UnknownItem, UnknownUser
+from stylebench.errors import EmptyTraining, SingularSystem, UnknownItem
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 

@@ -569,6 +569,42 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    @pytest.mark.parametrize("side", ["users", "items"])
+    def test_cb_without_a_feature_row_is_data_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command, side
+    ):
+        # a user, or an item with a training event, lacking a feature row is
+        # caught before anything is fitted: ALS must not run
+        import stylebench.als
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("fitted before the feature rows were checked")
+
+        monkeypatch.setattr(stylebench.als, "fit_als", not_called)
+        _, config, data_path = workspace
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in data_path.parent.iterdir():  # the manifest holds the boundary
+            (data / path.name).write_bytes(path.read_bytes())
+        # the second line is the first id's row: u00000 is a user of the
+        # data, and i0000 an item sold or viewed in training
+        table = data / f"interactions.{side}.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        absent = lines[1].split(",")[0]
+        table.write_text("".join(lines[:1] + lines[2:]))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--data", str(data / "interactions.csv"),
+                "--out", str(out)]
+        if command == "train":
+            argv += ["--algo", "forest"]
+        assert dispatch(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{side[:-1]} {absent!r} has none" in err
+        assert "stage" not in err
+        assert not out.exists()
+
+
 class TestInputs:
     """Config keys, data path and boundary: one step shared by every data command."""
 

@@ -19,15 +19,18 @@ from oracles import (
     loop_popularity_table,
     loop_purchased_in_train,
     loop_segment_users,
+    row_slices,
 )
 from stylebench.als import AlsConfig, build_confidence
 from stylebench.data import (
     Dataset,
     InteractionEvent,
     Kind,
+    Segment,
     TemporalSplit,
     popularity_table,
     segment_users,
+    take_rows,
 )
 from stylebench.errors import EmptyTraining
 from stylebench.harness import purchase_masks
@@ -119,7 +122,10 @@ def test_column_stages_match_event_loops(split, candidate_pick):
             with pytest.raises(EmptyTraining):
                 build(train, cfg)
 
-    assert segment_users(split).mapping == loop_segment_users(split).mapping
+    codes = segment_users(split)
+    assert codes.shape == (len(test.user_ids),)
+    got_segments = {u: list(Segment)[c] for u, c in zip(test.user_ids, codes.tolist())}
+    assert got_segments == loop_segment_users(split)
     for side in (train, test):
         got_pop, want_pop = popularity_table(side), loop_popularity_table(side)
         assert got_pop.quantities == want_pop.quantities
@@ -129,25 +135,29 @@ def test_column_stages_match_event_loops(split, candidate_pick):
     # the harness's candidates, and an arbitrary subset that drops some
     for candidates in (train.item_ids, sorted(candidate_pick)):
         for grading in GRADING_MODES:
-            got_rel = build_relevance(test, candidates, grading)
-            for positions, grades in got_rel.values():
-                assert positions.dtype == np.int64 and grades.dtype == np.float64
-                ids = [candidates[p] for p in positions]
+            indptr, positions, grades = build_relevance(test, candidates, grading)
+            assert positions.dtype == np.int64 and grades.dtype == np.float64
+            assert len(indptr) == len(test.user_ids) + 1
+            assert indptr[0] == 0 and indptr[-1] == len(positions) == len(grades)
+            got_ids = {}
+            for user, pos, g in zip(
+                test.user_ids, row_slices(indptr, positions), row_slices(indptr, grades)
+            ):
+                ids = [candidates[p] for p in pos]
                 assert ids == sorted(set(ids))
-            got_ids = {
-                user: {candidates[p]: g for p, g in zip(positions.tolist(), grades.tolist())}
-                for user, (positions, grades) in got_rel.items()
-            }
+                got_ids[user] = dict(zip(ids, g.tolist()))
             assert got_ids == loop_build_relevance(test, candidates, grading)
 
+    # the test users, then training users repeated in another order and an
+    # id absent from both sides
     cand_pos = {item: p for p, item in enumerate(train.item_ids)}
-    want_masks = {
-        user: sorted(cand_pos[i] for i in items)
-        for user, items in loop_purchased_in_train(train).items()
-    }
-    got_masks = purchase_masks(train)
-    assert {u: m.tolist() for u, m in got_masks.items()} == want_masks
-    assert all(m.dtype == np.int64 for m in got_masks.values())
+    bought = loop_purchased_in_train(train)
+    ids = test.user_ids + train.user_ids[::-1] + ("nobody",)
+    indptr, got_masks = purchase_masks(train, ids)
+    assert got_masks.dtype == np.int64 and len(indptr) == len(ids) + 1
+    assert [m.tolist() for m in row_slices(indptr, got_masks)] == [
+        sorted(cand_pos[i] for i in bought.get(user, ())) for user in ids
+    ]
 
 
 def test_views_only_training_has_no_masks():
@@ -155,8 +165,9 @@ def test_views_only_training_has_no_masks():
         InteractionEvent("u1", "i1", Kind.VIEW, T0),
         InteractionEvent("u2", "i2", Kind.VIEW, T0 + timedelta(hours=1)),
     ])
-    assert purchase_masks(train) == {}
-    assert purchase_masks(Dataset.from_events([])) == {}
+    for data in (train, Dataset.from_events([])):
+        indptr, positions = purchase_masks(data, ["u1", "u2", "u3"])
+        assert indptr.tolist() == [0, 0, 0, 0] and len(positions) == 0
 
 
 def test_columns_are_not_compared():
@@ -165,3 +176,21 @@ def test_columns_are_not_compared():
     decoded.user, decoded.sale  # noqa: B018 - decode two columns on one side only
     assert decoded == fresh
     assert hash(decoded) == hash(fresh)
+
+
+ragged_rows = st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ragged_rows, data=st.data())
+def test_take_rows_matches_slices(rows, data):
+    # empty rows, an empty selection and repeated rows, for two flat arrays
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    flat = np.array([v for r in rows for v in r], dtype=np.int64)
+    other = flat * 0.5
+    pick = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8) if rows else st.just([]))
+    got_ptr, got, got_other = take_rows(indptr, np.array(pick, dtype=np.int64), flat, other)
+    assert got_ptr.dtype == np.int64 and len(got_ptr) == len(pick) + 1
+    want = [row_slices(indptr, flat)[r] for r in pick]
+    assert [s.tolist() for s in row_slices(got_ptr, got)] == [w.tolist() for w in want]
+    assert got_other.tolist() == (got * 0.5).tolist()

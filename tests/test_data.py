@@ -370,6 +370,11 @@ class TestTemporalSplit:
             assert e.timestamp >= split.boundary
 
 
+def segment_of(split):
+    """segment_users' codes as {test user id: Segment}."""
+    return {u: list(Segment)[c] for u, c in zip(split.test.user_ids, segment_users(split))}
+
+
 class TestSegmentation:
     def split_for(self, train_events, test_events):
         data = Dataset.from_events(train_events + test_events)
@@ -379,26 +384,26 @@ class TestSegmentation:
         split = self.split_for(
             [ev("u1", "i1", Kind.VIEW, 1)], [ev("u1", "i1", Kind.VIEW, 101)]
         )
-        assert segment_users(split).mapping["u1"] is Segment.VIEW
+        assert segment_of(split)["u1"] is Segment.VIEW
 
     def test_sale_dominates_view(self):
         split = self.split_for(
             [ev("u1", "i1", Kind.VIEW, 1), ev("u1", "i1", Kind.SALE, 2)],
             [ev("u1", "i1", Kind.VIEW, 101)],
         )
-        assert segment_users(split).mapping["u1"] is Segment.SALE
+        assert segment_of(split)["u1"] is Segment.SALE
 
     def test_absent_from_train_is_new(self):
         split = self.split_for(
             [ev("u2", "i1", Kind.SALE, 1)], [ev("u1", "i1", Kind.VIEW, 101)]
         )
-        assert segment_users(split).mapping["u1"] is Segment.NEW
+        assert segment_of(split)["u1"] is Segment.NEW
 
     def test_only_test_users_labeled(self):
         split = self.split_for(
             [ev("u2", "i1", Kind.SALE, 1)], [ev("u1", "i1", Kind.VIEW, 101)]
         )
-        assert set(segment_users(split).mapping) == {"u1"}
+        assert set(segment_of(split)) == {"u1"}
 
     def test_invariant_to_test_period_events(self):
         train = [ev("u1", "i1", Kind.VIEW, 1), ev("u2", "i2", Kind.SALE, 2)]
@@ -408,13 +413,13 @@ class TestSegmentation:
             ev("u3", "i1", Kind.VIEW, 103),
         ]
         split = self.split_for(train, test)
-        original = segment_users(split).mapping
+        original = segment_of(split)
         # replace all test events with bare views by the same users
         gutted = self.split_for(
             train,
             [ev(u, "i1", Kind.VIEW, 101) for u in ("u1", "u2", "u3")],
         )
-        assert segment_users(gutted).mapping == original
+        assert segment_of(gutted) == original
 
 
 class TestPopularity:

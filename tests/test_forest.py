@@ -1,6 +1,7 @@
 """Forest engine: label augmentation, variance-reducing splits, ensemble
 prediction, determinism, serialization."""
 
+import json
 import sys
 import tempfile
 import threading
@@ -563,6 +564,23 @@ class TestForestSerialization:
         )
         assert again.schema == model.schema
         assert again.config == model.config
+
+    def test_file_keys_and_older_label_range_keys(self, tmp_path):
+        # the file holds no label range; one written with it still loads
+        x = np.random.default_rng(22).uniform(size=(40, 1))
+        schema = FeatureSchema(
+            specs=(FeatureSpec(name="user.x", side="user", column="x", kind="numeric"),)
+        )
+        model = fit_forest(table_from(x, x[:, 0], schema), ForestConfig(n_trees=2, seed=23))
+        path = tmp_path / "forest.json"
+        save_forest(model, path)
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == ["config", "kind", "schema", "trees"]
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**payload, "label_min": 0.0, "label_max": 1.0}))
+        np.testing.assert_array_equal(
+            predict_forest(load_forest(older), x), predict_forest(model, x)
+        )
 
 
 class TestLevelwiseSearch:

@@ -151,7 +151,7 @@ class TestReportGrid:
         from stylebench.recommend import rank_users
 
         vec = np.array([[5.0, 3.0, 1.0]])
-        [(_, top, _)] = rank_users([(["u"], vec)], 2, {"u": np.array([0])})
+        [(_, top, _)] = rank_users([(np.arange(1), vec)], 2, (np.array([0, 1]), np.array([0])))
         assert tuple(np.array(["A", "B", "C"])[top[0]]) == ("B", "C")
         assert vec[0, 0] == 5.0
 
@@ -185,6 +185,56 @@ class TestReportGrid:
         ndcg_off = off.cell("ndcg", "sale_users", "MP")["value"]
         ndcg_on = on.cell("ndcg", "sale_users", "MP")["value"]
         assert ndcg_off > ndcg_on
+
+    def test_exclude_purchased_leaves_new_users_unmasked(self, monkeypatch):
+        import dataclasses
+        from datetime import datetime, timezone
+
+        from stylebench import harness
+        from stylebench.data import Dataset, InteractionEvent, Kind
+
+        def at(day):
+            return datetime(2022, 1, 1 + day, tzinfo=timezone.utc)
+
+        # u1 bought the bestseller A in training; u3, new in the test
+        # period, has no training row, so no purchase of its own to mask
+        events = [
+            InteractionEvent("u1", "A", Kind.SALE, at(0), 5),
+            InteractionEvent("u2", "B", Kind.SALE, at(1), 1),
+            InteractionEvent("u2", "C", Kind.VIEW, at(2), 1),
+            InteractionEvent("u1", "B", Kind.SALE, at(20), 1),
+            InteractionEvent("u3", "A", Kind.VIEW, at(21), 1),
+        ]
+        data = Dataset.from_events(events)
+        base = EvalConfig.from_dict(
+            {"boundary": "2022-01-11T00:00:00Z", "k": 2, "algorithms": ["MP"]}
+        )
+        lists = {}
+        rp = harness.relative_popularity
+
+        def recorded(top, *args, seed, **kwargs):
+            lists[seed] = top.tolist()
+            return rp(top, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "relative_popularity", recorded)
+        reports = {}
+        for exclude in (False, True):
+            lists.clear()
+            cfg = dataclasses.replace(base, exclude_purchased=exclude)
+            reports[exclude] = run_evaluation(cfg, data)
+            reports[exclude, "lists"] = {
+                row: lists[derive_seed(cfg.seed, "rp", row, "MP")]
+                for row in ("sale_users", "new_users", "average")
+            }
+        on, off = reports[True, "lists"], reports[False, "lists"]
+        assert reports[True].payload["coverage"]["MP"] == {"covered": 2, "uncovered": 0}
+        assert off["new_users"] == on["new_users"] == [["A", "B"]]
+        assert on["sale_users"] == [["B", "C"]]
+        # the average row holds both users in id order
+        assert on["average"] == [["B", "C"], ["A", "B"]]
+        assert reports[True].cell("ndcg", "new_users", "MP") == reports[False].cell(
+            "ndcg", "new_users", "MP"
+        )
 
     def test_errors_name_their_stage(self):
         import dataclasses

@@ -16,7 +16,9 @@ from oracles import (
     loop_sample_pair_indices,
     one_draw_bootstrap_ci,
     plain_dcg,
+    ragged,
     relative_popularity_user,
+    row_slices,
 )
 from stylebench.data import Dataset, InteractionEvent, Kind, PopularityTable
 from stylebench.errors import AllUndefined, TooFewUsers, ZeroPopularity
@@ -135,7 +137,7 @@ class TestTieAwareNdcg:
 
 class TestRandomBaseline:
     def test_matches_all_tied(self):
-        [value] = random_baseline_ndcg([np.array([1.0])], 3, 3)
+        [value] = random_baseline_ndcg(*ragged([np.array([1.0])]), 3, 3)
         assert value == pytest.approx(ALL_TIED_EXPECTED, abs=1e-12)
 
     def test_equals_single_tie_group(self):
@@ -145,18 +147,18 @@ class TestRandomBaseline:
             rels = {f"i{j}": float(rng.integers(0, 3)) for j in range(n)}
             k = int(rng.integers(1, 11))
             tied = tie_aware_ndcg_at_k({f"i{j}": 0.0 for j in range(n)}, rels, k)
-            [direct] = random_baseline_ndcg([np.array(list(rels.values()))], n, k)
+            [direct] = random_baseline_ndcg(*ragged([np.array(list(rels.values()))]), n, k)
             if tied is None:
                 assert np.isnan(direct)
             else:
                 assert direct == pytest.approx(tied, abs=1e-12)
 
     def test_everything_relevant_is_ideal(self):
-        [value] = random_baseline_ndcg([np.array([1.0, 1.0])], 2, 2)
+        [value] = random_baseline_ndcg(*ragged([np.array([1.0, 1.0])]), 2, 2)
         assert value == pytest.approx(1.0)
 
     def test_zero_relevance_undefined(self):
-        assert np.isnan(random_baseline_ndcg([np.array([])], 5, 3)).all()
+        assert np.isnan(random_baseline_ndcg(*ragged([np.array([])]), 5, 3)).all()
 
 
 class TestMicroAverage:
@@ -444,10 +446,13 @@ class TestBootstrap:
 
 
 def graded_ids(test, candidates, grading="graded"):
-    """build_relevance with each user's positions mapped back to item ids."""
+    """build_relevance's rows by user, positions mapped back to item ids."""
+    indptr, positions, grades = build_relevance(test, candidates, grading)
     return {
-        user: {candidates[p]: g for p, g in zip(positions.tolist(), grades.tolist())}
-        for user, (positions, grades) in build_relevance(test, candidates, grading).items()
+        user: {candidates[p]: g for p, g in zip(pos.tolist(), g.tolist())}
+        for user, pos, g in zip(
+            test.user_ids, row_slices(indptr, positions), row_slices(indptr, grades)
+        )
     }
 
 
@@ -488,9 +493,8 @@ class TestBuildRelevance:
 
     def test_positions_index_the_given_candidates(self):
         events = self.events() + [InteractionEvent("u3", "Z", Kind.VIEW, T0, 1)]
-        rel = build_relevance(Dataset.from_events(events), ("B", "A"))
-        positions, grades = rel["u1"]
-        assert positions.tolist() == [1, 0] and grades.tolist() == [2.0, 1.0]
-        positions, grades = rel["u3"]
+        indptr, positions, grades = build_relevance(Dataset.from_events(events), ("B", "A"))
+        # rows u1, u2, u3
+        assert indptr.tolist() == [0, 2, 3, 3]
+        assert positions.tolist() == [1, 0, 1] and grades.tolist() == [2.0, 1.0, 1.0]
         assert positions.dtype == np.int64 and grades.dtype == np.float64
-        assert len(positions) == len(grades) == 0

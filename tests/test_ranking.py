@@ -14,6 +14,7 @@ from oracles import (
     per_user_rank_users,
     per_user_tie_aware_ndcg,
     pop_ranking_mp,
+    ragged,
 )
 from stylebench import recommend
 from stylebench.data import Dataset, InteractionEvent, Kind, popularity_table
@@ -27,21 +28,26 @@ tied_scores = st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, -3.0]), min_size=1, 
 
 
 def by_user(ranked):
-    """{user: (top positions, ranked row)} from rank_users' blocks; a
+    """{user row: (top positions, ranked row)} from rank_users' blocks; a
     one-row block stands for each of its users."""
     out = {}
     for users, top, rows in ranked:
-        assert top.dtype == np.int64
+        assert top.dtype == np.int64 and users.dtype == np.int64
         assert len(top) == len(rows) and len(rows) in (1, len(users))
-        for r, user in enumerate(users):
+        for r, user in enumerate(users.tolist()):
             out[user] = (top[r % len(top)], rows[r % len(rows)])
     return out
+
+
+def masks_over(n_users, masks):
+    """A {user row: positions} dict as ragged masks over ``n_users`` rows."""
+    return ragged([masks.get(u, np.empty(0, dtype=np.int64)) for u in range(n_users)])
 
 
 def rank_one(vec, k, exclude):
     """rank_users over one user's one-row block whose mask is ``exclude``."""
     [(_, top, ranked_by)] = rank_users(
-        [(["u"], vec[None, :])], k, {"u": np.array(exclude, dtype=np.int64)}
+        [(np.arange(1), vec[None, :])], k, masks_over(1, {0: np.array(exclude, dtype=np.int64)})
     )
     return top[0], ranked_by[0]
 
@@ -78,12 +84,13 @@ def test_rank_users_shared_vector_matches_rank_scores(scores, k, data):
     # mask (possibly empty) between unmasked ones
     n = len(scores)
     vec = np.array(scores)
-    users = [f"u{j}" for j in range(data.draw(st.integers(1, 6)))]
+    users = list(range(data.draw(st.integers(1, 6))))
     masks = {
         u: np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
         for u in data.draw(st.sets(st.sampled_from(users)))
     }
-    got = by_user(rank_users([(users, vec[None, :])], k, masks))
+    got = by_user(rank_users([(np.arange(len(users)), vec[None, :])], k,
+                             masks_over(len(users), masks)))
     assert sorted(got) == sorted(users)
     for user, (top, ranked_by) in got.items():
         exclude = set(masks.get(user, np.array([])).tolist())
@@ -115,7 +122,7 @@ def test_recommend_mp_matches_popularity_ranking(sales, n_items, k):
     users = sorted(["b", "a", "c"])
     candidates = sorted(pop.quantities)
     got = [
-        (user, tuple(candidates[i] for i in top), tuple(ranked_by[top].tolist()))
+        (users[user], tuple(candidates[i] for i in top), tuple(ranked_by[top].tolist()))
         for user, (top, ranked_by) in by_user(
             rank_users(score_mp_users(pop, users, candidates), k)
         ).items()
@@ -137,7 +144,7 @@ def test_ndcg_from_the_ranking_matches_oracle(scores, grades, k, data):
     top, ranked_by = rank_one(np.array(scores), k, exclude)
     positions = np.flatnonzero(grades[:n])
     [value] = tie_aware_ndcg_arrays(
-        ranked_by[None, :], top[None, :], [positions], [np.array(grades)[positions]]
+        ranked_by[None, :], top[None, :], *ragged([positions], [np.array(grades)[positions]])
     )
     masked = {c: float("-inf") if j in exclude else scores[j] for j, c in enumerate(candidates)}
     oracle = brute_force_tie_aware_ndcg(masked, dict(zip(candidates, grades)), k)
@@ -152,7 +159,7 @@ def test_ndcg_from_the_ranking_matches_oracle(scores, grades, k, data):
 def test_random_baseline_matches_oracle_on_equal_scores(n, grades, k):
     rels = {f"i{j}": g for j, g in enumerate(grades[:n]) if g > 0.0}
     oracle = brute_force_tie_aware_ndcg({f"i{j}": 0.0 for j in range(n)}, rels, k)
-    [value] = random_baseline_ndcg([np.array(list(rels.values()))], n, k)
+    [value] = random_baseline_ndcg(*ragged([np.array(list(rels.values()))]), n, k)
     if oracle is None:
         assert np.isnan(value)
     else:
@@ -174,9 +181,9 @@ def test_random_baseline_equals_kernel_on_zeros(grades, extra, k):
     m = min(k, n)
     g = np.array(grades, dtype=np.float64)
     [want] = tie_aware_ndcg_arrays(
-        np.zeros((1, n)), np.arange(m)[None, :], [np.arange(len(g))], [g]
+        np.zeros((1, n)), np.arange(m)[None, :], *ragged([np.arange(len(g))], [g])
     )
-    [got] = random_baseline_ndcg([g], n, k)
+    [got] = random_baseline_ndcg(*ragged([g]), n, k)
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
@@ -192,7 +199,7 @@ def test_block_kernels_match_per_user_oracles(data):
     # down to 1-3 pairs, all against the per-user kernels bit for bit
     draw = data.draw
     n = draw(st.integers(1, 12), label="n")
-    users = [f"u{j}" for j in range(draw(st.integers(1, 8), label="users"))]
+    users = list(range(draw(st.integers(1, 8), label="users")))
     shared = draw(st.booleans(), label="shared")
     row = st.lists(block_scores, min_size=n, max_size=n)
     block = np.array([draw(row)] if shared else [draw(row) for _ in users])
@@ -213,7 +220,7 @@ def test_block_kernels_match_per_user_oracles(data):
 
     before = block.copy()
     with mock.patch.object(recommend, "_RANK_PAIRS", budget):
-        got = list(rank_users([(users, block)], k, masks))
+        got = list(rank_users([(np.arange(len(users)), block)], k, masks_over(len(users), masks)))
     assert np.array_equal(block.view(np.uint64), before.view(np.uint64))
     # the oracle stream yields the shared row as one object for every user
     stream = [(u, block[0] if shared else block[r]) for r, u in enumerate(users)]
@@ -228,8 +235,10 @@ def test_block_kernels_match_per_user_oracles(data):
             assert len(rows) <= max(1, budget // n)
         else:
             assert len(block_users) <= max(1, budget // top.shape[1])
+        block_users = block_users.tolist()
         values = tie_aware_ndcg_arrays(
-            rows, top, [positions[u] for u in block_users], [grades[u] for u in block_users]
+            rows, top,
+            *ragged([positions[u] for u in block_users], [grades[u] for u in block_users]),
         )
         assert values.shape == (len(block_users),)
         for u, value in zip(block_users, values):
@@ -244,7 +253,7 @@ def test_block_ndcg_sums_many_groups_in_rank_order(data):
     # gains would round differently from the per-user running sum
     draw = data.draw
     n = draw(st.integers(8, 60), label="n")
-    users = [f"u{j}" for j in range(draw(st.integers(1, 4), label="users"))]
+    users = list(range(draw(st.integers(1, 4), label="users")))
     row = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)
     block = np.array([draw(row) for _ in users])
     positions = {
@@ -256,9 +265,10 @@ def test_block_ndcg_sums_many_groups_in_rank_order(data):
         for u, p in positions.items()
     }
     k = draw(st.integers(8, n + 3), label="k")
-    [(got_users, top, rows)] = rank_users([(users, block)], k)
+    [(got_users, top, rows)] = rank_users([(np.arange(len(users)), block)], k)
+    got_users = got_users.tolist()
     values = tie_aware_ndcg_arrays(
-        rows, top, [positions[u] for u in got_users], [grades[u] for u in got_users]
+        rows, top, *ragged([positions[u] for u in got_users], [grades[u] for u in got_users])
     )
     for r, u in enumerate(got_users):
         vec = block[r]
@@ -277,7 +287,7 @@ def test_block_ndcg_sums_many_groups_in_rank_order(data):
 def test_random_baseline_block_matches_per_user_oracle(graded, extra, k):
     n = max(map(len, graded), default=0) + extra
     grades = [np.array(g, dtype=np.float64) for g in graded]
-    got = random_baseline_ndcg(grades, n, k)
+    got = random_baseline_ndcg(*ragged(grades), n, k)
     assert got.shape == (len(grades),)
     for g, value in zip(grades, got):
         same_bits(value, per_user_random_baseline(g, n, k))

@@ -34,20 +34,20 @@ def ev(user, item, kind, hours=0, quantity=1):
     return InteractionEvent(user, item, kind, T0 + timedelta(hours=hours), quantity)
 
 
-def ranked(scored, candidates, k):
-    """(user, items, scores) per user of a score stream ranked by rank_users;
-    a one-row block's ranking stands for each of its users."""
+def ranked(scored, users, candidates, k):
+    """(user, items, scores) per user of a stream over ``users`` ranked by
+    rank_users; a one-row block's ranking stands for each of its users."""
     return [
-        (user, tuple(candidates[i] for i in top[r % len(top)]),
+        (users[user], tuple(candidates[i] for i in top[r % len(top)]),
          tuple(rows[r % len(rows)][top[r % len(top)]].tolist()))
-        for users, top, rows in rank_users(scored, k)
-        for r, user in enumerate(users)
+        for block_users, top, rows in rank_users(scored, k)
+        for r, user in enumerate(block_users)
     ]
 
 
 def mp_lists(pop, users, k):
-    candidates = sorted(pop.quantities)
-    return ranked(score_mp_users(pop, sorted(users), candidates), candidates, k)
+    candidates, users = sorted(pop.quantities), sorted(users)
+    return ranked(score_mp_users(pop, users, candidates), users, candidates, k)
 
 
 class TestRankedListInvariants:
@@ -112,7 +112,7 @@ class TestRecommendCf:
         self.model = fit_als(build_confidence(self.train, cfg), cfg)
 
     def cf_lists(self, users, candidates, k):
-        return ranked(score_cf_users(self.model, users, candidates), candidates, k)
+        return ranked(score_cf_users(self.model, users, candidates), users, candidates, k)
 
     def test_new_user_lands_in_uncovered(self):
         users = ["u1", "stranger"]
@@ -145,7 +145,7 @@ class TestRecommendCf:
             monkeypatch.setattr(recommend, "_RANK_PAIRS", budget)
             blocks = list(score_cf_users(self.model, users, candidates))
             assert [len(b) for _, b in blocks] == ([1, 1, 1] if budget == 1 else [2, 1])
-            got = {u: row for us, b in blocks for u, row in zip(us, b)}
+            got = {users[r]: row for rs, b in blocks for r, row in zip(rs, b)}
             assert list(got) == ["u3", "u1", "u2"]
             for user, row in got.items():
                 want = scores_for_user(self.model, user, idx)
@@ -169,12 +169,12 @@ class TestRecommendCb:
         self.forest = fit_forest(table, fcfg)
 
     def cb_lists(self, users, k, user_features=None):
-        candidates = sorted(self.train.items)
+        candidates, users = sorted(self.train.items), sorted(users)
         scored = score_cb_users(
-            self.forest, sorted(users), candidates,
+            self.forest, users, candidates,
             user_features or self.train.user_features, self.train.item_features,
         )
-        return ranked(scored, candidates, k)
+        return ranked(scored, users, candidates, k)
 
     def test_every_user_covered_including_new(self):
         lists = self.cb_lists(["u9", "u1"], 2)
@@ -232,12 +232,12 @@ class TestCandidateSetDiscipline:
             # a budget of batch x candidates pairs makes batches of `batch` users
             monkeypatch.setattr(recommend, "_PAIR_BUDGET", batch * len(candidates))
             by_batch[batch] = {
-                u: vec.tolist()
-                for us, block in recommend.score_cb_users(
+                users[r]: vec.tolist()
+                for rs, block in recommend.score_cb_users(
                     model, users, candidates,
                     train.user_features, train.item_features,
                 )
-                for u, vec in zip(us, block)
+                for r, vec in zip(rs, block)
             }
         assert by_batch[1] == by_batch[2] == by_batch[16]
 

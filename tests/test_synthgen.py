@@ -4,6 +4,7 @@ import pytest
 
 from stylebench.data import (
     Kind,
+    Segment,
     dataset_stats,
     popularity_table,
     segment_users,
@@ -83,14 +84,14 @@ class TestShapeTargets:
         cfg = small_cfg()
         data = generate_dataset(cfg)
         split = temporal_split(data, cfg.boundary)
-        seg = segment_users(split)
+        seg = {u: list(Segment)[c] for u, c in zip(split.test.user_ids, segment_users(split))}
         train_sales = {
             e.user_id for e in split.train.events if e.kind is Kind.SALE
         }
         train_viewers = {
             e.user_id for e in split.train.events if e.kind is Kind.VIEW
         }
-        for user, label in seg.mapping.items():
+        for user, label in seg.items():
             if label.value == "sale_users":
                 assert user in train_sales
             elif label.value == "view_users":

@@ -52,7 +52,7 @@ class AlsConfig:
 
 @dataclass(frozen=True, eq=False)
 class ConfidenceMatrix:
-    """Sparse user x item implicit ratings with row/column id maps.
+    """Sparse user x item implicit ratings, rows ``users`` and columns ``items``.
 
     ``ratings`` stores r_ui for observed cells only; confidence is
     derived as 1 + alpha * r_ui.
@@ -62,10 +62,6 @@ class ConfidenceMatrix:
     users: tuple[str, ...]
     items: tuple[str, ...]
     alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "user_index", {u: i for i, u in enumerate(self.users)})
-        object.__setattr__(self, "item_index", {m: i for i, m in enumerate(self.items)})
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -97,8 +93,6 @@ class FactorModel:
         trace = np.asarray(self.loss_trace, dtype=np.float64)
         if np.any(np.diff(trace) > 1e-8 + 1e-9 * np.abs(trace[:-1])):
             raise ValueError("loss trace must be non-increasing")
-        object.__setattr__(self, "user_index", {u: i for i, u in enumerate(self.users)})
-        object.__setattr__(self, "item_index", {m: i for i, m in enumerate(self.items)})
 
 
 def build_confidence(train: Dataset, cfg: AlsConfig) -> ConfidenceMatrix:

@@ -316,9 +316,9 @@ def _cmd_train(args) -> int:
     out_path = _out(args.out or raw.get("out"), is_dir=False)
     _, data, boundary = _inputs(args, raw)
     cfg = _eval_config(raw, args, boundary)
-    if args.algo == "forest":
-        check_forest_inputs(cfg, data)
     train = temporal_split(data, boundary).train
+    if args.algo == "forest":
+        check_forest_inputs(cfg, data, train)
     confidence, model = fit_factor_model(cfg, train)
     if args.algo == "als":
         als_mod.save_model(model, out_path)

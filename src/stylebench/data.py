@@ -155,15 +155,6 @@ class FeatureTable:
         for name, col in self.columns.items():
             if len(col.values) != len(self.ids):
                 raise ValueError(f"column {name!r} length != id count")
-        object.__setattr__(
-            self, "_index", {eid: i for i, eid in enumerate(self.ids)}
-        )
-
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._index
-
-    def index_of(self, entity_id: str) -> int:
-        return self._index[entity_id]
 
     def __eq__(self, other):
         if not isinstance(other, FeatureTable):
@@ -215,13 +206,11 @@ class Dataset:
 
     @cached_property
     def user(self) -> np.ndarray:
-        index = {u: i for i, u in enumerate(self.user_ids)}
-        return self._column((index[e.user_id] for e in self.events), np.int64)
+        return _frozen(id_rows(self.user_ids, [e.user_id for e in self.events]))
 
     @cached_property
     def item(self) -> np.ndarray:
-        index = {m: i for i, m in enumerate(self.item_ids)}
-        return self._column((index[e.item_id] for e in self.events), np.int64)
+        return _frozen(id_rows(self.item_ids, [e.item_id for e in self.events]))
 
     @cached_property
     def sale(self) -> np.ndarray:
@@ -232,9 +221,7 @@ class Dataset:
         return self._column((e.quantity for e in self.events), np.int64)
 
     def _column(self, values: Iterable, dtype) -> np.ndarray:
-        col = np.fromiter(values, dtype, len(self.events))
-        col.flags.writeable = False  # cached and shared by every reader
-        return col
+        return _frozen(np.fromiter(values, dtype, len(self.events)))
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct (user, item) index pairs, ascending, and whether any is a sale."""
@@ -250,6 +237,21 @@ class Dataset:
     @property
     def n_views(self) -> int:
         return len(self.events) - self.n_sales
+
+
+def id_rows(universe: Sequence[str], ids: Sequence[str]) -> np.ndarray:
+    """The position in ``universe`` (distinct ids) of each of ``ids``, as
+    int64, or ``len(universe)`` for an id not there: one past the last, so
+    an array over the positions with one more entry reads that entry for
+    it. Every id -> position lookup of the package goes through here."""
+    index = {eid: r for r, eid in enumerate(universe)}
+    absent = len(universe)
+    return np.fromiter((index.get(eid, absent) for eid in ids), np.int64, len(ids))
+
+
+def _frozen(col: np.ndarray) -> np.ndarray:
+    col.flags.writeable = False  # cached and shared by every reader
+    return col
 
 
 @dataclass(frozen=True)
@@ -563,14 +565,6 @@ def temporal_split(data: Dataset, boundary: datetime) -> TemporalSplit:
     return TemporalSplit(train=train, test=test, boundary=boundary)
 
 
-def user_rows(data: Dataset, user_ids: Sequence[str]) -> np.ndarray:
-    """Each id's row in ``data.user_ids``, or ``len(data.user_ids)`` for an
-    id not there: one row past the last, so an array over the rows with
-    one more, empty, entry reads nothing for it."""
-    index = {u: r for r, u in enumerate(data.user_ids)}
-    return np.fromiter((index.get(u, len(index)) for u in user_ids), np.int64, len(user_ids))
-
-
 def take_rows(indptr: np.ndarray, rows: np.ndarray, *flats) -> tuple[np.ndarray, ...]:
     """``rows`` (which may repeat) of ragged arrays, row r running from
     ``indptr[r]`` to ``indptr[r + 1]`` of each of ``flats``, as their own
@@ -593,7 +587,7 @@ def segment_users(split: TemporalSplit) -> np.ndarray:
     code = np.zeros(len(train.user_ids) + 1, dtype=np.int8)
     code[train.user] = 1
     code[train.user[train.sale]] = 2
-    return code[user_rows(train, split.test.user_ids)]
+    return code[id_rows(train.user_ids, split.test.user_ids)]
 
 
 def popularity_table(data: Dataset) -> PopularityTable:

@@ -17,11 +17,12 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .als import ConfidenceMatrix, FactorModel
-from .data import Dataset, FeatureTable
+from .data import Dataset, FeatureTable, id_rows
 from .errors import DegenerateTableWarning, MissingFeatures, SchemaMismatch
 
 # Exhaustive level-subset search is exponential; above this many levels a
@@ -82,15 +83,17 @@ class FeatureSchema:
 
 
 def encode_entities(
-    schema: FeatureSchema, table: FeatureTable, side: str, ids: list[str]
+    schema: FeatureSchema, table: FeatureTable, side: str, ids: Sequence[str]
 ) -> np.ndarray:
     """Encode one side's features for the given ids: numeric values as-is,
-    categorical values as level codes. Raises MissingFeatures for absent ids.
+    categorical values as level codes. Raises MissingFeatures for the first
+    absent id, and SchemaMismatch for the first of their values that is not
+    a level.
     """
-    for eid in ids:
-        if eid not in table:
-            raise MissingFeatures(f"{side} {eid!r} has no feature row")
-    rows = np.array([table.index_of(eid) for eid in ids], dtype=np.int64)
+    rows = id_rows(table.ids, ids)
+    absent = np.flatnonzero(rows == len(table.ids))
+    if len(absent):
+        raise MissingFeatures(f"{side} {ids[absent[0]]!r} has no feature row")
     specs = schema.side_specs(side)
     out = np.empty((len(ids), len(specs)), dtype=np.float64)
     for j, spec in enumerate(specs):
@@ -99,14 +102,13 @@ def encode_entities(
             raise SchemaMismatch(f"column {spec.column!r} missing or wrong kind")
         if spec.kind == "numeric":
             out[:, j] = col.values[rows]
-        else:
-            code = {level: float(c) for c, level in enumerate(spec.levels)}
-            try:
-                out[:, j] = [code[v] for v in col.values[rows]]
-            except KeyError as exc:
-                raise SchemaMismatch(
-                    f"level {exc.args[0]!r} not in schema for {spec.name}"
-                ) from None
+            continue
+        values = col.values[rows]
+        codes = id_rows(spec.levels, values)
+        unknown = np.flatnonzero(codes == len(spec.levels))
+        if len(unknown):
+            raise SchemaMismatch(f"level {values[unknown[0]]!r} not in schema for {spec.name}")
+        out[:, j] = codes
     return out
 
 
@@ -173,15 +175,15 @@ class Tree:
         """The split test: whether feature values ``vals`` take the left
         branch at ``nodes``, which index the last axis of ``vals``.
 
-        A categorical node tests membership of the level code, a numeric
-        node ``vals <= threshold`` (so NaN goes right).
+        A categorical node tests membership of the level code (its values
+        must be level codes), a numeric node ``vals <= threshold`` (so NaN
+        goes right).
         """
         with np.errstate(invalid="ignore"):
             left = vals <= self.threshold[nodes]
         cat = self.is_cat[nodes]
         if cat.any():
-            codes = np.clip(vals[..., cat].astype(np.int64), 0, self.members.shape[1] - 1)
-            left[..., cat] = self.members[nodes[cat], codes]
+            left[..., cat] = self.members[nodes[cat], vals[..., cat].astype(np.int64)]
         return left
 
 
@@ -677,8 +679,14 @@ def _co_partition(model, n_user, enc_users, enc_items):
     SIGIR 2015), never once per pair. Each tree then co-partitions the users
     and the items from the root down: a user-side node splits the user
     subset, an item-side node the item subset, and a leaf is the answer for
-    its whole block of pairs.
+    its whole block of pairs. A categorical value that is not one of its
+    feature's level codes raises SchemaMismatch.
     """
+    for f, spec in enumerate(model.schema.specs):
+        if spec.kind == "categorical":
+            values = enc_users[:, f] if f < n_user else enc_items[:, f - n_user]
+            if not np.isin(values, np.arange(len(spec.levels or ()))).all():
+                raise SchemaMismatch(f"feature {spec.name!r} holds values that are not level codes")
     total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
     leaf = np.empty(total.shape, dtype=np.intp)
     for tree in model.trees:

@@ -29,12 +29,12 @@ from .data import (
     Segment,
     dataset_stats,
     format_timestamp,
+    id_rows,
     parse_timestamp,
     popularity_table,
     segment_users,
     take_rows,
     temporal_split,
-    user_rows,
 )
 from .errors import AllUndefined, DataError, MissingFeatures, StylebenchError, ZeroSales
 from .metrics import (
@@ -137,6 +137,8 @@ class EvalConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError("config key 'algorithms' must list one algorithm or more, each once")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.bootstrap_resamples < 1:
@@ -245,7 +247,7 @@ def purchase_masks(train: Dataset, user_ids: Sequence[str]) -> tuple[np.ndarray,
     users, items = users[sold], items[sold]
     # a row per training user, and an empty one past them for absent users
     indptr = np.searchsorted(users, np.arange(len(train.user_ids) + 2))
-    return take_rows(indptr, user_rows(train, user_ids), items)
+    return take_rows(indptr, id_rows(train.user_ids, user_ids), items)
 
 
 def fit_factor_model(cfg: EvalConfig, train: Dataset):
@@ -255,12 +257,12 @@ def fit_factor_model(cfg: EvalConfig, train: Dataset):
     return confidence, als_mod.fit_als(confidence, als_cfg)
 
 
-def check_forest_inputs(cfg: EvalConfig, data: Dataset) -> None:
+def check_forest_inputs(cfg: EvalConfig, data: Dataset, train: Dataset) -> None:
     """Reject, as a data error, data the CB forest cannot be fitted and
     scored on, so nothing is fitted for a forest that cannot be: no user or
-    item feature table, a user of the data or an item with a training event
-    without a feature row, or a ``forest_features_per_split`` wider than
-    the tables' columns."""
+    item feature table, a user of the data or an item of its ``train``
+    split without a feature row, or a ``forest_features_per_split`` wider
+    than the tables' columns."""
     missing = [
         side
         for side, table in (("user", data.user_features), ("item", data.item_features))
@@ -271,16 +273,15 @@ def check_forest_inputs(cfg: EvalConfig, data: Dataset) -> None:
             f"the CB forest needs user and item feature tables; the data has no "
             f"{' or '.join(missing)} feature table"
         )
-    train_items = sorted({e.item_id for e in data.events if e.timestamp < cfg.boundary})
     for side, table, ids in (
         ("user", data.user_features, data.user_ids),
-        ("item", data.item_features, train_items),
+        ("item", data.item_features, train.item_ids),
     ):
-        absent = next((i for i in ids if i not in table), None)
-        if absent is not None:
+        absent = np.flatnonzero(id_rows(table.ids, ids) == len(table.ids))
+        if len(absent):
             raise MissingFeatures(
                 f"the CB forest needs a feature row for every user and training "
-                f"item; {side} {absent!r} has none"
+                f"item; {side} {ids[absent[0]]!r} has none"
             )
     schema = forest_mod.FeatureSchema.from_tables(data.user_features, data.item_features)
     try:
@@ -300,14 +301,14 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     """Execute the full pipeline and assemble the report grid."""
     if cfg.boundary is None:
         raise DataError("evaluation requires a split boundary timestamp")
-    if "CB" in cfg.algorithms:
-        check_forest_inputs(cfg, data)
     with _stage("temporal_split"):
         split = temporal_split(data, cfg.boundary)
         if not split.train.events:
             raise DataError("no training events before the boundary")
         if not split.test.events:
             raise DataError("no test events at or after the boundary")
+    if "CB" in cfg.algorithms:
+        check_forest_inputs(cfg, data, split.train)
     with _stage("segment_users"):
         segments = segment_users(split)
         stats = dataset_stats(split, segments)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, PopularityTable
+from .data import Dataset, PopularityTable, id_rows
 from .errors import AllUndefined, TooFewUsers, ZeroPopularity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,7 +51,7 @@ class MicroAverage:
 
 def build_relevance(
     test: Dataset,
-    candidates: Iterable[str],
+    candidates: Sequence[str],
     grading: str = "graded",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grade test-period interactions per user, restricted to candidates.
@@ -66,11 +66,10 @@ def build_relevance(
     """
     if grading not in GRADING_MODES:
         raise ValueError(f"grading must be one of {GRADING_MODES}, got {grading!r}")
-    index = {item: p for p, item in enumerate(candidates)}
-    # each test item's candidate position, -1 for an item outside them
-    where = np.array([index.get(i, -1) for i in test.item_ids], dtype=np.int64)
+    # each test item's candidate position, len(candidates) for one outside them
+    where = id_rows(candidates, test.item_ids)
     users, items, sold = test.pairs()
-    keep = (where[items] >= 0) & (sold | (grading != "sales_only"))
+    keep = (where[items] < len(candidates)) & (sold | (grading != "sales_only"))
     grades = np.where(sold, 2.0, 1.0) if grading == "graded" else np.ones(len(sold))
     indptr = np.searchsorted(users[keep], np.arange(len(test.user_ids) + 1))
     return indptr, where[items[keep]], grades[keep]

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .als import FactorModel
-from .data import FeatureTable, PopularityTable, take_rows
+from .data import FeatureTable, PopularityTable, id_rows, take_rows
 from .errors import UnknownItem
 from .forest import ForestModel, encode_entities, predict_forest_grid
 
@@ -132,13 +132,13 @@ def score_cf_users(
     Yc . x_u product, so a row never depends on which other users are
     scored (one gemm over a block of users could round differently).
     """
-    try:
-        cand_idx = np.array([model.item_index[i] for i in candidates], dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownItem(f"candidate {exc.args[0]!r} was not in training") from None
-    factors = model.item_factors[cand_idx]
-    at = np.fromiter((model.user_index.get(u, -1) for u in users), np.int64, len(users))
-    known = np.flatnonzero(at >= 0)  # the users the model has factors for
+    cand = id_rows(model.items, candidates)
+    absent = np.flatnonzero(cand == len(model.items))
+    if len(absent):
+        raise UnknownItem(f"candidate {candidates[absent[0]]!r} was not in training")
+    factors = model.item_factors[cand]
+    at = id_rows(model.users, users)
+    known = np.flatnonzero(at < len(model.users))  # the users the model has factors for
     step = max(1, _RANK_PAIRS // max(1, len(candidates)))
     for start in range(0, len(known), step):
         chunk = known[start : start + step]
@@ -161,8 +161,8 @@ def score_cb_users(
     batches. A batch holds as many users as fit ``_PAIR_BUDGET`` pairs,
     which bounds its leaf ids and score totals.
     """
-    enc_items = encode_entities(model.schema, item_features, "item", list(candidates))
-    enc_users = encode_entities(model.schema, user_features, "user", list(users))
+    enc_items = encode_entities(model.schema, item_features, "item", candidates)
+    enc_users = encode_entities(model.schema, user_features, "user", users)
     batch = max(1, _PAIR_BUDGET // max(1, len(candidates)))
     for start in range(0, len(users), batch):
         preds = predict_forest_grid(model, enc_users[start : start + batch], enc_items)

@@ -463,7 +463,7 @@ class UnknownUser(Exception):
 
 def confidence(cm: ConfidenceMatrix, user_id: str, item_id: str) -> float:
     """Confidence for one cell; 1.0 when the pair was never observed."""
-    r = cm.ratings[cm.user_index[user_id], cm.item_index[item_id]]
+    r = cm.ratings[cm.users.index(user_id), cm.items.index(item_id)]
     return 1.0 + cm.alpha * float(r)
 
 
@@ -472,12 +472,9 @@ def scores_for_user(model: FactorModel, user_id: str, item_idx: np.ndarray) -> n
 
     Raises UnknownUser for users absent from training (new users).
     """
-    try:
-        u = model.user_index[user_id]
-    except KeyError:
-        raise UnknownUser(
-            f"user {user_id!r} was not in training; CF cannot score new users"
-        ) from None
+    if user_id not in model.users:
+        raise UnknownUser(f"user {user_id!r} was not in training; CF cannot score new users")
+    u = model.users.index(user_id)
     return model.item_factors[item_idx] @ model.user_factors[u]
 
 
@@ -487,16 +484,16 @@ def predict_scores(model: FactorModel, user_id: str, item_ids: list[str]) -> lis
     Raises UnknownUser for users absent from training (new users) and
     UnknownItem for items outside the training item universe.
     """
-    try:
-        idx = np.array([model.item_index[i] for i in item_ids], dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownItem(f"item {exc.args[0]!r} was not in training") from None
+    unknown = [i for i in item_ids if i not in model.items]
+    if unknown:
+        raise UnknownItem(f"item {unknown[0]!r} was not in training")
+    idx = np.array([model.items.index(i) for i in item_ids], dtype=np.int64)
     return [float(v) for v in scores_for_user(model, user_id, idx)]
 
 
 def feature_row(table: FeatureTable, entity_id: str) -> dict[str, object]:
     """One entity's feature values by column name."""
-    i = table.index_of(entity_id)
+    i = table.ids.index(entity_id)
     return {name: col.values[i] for name, col in table.columns.items()}
 
 

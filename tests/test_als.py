@@ -67,7 +67,7 @@ class TestBuildConfidence:
 
     def test_sale_dominates_view_on_same_pair(self):
         cm = small_confidence()
-        r = cm.ratings[cm.user_index["u2"], cm.item_index["iA"]]
+        r = cm.ratings[cm.users.index("u2"), cm.items.index("iA")]
         assert r == pytest.approx(5.0)
 
     def test_unobserved_cell_confidence_one(self):
@@ -371,17 +371,18 @@ def _held_out_percentile_rank(n_users, n_items, latent, factors, seed,
     cfg = AlsConfig(factors=factors, iterations=iterations, seed=seed)
     model = fit_als(build_confidence(data, cfg), cfg)
 
+    item_pos = {item: j for j, item in enumerate(model.items)}
     percentiles = []
     for u in range(n_users):
         user_id = f"u{u:04d}"
-        if user_id not in model.user_index:
+        if user_id not in model.users:
             continue
         # rank among items the model knows, excluding the user's training set
         pool = [
             i for i in range(n_items)
-            if i not in trained_items[u] and f"i{i:04d}" in model.item_index
+            if i not in trained_items[u] and f"i{i:04d}" in item_pos
         ]
-        idx = np.array([model.item_index[f"i{i:04d}"] for i in pool], dtype=np.int64)
+        idx = np.array([item_pos[f"i{i:04d}"] for i in pool], dtype=np.int64)
         scores = scores_for_user(model, user_id, idx)
         order = np.argsort(-scores, kind="stable")
         rank_of = {pool[j]: r for r, j in enumerate(order)}

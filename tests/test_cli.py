@@ -604,6 +604,19 @@ class TestExitCodes:
         assert "stage" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithms", ["MP,MP", ""])
+    def test_empty_or_repeated_algorithms_is_data_error(
+        self, workspace, tmp_path, capsys, algorithms
+    ):
+        _, config, data_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(config.read_text()), "algorithms": algorithms}))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(bad), "--data", str(data_path), "--out", str(out)]
+        assert dispatch(argv) == EXIT_DATA
+        assert "'algorithms'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInputs:
     """Config keys, data path and boundary: one step shared by every data command."""

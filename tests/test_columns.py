@@ -29,6 +29,7 @@ from stylebench.data import (
     Segment,
     TemporalSplit,
     popularity_table,
+    id_rows,
     segment_users,
     take_rows,
 )
@@ -194,3 +195,16 @@ def test_take_rows_matches_slices(rows, data):
     want = [row_slices(indptr, flat)[r] for r in pick]
     assert [s.tolist() for s in row_slices(got_ptr, got)] == [w.tolist() for w in want]
     assert got_other.tolist() == (got * 0.5).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    universe=st.lists(st.sampled_from(USERS), unique=True).map(tuple),
+    ids=st.lists(st.sampled_from(USERS)),
+)
+def test_id_rows_matches_a_dict(universe, ids):
+    # any universe order, the empty one too; ids repeat and may be absent
+    position = dict(zip(universe, range(len(universe))))
+    got = id_rows(universe, ids)
+    assert got.dtype == np.int64
+    assert got.tolist() == [position.get(i, len(universe)) for i in ids]

@@ -60,6 +60,12 @@ def test_wrong_type_names_the_key(key, value):
         EvalConfig.from_dict({key: value})
 
 
+@pytest.mark.parametrize("value", ["", [], "MP,MP", ["CF", "MP", "CF"]])
+def test_algorithms_empty_or_repeated_names_the_key(value):
+    with pytest.raises(ValueError, match="'algorithms'"):
+        EvalConfig.from_dict({"algorithms": value})
+
+
 def test_int_accepted_for_float_and_null_for_optional():
     cfg = EvalConfig.from_dict({"als_alpha": 40, "forest_features_per_split": None})
     assert cfg.als.alpha == 40.0 and isinstance(cfg.als.alpha, float)

@@ -531,7 +531,7 @@ class TestFeatureTables:
             columns={"x": FeatureColumn(kind="numeric", values=np.array([1.0, 2.0]))},
         )
         assert feature_row(table, "b") == {"x": 2.0}
-        assert "a" in table and "c" not in table
+        assert "a" in table.ids and "c" not in table.ids
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
     def test_non_finite_numeric_cell_named_with_line(self, tmp_path, cell):

@@ -25,6 +25,7 @@ from stylebench.forest import (
     ForestConfig,
     _mask_seed,
     augment_labels,
+    encode_entities,
     fit_forest,
     load_forest,
     predict_forest,
@@ -795,6 +796,48 @@ class TestFitForestInput:
         )
         with pytest.raises(ValueError, match="item.c"):
             fit_forest(table_from(x, np.arange(20.0), schema), ForestConfig(n_trees=2, seed=0))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("code", [7.0, 1.5, -3.0, np.nan])
+    def test_prediction_rejects_values_that_are_not_level_codes(self, code, grid):
+        # the fit rejects these; prediction must too, not clip or cast them
+        schema = FeatureSchema(
+            specs=(
+                FeatureSpec(
+                    name="item.c", side="item", column="c",
+                    kind="categorical", levels=("a", "b", "c"),
+                ),
+            )
+        )
+        x = np.tile(np.arange(3.0), 10).reshape(-1, 1)
+        model = fit_forest(table_from(x, x[:, 0] % 2, schema), ForestConfig(n_trees=2, seed=0))
+        items = np.array([[1.0], [code], [0.0]])
+        with pytest.raises(SchemaMismatch, match="item.c"):
+            if grid:
+                predict_forest_grid(model, np.empty((2, 0)), items)
+            else:
+                predict_forest(model, items)
+
+
+class TestEncodeEntities:
+    # the table's vocabulary is wider than the schema's levels
+    SCHEMA = FeatureSchema(specs=(FeatureSpec("user.c", "user", "c", "categorical", ("a", "b")),))
+
+    def table(self, values):
+        column = FeatureColumn("categorical", np.array(values, dtype=object), ("a", "b", "x", "y"))
+        return FeatureTable(ids=("u3", "u1", "u2"), columns={"c": column})
+
+    def test_codes_in_the_order_asked(self):
+        got = encode_entities(self.SCHEMA, self.table(["b", "a", "b"]), "user", ["u1", "u3", "u1"])
+        assert got.tolist() == [[0.0], [1.0], [0.0]]
+
+    def test_first_absent_id_named(self):
+        with pytest.raises(MissingFeatures, match="user 'u9' has no feature row"):
+            encode_entities(self.SCHEMA, self.table(["a", "a", "b"]), "user", ["u1", "u9", "u0"])
+
+    def test_first_unknown_level_named(self):
+        with pytest.raises(SchemaMismatch, match="level 'y' not in schema for user.c"):
+            encode_entities(self.SCHEMA, self.table(["x", "a", "y"]), "user", ["u2", "u3", "u1"])
 
 
 def _goes_left(tree, node, rows):

@@ -140,7 +140,7 @@ class TestRecommendCf:
 
         users = ["u3", "stranger", "u1", "u2"]
         candidates = ["iC", "iA"]
-        idx = np.array([self.model.item_index[i] for i in candidates])
+        idx = np.array([self.model.items.index(i) for i in candidates])
         for budget in (1, 2 * len(candidates)):
             monkeypatch.setattr(recommend, "_RANK_PAIRS", budget)
             blocks = list(score_cf_users(self.model, users, candidates))
@@ -154,8 +154,8 @@ class TestRecommendCf:
     def test_candidate_outside_training_universe(self):
         from stylebench.errors import UnknownItem
 
-        with pytest.raises(UnknownItem):
-            self.cf_lists(["u1"], ["iA", "iUnseen"], 2)
+        with pytest.raises(UnknownItem, match="'iX'"):
+            self.cf_lists(["u1"], ["iA", "iX", "iB", "iW"], 2)
 
 
 class TestRecommendCb:

@@ -58,7 +58,7 @@ class TestInvariants:
         assert len(self.data.user_features.ids) == 600
         assert len(self.data.item_features.ids) == 80
         for user in self.data.users:
-            assert user in self.data.user_features
+            assert user in self.data.user_features.ids
 
 
 class TestShapeTargets:

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import typing
 from datetime import datetime
@@ -45,6 +44,7 @@ from .harness import (
     check_forest_inputs,
     fit_cb_forest,
     fit_factor_model,
+    is_number,
     render_report,
     report_entries_shape,
     run_evaluation,
@@ -119,17 +119,6 @@ def _read_object(path: Path, what: str) -> dict:
     return raw
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is an int or float (not a bool) that formats as a
-    finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _lacks(node: dict, shape: dict) -> str | None:
     """Dotted path of the first key of ``shape`` that ``node`` lacks, or
     holds as a non-object where ``shape`` wants one (a dict) or as other
@@ -138,7 +127,7 @@ def _lacks(node: dict, shape: dict) -> str | None:
         if key not in node:
             return key
         if sub is float:
-            if not _is_number(node[key]):
+            if not is_number(node[key]):
                 return key
         elif sub is not None:
             if not isinstance(node[key], dict):

@@ -55,6 +55,10 @@ class SingularSystem(StylebenchError):
     """A least-squares subproblem was singular despite regularization."""
 
 
+class InvalidReport(StylebenchError):
+    """A computed report breaks an invariant of its metrics or coverage."""
+
+
 class SchemaMismatch(StylebenchError):
     """Feature rows do not conform to a model's feature schema."""
 

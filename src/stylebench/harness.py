@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import types
 import typing
 from contextlib import contextmanager
@@ -36,7 +37,14 @@ from .data import (
     take_rows,
     temporal_split,
 )
-from .errors import AllUndefined, DataError, MissingFeatures, StylebenchError, ZeroSales
+from .errors import (
+    AllUndefined,
+    DataError,
+    InvalidReport,
+    MissingFeatures,
+    StylebenchError,
+    ZeroSales,
+)
 from .metrics import (
     GRADING_MODES,
     avg_distinct_sampled,
@@ -89,13 +97,24 @@ def derive_seed(master: int, *tokens) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) that formats as a
+    finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def typed_config_value(key: str, value, hint):
     """``value`` checked against the type hint of the field ``key`` sets.
 
     Bools must be bools and ints must be ints that are not bools; a float
-    field also takes an int (returned as float), an ``X | None`` field
-    takes null, and a tuple field takes a list. Raises ValueError naming
-    the key.
+    field takes a finite float or an int that is one (returned as float),
+    an ``X | None`` field takes null, and a tuple field takes a list.
+    Raises ValueError naming the key.
     """
     args = typing.get_args(hint)
     if typing.get_origin(hint) is types.UnionType:
@@ -105,12 +124,13 @@ def typed_config_value(key: str, value, hint):
     if typing.get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)) and all(isinstance(v, args[0]) for v in value):
             return tuple(value)
+    elif hint is float:
+        if is_number(value):
+            return float(value)
     elif hint is bool or not isinstance(value, bool):
         if isinstance(value, hint):
             return value
-        if hint is float and isinstance(value, int):
-            return float(value)
-    name = getattr(hint, "__name__", str(hint))
+    name = "finite float" if hint is float else getattr(hint, "__name__", str(hint))
     raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
 
 
@@ -393,6 +413,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, top, k)
             cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, top, pop, k)
 
+    check_report(cells, k, at, ndcg, in_row)
+
     # threads is an execution detail; keeping it out of the echo keeps
     # report.json byte-identical across --threads settings
     config_echo = {k: v for k, v in cfg.to_dict().items() if k != "threads"}
@@ -415,6 +437,58 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         "cells": cells,
     }
     return EvaluationReport(payload=payload)
+
+
+# the fields of a non-null cell that hold its metric, per metric
+METRIC_FIELDS = {"ndcg": ("value",), "ad": ("point", "ci_low", "ci_high"),
+                 "rp": ("point", "ci_low", "ci_high")}
+
+
+def check_report(
+    cells: dict, k: int, at: dict[str, np.ndarray], ndcg: dict[str, np.ndarray],
+    in_row: dict[str, np.ndarray],
+) -> None:
+    """Raise InvalidReport naming the first cell or strategy that breaks
+    the report's invariants:
+
+    - NDCG is in [0, 1], AD in [0, 2k], and RP finite and >= 0 (point
+      and CI ends);
+    - CF's new-user and pooled cells are null, and any other cell is null
+      only when none of its users can be graded (NDCG), or it has fewer
+      than two (AD) or no (RP) covered users;
+    - CB covers every test user and CF exactly the users who are not new.
+
+    ``at``, ``ndcg`` and ``in_row`` are run_evaluation's: each strategy's
+    row per test user (-1 where not covered), its NDCG per covered user,
+    and each report row's members. The cost is O(cells + test users)."""
+    bounds = {"ndcg": (0.0, 1.0), "ad": (0.0, 2.0 * k), "rp": (0.0, math.inf)}
+    for metric, fields in METRIC_FIELDS.items():
+        lo, hi = bounds[metric]
+        for row in SEGMENT_ROWS:
+            for algo, cell in cells[metric][row].items():
+                where = f"report cell {metric}/{row}/{algo}"
+                if algo == "CF" and row in ("new_users", "average"):
+                    if cell is not None:
+                        raise InvalidReport(f"{where} is not null, but CF cannot cover new users")
+                elif cell is None:
+                    members = at[algo][in_row[row] & (at[algo] >= 0)]
+                    graded = {
+                        "ndcg": np.count_nonzero(~np.isnan(ndcg[algo][members])),
+                        "ad": len(members) - 1,
+                        "rp": len(members),
+                    }
+                    if graded[metric] > 0:
+                        raise InvalidReport(f"{where} is null, but its users can be graded")
+                else:
+                    for name in fields:
+                        if not (math.isfinite(cell[name]) and lo <= cell[name] <= hi):
+                            raise InvalidReport(
+                                f"{where}: {name} = {cell[name]!r} is outside [{lo}, {hi}]"
+                            )
+    if "CB" in at and (at["CB"] < 0).any():
+        raise InvalidReport(f"CB leaves {np.count_nonzero(at['CB'] < 0)} test users uncovered")
+    if "CF" in at and not np.array_equal(at["CF"] < 0, in_row[Segment.NEW.value]):
+        raise InvalidReport("CF's uncovered test users are not the new users")
 
 
 def _ndcg_cell(values: np.ndarray, baselines: np.ndarray) -> dict | None:

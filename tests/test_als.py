@@ -162,11 +162,59 @@ def csr_problems(draw):
     return mat, rng.normal(size=(n_cols, n_f)), rng.normal(size=(len(rows), n_f))
 
 
+def _assert_row_independent_and_close(mat, other, alpha, lam, solved):
+    """``solved`` (``_solve_side`` on all of ``mat``) equals ``_solve_side``
+    on each row alone, bit for bit, and is within 1e-9 relative (row norm)
+    of one f x f LU solve per row."""
+    for row in range(mat.shape[0]):
+        lo, hi = mat.indptr[row], mat.indptr[row + 1]
+        alone = sp.csr_matrix(
+            (mat.data[lo:hi], mat.indices[lo:hi], [0, hi - lo]), shape=(1, mat.shape[1])
+        )
+        want = _solve_side(_plan_rows(alone, alpha), other, lam)[0]
+        assert np.array_equal(solved[row].view(np.uint64), want.view(np.uint64)), row
+    expected = per_row_als_solve(mat, other, alpha, lam)
+    err = np.linalg.norm(solved - expected, axis=1)
+    assert np.all(err <= 1e-9 * np.linalg.norm(expected, axis=1))
+
+
+def _failing_solve_at(monkeypatch, target, mode):
+    """Make ``np.linalg.solve`` raise, or return NaN, for a stacked system
+    equal to ``target`` up to roundoff."""
+    solve = np.linalg.solve
+
+    def failing(a, b):
+        stack = np.reshape(a, (-1,) + a.shape[-2:])
+        hit = [s.shape == target.shape and np.allclose(s, target, rtol=1e-9, atol=0.0)
+               for s in stack]
+        x = solve(a, b)
+        if any(hit):
+            if mode == "raise":
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = np.array(x)
+            x.reshape((-1,) + x.shape[-2:])[hit] = np.nan
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+
+
+def _row_system(other, cols, scaled, lam):
+    """The matrix ``_solve_side`` solves for one row: the k x k Woodbury
+    system with fewer cells than factors, else the f x f normal equations."""
+    m = other[cols]
+    base = other.T @ other + lam * np.eye(other.shape[1])
+    if len(cols) < other.shape[1]:
+        c = m @ np.linalg.inv(base)
+        return np.eye(len(cols)) + scaled[:, None] * (c @ m.T)
+    return base + (m.T * scaled) @ m
+
+
 class TestStackedSolves:
-    """Row-length groups solved in stacked chunks against the per-row loop."""
+    """Row-length groups solved in stacked chunks against each row alone
+    and against one LU solve per row."""
 
     @settings(max_examples=80, deadline=None)
-    @given(problem=csr_problems(), chunk=st.integers(2, 3))
+    @given(problem=csr_problems(), chunk=st.sampled_from([2, 3, als._CHUNK_ROWS]))
     def test_bit_identical_to_per_row_loop(self, problem, chunk):
         mat, other, x = problem
         alpha, lam = 40.0, 0.1
@@ -174,53 +222,75 @@ class TestStackedSolves:
             plan = _plan_rows(mat, alpha)
             solved = _solve_side(plan, other, lam)
             loss = _training_loss(x, other, plan, lam)
-        expected = per_row_als_solve(mat, other, alpha, lam)
-        assert np.array_equal(solved.view(np.uint64), expected.view(np.uint64))
+            _assert_row_independent_and_close(mat, other, alpha, lam, solved)
         assert loss == per_row_als_loss(x, other, mat, alpha, lam)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_rows_around_the_factor_count(self, k):
+        # f = 4: k = 3 takes the k x k solve, 4 and 5 the f x f one
+        rng = np.random.default_rng(k)
+        n_rows, n_cols, n_f, alpha, lam = 7, 9, 4, 40.0, 0.1
+        cols = np.concatenate([rng.choice(n_cols, size=k, replace=False) for _ in range(n_rows)])
+        mat = sp.csr_matrix(
+            (rng.choice([1.0, 5.0], size=n_rows * k), cols, np.arange(n_rows + 1) * k),
+            shape=(n_rows, n_cols),
+        )
+        other = rng.uniform(0.0, 0.5, size=(n_cols, n_f))
+        with mock.patch.object(als, "_CHUNK_ROWS", 3):
+            solved = _solve_side(_plan_rows(mat, alpha), other, lam)
+        _assert_row_independent_and_close(mat, other, alpha, lam, solved)
+
+    def test_benchmark_sized_rows(self):
+        # 32 factors and about 300 rows each of 1, 3, 31 and 33 cells, so
+        # full 256-row chunks: the BLAS kernels run at the sizes a fit uses
+        rng = np.random.default_rng(1)
+        n_rows, n_cols, n_f, alpha, lam = 1200, 300, 32, 40.0, 0.1
+        lengths = rng.choice([1, 3, 31, 33], size=n_rows)
+        cols = np.concatenate([rng.choice(n_cols, size=k, replace=False) for k in lengths])
+        mat = sp.csr_matrix(
+            (rng.choice([1.0, 5.0], size=len(cols)), cols, np.r_[0, np.cumsum(lengths)]),
+            shape=(n_rows, n_cols),
+        )
+        other = rng.uniform(0.0, 0.3, size=(n_cols, n_f))
+        solved = _solve_side(_plan_rows(mat, alpha), other, lam)
+        _assert_row_independent_and_close(mat, other, alpha, lam, solved)
 
     def test_singular_system_names_its_row(self, monkeypatch):
         # u2 (row 1) and u3 (row 2) both have one observed item, so they share
-        # one stacked solve; only row 2's first-sweep system is made singular
+        # one stacked solve; only row 2's first-sweep system fails, raising or
+        # solving to NaN, with 4 factors (k x k solves) and 1 (f x f solves)
         cm = small_confidence()
-        cfg = AlsConfig(factors=4, iterations=2, seed=3)
-        rng = np.random.default_rng(cfg.seed)
-        rng.uniform(0.0, 0.01, size=(3, cfg.factors))  # user factors, solved first
-        items = rng.uniform(0.0, 0.01, size=(3, cfg.factors))
         lo, hi = cm.ratings.indptr[2], cm.ratings.indptr[3]
-        m = items[cm.ratings.indices[lo:hi]]
-        scaled = cm.alpha * cm.ratings.data[lo:hi]
-        target = items.T @ items + cfg.regularization * np.eye(cfg.factors) + (m.T * scaled) @ m
-        solve = np.linalg.solve
-
-        def singular_at_target(a, b):
-            stack = np.reshape(a, (-1, cfg.factors, cfg.factors))
-            if any(np.allclose(s, target, rtol=1e-9, atol=0.0) for s in stack):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", singular_at_target)
-        with pytest.raises(SingularSystem, match=r"singular subproblem at row 2 "):
-            fit_als(cm, cfg)
+        for n_f in (4, 1):
+            cfg = AlsConfig(factors=n_f, iterations=2, seed=3)
+            rng = np.random.default_rng(cfg.seed)
+            rng.uniform(0.0, 0.01, size=(3, n_f))  # user factors, solved first
+            items = rng.uniform(0.0, 0.01, size=(3, n_f))
+            target = _row_system(
+                items, cm.ratings.indices[lo:hi], cm.alpha * cm.ratings.data[lo:hi],
+                cfg.regularization,
+            )
+            for mode in ("raise", "nan"):
+                with monkeypatch.context() as patch:
+                    _failing_solve_at(patch, target, mode)
+                    with pytest.raises(SingularSystem, match=r"subproblem at row 2 "):
+                        fit_als(cm, cfg)
 
     def test_singular_system_shared_by_two_rows_names_the_lower(self, monkeypatch):
         # rows 1 and 3 have one system (column 0, rating 5), solved once at
-        # row 1; solved row by row in chunks of 2, they would fall apart
+        # row 1; solved row by row in chunks of 2, they would fall apart.
+        # 3 factors give k x k solves, 1 factor f x f ones
         mat = sp.csr_matrix(([1.0, 5.0, 1.0, 5.0], [0, 0, 1, 0], [0, 1, 2, 3, 4]), shape=(4, 2))
-        other = np.random.default_rng(0).normal(size=(2, 3))
         alpha, lam = 40.0, 0.1
-        target = other.T @ other + lam * np.eye(3) + alpha * 5.0 * np.outer(other[0], other[0])
-        solve = np.linalg.solve
-
-        def singular_at_target(a, b):
-            stack = np.reshape(a, (-1, 3, 3))
-            if any(np.allclose(s, target, rtol=1e-9, atol=0.0) for s in stack):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", singular_at_target)
         monkeypatch.setattr(als, "_CHUNK_ROWS", 2)
-        with pytest.raises(SingularSystem, match=r"singular subproblem at row 1 "):
-            _solve_side(_plan_rows(mat, alpha), other, lam)
+        for n_f in (3, 1):
+            other = np.random.default_rng(0).normal(size=(2, n_f))
+            target = _row_system(other, np.array([0]), np.array([alpha * 5.0]), lam)
+            for mode in ("raise", "nan"):
+                with monkeypatch.context() as patch:
+                    _failing_solve_at(patch, target, mode)
+                    with pytest.raises(SingularSystem, match=r"subproblem at row 1 "):
+                        _solve_side(_plan_rows(mat, alpha), other, lam)
 
 
 def _fraction_sum(values):

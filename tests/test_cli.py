@@ -1,13 +1,15 @@
 """Command-line interface: flows, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
-from stylebench import cli
+from stylebench import cli, harness
 from stylebench.als import load_model
-from stylebench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
+from stylebench.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
 from stylebench.data import load_events
 from stylebench.forest import load_forest
 
@@ -615,6 +617,33 @@ class TestExitCodes:
         argv = ["evaluate", "--config", str(bad), "--data", str(data_path), "--out", str(out)]
         assert dispatch(argv) == EXIT_DATA
         assert "'algorithms'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["als_alpha", "als_regularization", "als_sale_weight"])
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    def test_extreme_als_setting_is_no_traceback(self, workspace, tmp_path, capsys, key, value):
+        # a fit either succeeds or names the row whose subproblem failed
+        _, config, data_path = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+        out = tmp_path / "out"
+        rc = dispatch(["evaluate", "--config", str(cfg), "--data", str(data_path), "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_INTERNAL)
+        if rc == EXIT_INTERNAL:
+            assert re.search(r"stage fit_als: .*subproblem at row \d+ ", capsys.readouterr().err)
+            assert not out.exists()
+
+    def test_invalid_report_is_internal_error(self, workspace, tmp_path, capsys, monkeypatch):
+        _, config, data_path = workspace
+        real = harness.relative_popularity
+        monkeypatch.setattr(
+            harness, "relative_popularity",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), point=-1.0),
+        )
+        out = tmp_path / "out"
+        rc = dispatch(["evaluate", "--config", str(config), "--data", str(data_path), "--out", str(out)])
+        assert rc == EXIT_INTERNAL
+        assert "report cell rp/sale_users/MP: point = -1.0" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -2,12 +2,16 @@
 
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 from stylebench.cli import _SEGMENT_KEYS, _SYNTH_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
+from stylebench.als import AlsConfig
+from stylebench.forest import ForestConfig
 from stylebench.harness import CONFIG_KEYS, EvalConfig
+from stylebench.synth import SynthConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -150,3 +154,45 @@ def test_bad_boundary_flag_is_usage_error(tmp_path, capsys):
     ])
     assert rc == EXIT_USAGE
     assert "--boundary" in capsys.readouterr().err
+
+
+_OWNERS = {None: EvalConfig, "als": AlsConfig, "forest": ForestConfig}
+EVAL_FLOAT_KEYS = [
+    key for key, (sub, name) in CONFIG_KEYS.items()
+    if typing.get_type_hints(_OWNERS[sub])[name] is float
+]
+SYNTH_FLOAT_KEYS = [
+    key for key, name in _SYNTH_KEYS.items() if typing.get_type_hints(SynthConfig)[name] is float
+] + list(_SEGMENT_KEYS)
+
+
+def test_float_keys():
+    assert EVAL_FLOAT_KEYS == ["als_regularization", "als_alpha", "als_sale_weight"]
+    assert SYNTH_FLOAT_KEYS == [
+        "synth_skew", "synth_sparsity",
+        "synth_segment_new", "synth_segment_view", "synth_segment_sale",
+    ]
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("data")
+    config = root / "config.json"
+    config.write_text(json.dumps(SHAPE))
+    assert dispatch(["synth", "--config", str(config), "--out", str(root / "d")]) == EXIT_OK
+    return root / "d" / "interactions.csv"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+@pytest.mark.parametrize("key", EVAL_FLOAT_KEYS + SYNTH_FLOAT_KEYS)
+def test_non_finite_float_is_data_error(tmp_path, capsys, small_data, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SHAPE, key: value}))  # NaN, Infinity or an over-long int
+    out = tmp_path / "out"
+    if key in EVAL_FLOAT_KEYS:
+        argv = ["evaluate", "--config", str(config), "--data", str(small_data), "--out", str(out)]
+    else:
+        argv = ["synth", "--config", str(config), "--out", str(out)]
+    assert dispatch(argv) == EXIT_DATA
+    assert f"config key {key!r} must be finite float" in capsys.readouterr().err
+    assert not out.exists()

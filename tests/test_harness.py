@@ -1,15 +1,18 @@
 """Pipeline harness: report grid invariants, short-head curve, rendering."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from stylebench import harness
 from stylebench.data import PopularityTable
-from stylebench.errors import ZeroSales
+from stylebench.errors import InvalidReport, ZeroSales
 from stylebench.harness import (
     EvalConfig,
     EvaluationReport,
+    check_report,
     derive_seed,
     format_cell,
     render_report,
@@ -262,6 +265,50 @@ class TestReportGrid:
             EvalConfig.from_dict({"grading": "stars"})
         with pytest.raises(ValueError):
             EvalConfig.from_dict({"algorithms": "MP,XX"})
+
+
+class TestReportPostConditions:
+    """run_evaluation checks its report before returning it."""
+
+    @pytest.mark.parametrize("metric, name, field, value", [
+        ("ndcg", "micro_average_ndcg", "value", 1.5),
+        ("ndcg", "micro_average_ndcg", "value", float("nan")),
+        ("ad", "avg_distinct_sampled", "ci_high", 21.0),  # above 2k for k = 10
+        ("ad", "avg_distinct_sampled", "point", -1.0),
+        ("rp", "relative_popularity", "ci_low", -0.5),
+        ("rp", "relative_popularity", "point", float("inf")),
+    ])
+    def test_out_of_range_metric_names_the_cell(self, monkeypatch, metric, name, field, value):
+        cfg, data = small_eval_setup()
+        cfg = dataclasses.replace(cfg, algorithms=("MP",), bootstrap_resamples=20)
+        real = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *a, **kw: dataclasses.replace(real(*a, **kw), **{field: value})
+        )
+        with pytest.raises(InvalidReport, match=rf"report cell {metric}/sale_users/MP: {field} = "):
+            run_evaluation(cfg, data)
+
+    def test_null_cell_only_without_users_to_grade(self):
+        # a row with no members may be null (tiny data can leave a segment
+        # empty); one with a gradable member may not
+        cells = {m: {row: {"CB": None} for row in harness.SEGMENT_ROWS} for m in harness.METRICS}
+        at = {"CB": np.array([0, 1])}
+        in_row = {row: np.zeros(2, dtype=bool) for row in harness.SEGMENT_ROWS}
+        check_report(cells, 10, at, {"CB": np.zeros(2)}, in_row)
+        in_row["sale_users"] = np.array([True, False])
+        with pytest.raises(InvalidReport, match="report cell ndcg/sale_users/CB is null"):
+            check_report(cells, 10, at, {"CB": np.zeros(2)}, in_row)
+
+    def test_coverage(self):
+        cells = {m: {row: {} for row in harness.SEGMENT_ROWS} for m in harness.METRICS}
+        in_row = {row: np.ones(3, dtype=bool) for row in harness.SEGMENT_ROWS}
+        in_row["new_users"] = np.array([False, True, False])
+        ok = {"CB": np.array([0, 1, 2]), "CF": np.array([0, -1, 1])}
+        check_report(cells, 10, ok, {}, in_row)
+        with pytest.raises(InvalidReport, match="CB leaves 1 test users uncovered"):
+            check_report(cells, 10, {**ok, "CB": np.array([0, -1, 1])}, {}, in_row)
+        with pytest.raises(InvalidReport, match="CF's uncovered test users are not the new users"):
+            check_report(cells, 10, {**ok, "CF": np.array([0, 1, -1])}, {}, in_row)
 
 
 class TestRendering:

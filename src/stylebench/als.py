@@ -101,7 +101,7 @@ def build_confidence(train: Dataset, cfg: AlsConfig) -> ConfidenceMatrix:
     A pair with at least one sale gets r = sale_weight regardless of
     views or units; a pair with views only gets r = 1.
     """
-    if not train.events:
+    if not train.n_events:
         raise EmptyTraining("cannot build a confidence matrix from zero events")
     rows, cols, sold = train.pairs()
     ratings = sp.csr_matrix(

@@ -263,7 +263,7 @@ def _cmd_synth(args) -> int:
             "files": _input_digests(data_path),
         },
     )
-    print(f"wrote {len(data.events)} events to {data_path}")
+    print(f"wrote {data.n_events} events to {data_path}")
     return EXIT_OK
 
 
@@ -294,8 +294,8 @@ def _cmd_split(args) -> int:
     write_events(split.train, out_dir / "train.csv")
     write_events(split.test, out_dir / "test.csv")
     print(
-        f"train: {len(split.train.events)} events, "
-        f"test: {len(split.test.events)} events"
+        f"train: {split.train.n_events} events, "
+        f"test: {split.test.n_events} events"
     )
     return EXIT_OK
 

@@ -19,11 +19,13 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from itertools import islice, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -67,15 +69,69 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"timestamp {text!r} is not an RFC 3339 date-time")
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    return datetime.fromisoformat(raw).astimezone(timezone.utc)
+    try:
+        return datetime.fromisoformat(raw).astimezone(timezone.utc)
+    except OverflowError:  # the offset moves it out of years 1-9999
+        raise ValueError(f"timestamp {text!r} is outside years 1-9999 in UTC") from None
 
 
 def format_timestamp(ts: datetime) -> str:
-    """Render an aware datetime as RFC 3339 with a ``Z`` suffix."""
-    ts = ts.astimezone(timezone.utc)
-    if ts.microsecond:
-        return ts.isoformat().replace("+00:00", "Z")
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render an aware datetime as RFC 3339 in UTC with a ``Z`` suffix,
+    with six fraction digits when it has microseconds."""
+    ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+    return ts.isoformat(timespec="microseconds" if ts.microsecond else "seconds") + "Z"
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _micros(ts: datetime) -> int:
+    """An aware datetime as whole microseconds since the Unix epoch."""
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+# the shapes format_timestamp writes, "d" standing for a digit
+_STAMP_SHAPES = ("dddd-dd-ddTdd:dd:ddZ", "dddd-dd-ddTdd:dd:dd.ddddddZ")
+
+
+def _canonical_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of each stamp in one of the
+    ``_STAMP_SHAPES`` whose fields are all in range (leap days counted,
+    seconds up to 59), and a mask of those stamps. Such a stamp is UTC, so
+    ``parse_timestamp`` gives it the same instant; every other stamp is
+    left to ``parse_timestamp``. The stamps of one length are read as one
+    fixed-width array of code points."""
+    n = len(stamps)
+    micros, parsed = np.zeros(n, np.int64), np.zeros(n, bool)
+    lengths = np.fromiter(map(len, stamps), np.int64, n)
+    for shape in _STAMP_SHAPES:
+        rows = np.flatnonzero(lengths == len(shape))
+        if not rows.size:
+            continue
+        text = stamps if rows.size == n else [stamps[r] for r in rows.tolist()]
+        chars = np.array(text, dtype=f"U{len(shape)}").view(np.uint32).reshape(rows.size, -1)
+        want = np.array([ord(c) for c in shape], np.uint32)
+        digit = want == ord("d")
+        # a code point below "0" wraps round to a large unsigned value
+        ok = (chars[:, ~digit] == want[~digit]).all(1) & (chars[:, digit] - ord("0") <= 9).all(1)
+        rows, digits = rows[ok], (chars[ok][:, digit] - ord("0")).astype(np.int64)
+
+        def field(start: int, stop: int) -> np.ndarray:
+            return digits[:, start:stop] @ 10 ** np.arange(stop - start - 1, -1, -1)
+
+        year, month, day = field(0, 4), field(4, 6), field(6, 8)
+        hour, minute, second = field(8, 10), field(10, 12), field(12, 14)
+        month_start = ((year - 1970) * 12 + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
+        start_day = month_start.astype("datetime64[D]").astype(np.int64)
+        month_days = (month_start + 1).astype("datetime64[D]").astype(np.int64) - start_day
+        parsed[rows] = (
+            (year >= 1) & (1 <= month) & (month <= 12) & (1 <= day) & (day <= month_days)
+            & (hour <= 23) & (minute <= 59) & (second <= 59)
+        )
+        seconds = (((start_day + day - 1) * 24 + hour) * 60 + minute) * 60 + second
+        micros[rows] = seconds * 1_000_000 + (field(14, 20) if digits.shape[1] > 14 else 0)
+    return micros, parsed
 
 
 @dataclass(frozen=True)
@@ -162,23 +218,49 @@ class FeatureTable:
         return self.ids == other.ids and self.columns == other.columns
 
 
-@dataclass(frozen=True)
+# the fields of a record, in file column order
+_RECORD_FIELDS = ("user_id", "item_id", "kind", "timestamp", "quantity")
+# the event columns of a Dataset and their dtypes
+_COLUMNS = {
+    "user": np.int64, "item": np.int64, "sale": bool, "quantity": np.int64,
+    "timestamp": np.int64,
+}
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered interaction log plus entity universes and features.
+    """An interaction log as event columns, plus entity universes and features.
 
-    ``users`` and ``items`` are the entities appearing in ``events``;
-    feature tables may cover additional ids (a wider catalog pool) which
-    are used only for lookups.
-
-    Read-only per-event columns, decoded once on first use and not fields:
-    ``user``/``item`` index the sorted ``user_ids``/``item_ids``; ``sale``, ``quantity``.
+    ``user_ids``/``item_ids`` are the sorted universes; feature tables may
+    cover additional ids (a wider catalog pool) which are used only for
+    lookups. The columns hold one entry per event, in ascending time order
+    (same-instant events keep the order they were read or given in), and
+    are read-only: ``user``/``item`` index the universes, ``sale`` flags
+    sales, ``quantity`` holds units and ``timestamp`` whole microseconds
+    since the Unix epoch (UTC).
     """
 
-    events: tuple[InteractionEvent, ...]
-    users: frozenset[str]
-    items: frozenset[str]
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    user: np.ndarray
+    item: np.ndarray
+    sale: np.ndarray
+    quantity: np.ndarray
+    timestamp: np.ndarray
     user_features: FeatureTable | None = None
     item_features: FeatureTable | None = None
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.shape != (len(self.user),):
+                raise ValueError(f"column {name!r} has shape {col.shape}, not one entry per event")
+            object.__setattr__(self, name, _frozen(col))
+        for codes, universe in ((self.user, self.user_ids), (self.item, self.item_ids)):
+            if codes.size and not (0 <= codes.min() and codes.max() < len(universe)):
+                raise ValueError("an event's code lies outside its universe")
+        if np.any(self.timestamp[1:] < self.timestamp[:-1]):
+            raise ValueError("events are not in time order")
 
     @classmethod
     def from_events(
@@ -186,42 +268,75 @@ class Dataset:
         events: Iterable[InteractionEvent],
         user_features: FeatureTable | None = None,
         item_features: FeatureTable | None = None,
+        users: Iterable[str] | None = None,
+        items: Iterable[str] | None = None,
     ) -> "Dataset":
-        ordered = tuple(sorted(events, key=lambda e: e.timestamp))
+        """The events in time order (a stable sort). ``users``/``items``
+        declare universes that may hold ids without events; by default each
+        is the set of ids the events name."""
+        events = list(events)
+        user_id, item_id, kind, timestamp, quantity = (
+            list(map(attrgetter(name), events)) for name in _RECORD_FIELDS
+        )
+        stamps = np.array(list(map(_micros, timestamp)), np.int64)
+        order = np.argsort(stamps, kind="stable")
+        sides = []
+        for ids, declared in ((user_id, users), (item_id, items)):
+            universe = tuple(sorted(set(ids if declared is None else declared)))
+            codes = id_rows(universe, ids)
+            if np.any(codes == len(universe)):
+                raise ValueError("an event names an id outside its declared universe")
+            sides.append((universe, codes[order]))
+        (user_ids, user), (item_ids, item) = sides
         return cls(
-            events=ordered,
-            users=frozenset(e.user_id for e in ordered),
-            items=frozenset(e.item_id for e in ordered),
+            user_ids=user_ids,
+            item_ids=item_ids,
+            user=user,
+            item=item,
+            sale=np.array([k is Kind.SALE for k in kind], bool)[order],
+            quantity=np.array(quantity, np.int64)[order],
+            timestamp=stamps[order],
             user_features=user_features,
             item_features=item_features,
         )
 
-    @cached_property
-    def user_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.users))
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.user_ids, self.item_ids) == (other.user_ids, other.item_ids)
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _COLUMNS)
+            and (self.user_features, self.item_features)
+            == (other.user_features, other.item_features)
+        )
+
+    def __hash__(self):
+        return hash((self.user_ids, self.item_ids, self.n_events))
+
+    @property
+    def users(self) -> frozenset[str]:
+        return frozenset(self.user_ids)
+
+    @property
+    def items(self) -> frozenset[str]:
+        return frozenset(self.item_ids)
+
+    @property
+    def n_events(self) -> int:
+        return len(self.user)
 
     @cached_property
-    def item_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.items))
-
-    @cached_property
-    def user(self) -> np.ndarray:
-        return _frozen(id_rows(self.user_ids, [e.user_id for e in self.events]))
-
-    @cached_property
-    def item(self) -> np.ndarray:
-        return _frozen(id_rows(self.item_ids, [e.item_id for e in self.events]))
-
-    @cached_property
-    def sale(self) -> np.ndarray:
-        return self._column((e.kind is Kind.SALE for e in self.events), bool)
-
-    @cached_property
-    def quantity(self) -> np.ndarray:
-        return self._column((e.quantity for e in self.events), np.int64)
-
-    def _column(self, values: Iterable, dtype) -> np.ndarray:
-        return _frozen(np.fromiter(values, dtype, len(self.events)))
+    def events(self) -> tuple[InteractionEvent, ...]:
+        """One ``InteractionEvent`` per event, in column order, built on
+        first read; the pipeline reads the columns and never builds them."""
+        kinds = (Kind.VIEW, Kind.SALE)
+        return tuple(
+            InteractionEvent(self.user_ids[u], self.item_ids[i], kinds[s],
+                             _EPOCH + t * _MICROSECOND, q)
+            for u, i, s, t, q in zip(self.user.tolist(), self.item.tolist(),
+                                     self.sale.tolist(), self.timestamp.tolist(),
+                                     self.quantity.tolist())
+        )
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct (user, item) index pairs, ascending, and whether any is a sale."""
@@ -236,7 +351,7 @@ class Dataset:
 
     @property
     def n_views(self) -> int:
-        return len(self.events) - self.n_sales
+        return self.n_events - self.n_sales
 
 
 def id_rows(universe: Sequence[str], ids: Sequence[str]) -> np.ndarray:
@@ -245,12 +360,12 @@ def id_rows(universe: Sequence[str], ids: Sequence[str]) -> np.ndarray:
     an array over the positions with one more entry reads that entry for
     it. Every id -> position lookup of the package goes through here."""
     index = {eid: r for r, eid in enumerate(universe)}
-    absent = len(universe)
-    return np.fromiter((index.get(eid, absent) for eid in ids), np.int64, len(ids))
+    absent = repeat(len(universe))
+    return np.fromiter(map(index.get, ids, absent), np.int64, len(ids))
 
 
 def _frozen(col: np.ndarray) -> np.ndarray:
-    col.flags.writeable = False  # cached and shared by every reader
+    col.flags.writeable = False  # shared by every reader
     return col
 
 
@@ -285,35 +400,17 @@ class PopularityTable:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-_REQUIRED_FIELDS = ("user_id", "item_id", "kind", "timestamp", "quantity")
 _DIGITS = re.compile("[0-9]+")
 
 
 def _event_from_record(record: Mapping[str, object], path, line_no) -> InteractionEvent:
-    missing = [f for f in _REQUIRED_FIELDS if f not in record or record[f] in (None, "")]
+    """One record's event under the record rules, which every loader
+    applies: any rule it breaks raises a MalformedRecord at ``line_no``."""
+    missing = [f for f in _RECORD_FIELDS if f not in record or record[f] in (None, "")]
     if missing:
         raise MalformedRecord(path, line_no, f"missing fields {missing}")
-    kind_raw = str(record["kind"]).strip().lower()
-    try:
-        kind = Kind(kind_raw)
-    except ValueError:
-        raise UnknownKind(path, line_no, f"unknown kind {record['kind']!r}") from None
-    # an int (not a bool, not a float) or a string of ASCII digits; int()
-    # alone would also take "1_0", " +3 " and non-ASCII digits
-    quantity = record["quantity"]
-    if isinstance(quantity, str) and _DIGITS.fullmatch(quantity):
-        try:
-            quantity = int(quantity)
-        except ValueError:  # longer than int()'s digit limit
-            pass
-    if type(quantity) is not int:
-        raise MalformedRecord(
-            path, line_no, f"quantity {record['quantity']!r} is not an integer (digits 0-9)"
-        )
-    if quantity < 1:
-        raise NonPositiveQuantity(path, line_no, f"quantity {quantity} is not positive")
-    if quantity >= 2**31:  # keeps every per-item total within int64
-        raise MalformedRecord(path, line_no, f"quantity {quantity} is not below 2**31")
+    kind = _record_kind(record["kind"], path, line_no)
+    quantity = _record_quantity(record["quantity"], path, line_no)
     if kind is Kind.VIEW and quantity != 1:
         raise MalformedRecord(path, line_no, "view rows must carry quantity 1")
     try:
@@ -329,6 +426,195 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
     )
 
 
+def _record_kind(value: object, path, line_no) -> Kind:
+    try:
+        return Kind(str(value).strip().lower())
+    except ValueError:
+        raise UnknownKind(path, line_no, f"unknown kind {value!r}") from None
+
+
+def _record_quantity(value: object, path, line_no) -> int:
+    # an int (not a bool, not a float) or a string of ASCII digits; int()
+    # alone would also take "1_0", " +3 " and non-ASCII digits
+    quantity = value
+    if isinstance(quantity, str) and _DIGITS.fullmatch(quantity):
+        try:
+            quantity = int(quantity)
+        except ValueError:  # longer than int()'s digit limit
+            pass
+    if type(quantity) is not int:
+        raise MalformedRecord(path, line_no, f"quantity {value!r} is not an integer (digits 0-9)")
+    if quantity < 1:
+        raise NonPositiveQuantity(path, line_no, f"quantity {quantity} is not positive")
+    if quantity >= 2**31:  # keeps every per-item total within int64
+        raise MalformedRecord(path, line_no, f"quantity {quantity} is not below 2**31")
+    return quantity
+
+
+def _sale_code(kind: str) -> int:
+    """1 for a sale, 0 for a view, -1 for a kind the record rules refuse."""
+    try:
+        return int(_record_kind(kind, None, None) is Kind.SALE)
+    except DataError:
+        return -1
+
+
+def _quantity_code(quantity: str) -> int:
+    """The quantity, or 0 for one the record rules refuse."""
+    try:
+        return _record_quantity(quantity, None, None)
+    except DataError:
+        return 0
+
+
+def _per_value(column: Sequence[str], rule, dtype) -> np.ndarray:
+    """``rule`` applied once per distinct value of ``column``, as an array over it."""
+    table = {value: rule(value) for value in set(column)}
+    return np.fromiter(map(table.__getitem__, column), dtype, len(column))
+
+
+def _stamp_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each timestamp in microseconds since the epoch and whether it parsed:
+    canonical ones in bulk, the rest one at a time by ``parse_timestamp``."""
+    micros, parsed = _canonical_micros(stamps)
+    for r in np.flatnonzero(~parsed).tolist():
+        try:
+            micros[r] = _micros(parse_timestamp(stamps[r]))
+        except ValueError:
+            continue
+        parsed[r] = True
+    return micros, parsed
+
+
+def _distinct_rows(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct ``ids`` and each id's position among them."""
+    distinct = tuple(sorted(set(ids)))
+    return distinct, id_rows(distinct, ids)
+
+
+def _joined_rows(parts: Sequence[tuple[tuple[str, ...], np.ndarray]]) -> tuple:
+    """The sorted union of some ``_distinct_rows`` results and every id's
+    position in it, in the parts' order."""
+    universe = tuple(sorted(set().union(*(distinct for distinct, _ in parts))))
+    rows = [id_rows(universe, distinct)[at] for distinct, at in parts]
+    return universe, np.concatenate(rows)
+
+
+_CHUNK_ROWS = 4096  # CSV rows held, checked and coded at a time
+
+
+def _record_chunks(reader, path: Path, size: int | None = None) -> Iterator[list[list[str]]]:
+    """The reader's rows in lists of up to ``size`` (all in one list when
+    None), blank lines dropped. A row the csv module refuses (a cell over
+    ``csv.field_size_limit()``) raises MalformedRecord at its line, after
+    the rows before it are yielded: errors still come in file order."""
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, size))  # keeps the rows read before an error
+        except csv.Error as exc:
+            yield list(filter(None, rows))
+            raise MalformedRecord(path, reader.line_num, str(exc)) from None
+        yield list(filter(None, rows))
+        if size is None or len(rows) < size:
+            return
+
+
+def _header(reader, path: Path) -> list[str] | None:
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise MalformedRecord(path, reader.line_num, str(exc)) from None
+
+
+def _line_of(path: Path, record: int) -> int:
+    """The physical line that data record ``record`` (0 the first after the
+    header, blank lines not counted) ends on; read again from the file, only
+    to name the line of an error."""
+    with _open_utf8(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row:
+                if not record:
+                    return reader.line_num
+                record -= 1
+    raise ValueError(f"{path} has fewer records")
+
+
+def _refuse_event(header: list[str], row: list[str], path: Path, line_no: int) -> NoReturn:
+    """Raise the error the record rules give a row the bulk checks refused."""
+    if len(row) > len(header):
+        raise MalformedRecord(path, line_no, f"expected {len(header)} cells, got {len(row)}")
+    _event_from_record(dict(zip(header, row)), path, line_no)
+    raise AssertionError(f"{path}:{line_no}: the bulk checks refused a valid row")
+
+
+def _event_chunk(rows, header, path: Path, first: int) -> tuple:
+    """One chunk of CSV records, which start at data record ``first``, as
+    user and item ``_distinct_rows`` and sale, quantity and timestamp
+    columns. Each check runs on whole columns; the first record any of
+    them refuses, in file order, raises its error."""
+    width = len(header)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wide = np.flatnonzero(lengths > width)
+    n = int(wide[0]) if wide.size else len(rows)
+    if not n:  # also every row under a blank header line
+        _refuse_event(header, rows[0], path, _line_of(path, first))
+    full = rows[:n]
+    if (lengths[:n] < width).any():  # absent cells read as empty, as in a csv.DictReader
+        full = [row + [""] * (width - len(row)) for row in full]
+    cells = dict(zip(header, zip(*full)))
+    users, items = _distinct_rows(cells["user_id"]), _distinct_rows(cells["item_id"])
+    sale = _per_value(cells["kind"], _sale_code, np.int8)
+    quantity = _per_value(cells["quantity"], _quantity_code, np.int64)
+    timestamp, parsed = _stamp_micros(cells["timestamp"])
+    refused = (sale < 0) | (quantity == 0) | ((sale == 0) & (quantity != 1)) | ~parsed
+    for distinct, at in (users, items):
+        if distinct[0] == "":  # an empty id sorts first
+            refused |= at == 0
+    if refused.any():
+        r = int(np.argmax(refused))
+        _refuse_event(header, full[r], path, _line_of(path, first + r))
+    if wide.size:
+        _refuse_event(header, rows[n], path, _line_of(path, first + n))
+    return users, items, sale == 1, quantity, timestamp
+
+
+def _load_csv_events(path: Path) -> Dataset:
+    """A CSV interactions file as a Dataset without features, read in chunks
+    of ``_CHUNK_ROWS`` rows; errors as ``_event_from_record`` gives them."""
+    with _open_utf8(path) as fh:
+        reader = csv.reader(fh)
+        header = _header(reader, path) or []  # an empty file has zero events
+        missing = [f for f in _RECORD_FIELDS if header and f not in header]
+        if missing:
+            raise MalformedRecord(path, 1, f"header missing columns {missing}")
+        for name in header:
+            if header.count(name) > 1:
+                raise MalformedRecord(path, 1, f"column {name!r} appears twice")
+        parts, first = [], 0
+        for rows in _record_chunks(reader, path, _CHUNK_ROWS):
+            if rows:
+                parts.append(_event_chunk(rows, header, path, first))
+                first += len(rows)
+    if not parts:
+        return Dataset.from_events(())
+    users, items, sale, quantity, timestamp = zip(*parts)
+    (user_ids, user), (item_ids, item) = _joined_rows(users), _joined_rows(items)
+    sale, quantity, timestamp = map(np.concatenate, (sale, quantity, timestamp))
+    order = np.argsort(timestamp, kind="stable")
+    return Dataset(
+        user_ids=user_ids,
+        item_ids=item_ids,
+        user=user[order],
+        item=item[order],
+        sale=sale[order],
+        quantity=quantity[order],
+        timestamp=timestamp[order],
+    )
+
+
 def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
     """Load a typed-header feature sidecar CSV.
 
@@ -338,10 +624,9 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
     path = Path(path)
     with _open_utf8(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRecord(path, 1, "empty feature file") from None
+        header = _header(reader, path)
+        if header is None:
+            raise MalformedRecord(path, 1, "empty feature file")
         if not header or header[0].split(":")[0] != id_field:
             raise MalformedRecord(path, 1, f"first column must be {id_field!r}")
         specs = []
@@ -358,30 +643,71 @@ def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:
                 raise MalformedRecord(
                     path, 1, f"column {cell!r} lacks a :num/:cat type tag"
                 )
-        first_line: dict[str, int] = {}
-        raw_cols: list[list[str]] = [[] for _ in specs]
-        for row in reader:
-            if not row:
-                continue
-            line_no = reader.line_num
-            if len(row) != len(specs) + 1:
-                raise MalformedRecord(
-                    path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}"
-                )
-            if row[0] in first_line:
-                raise MalformedRecord(
-                    path, line_no, f"id {row[0]!r} repeats line {first_line[row[0]]}"
-                )
-            first_line[row[0]] = line_no
-            for j, ((name, kind), cell) in enumerate(zip(specs, row[1:])):
-                raw_cols[j].append(
-                    _numeric_cell(cell, name, path, line_no) if kind == "numeric" else cell
-                )
+        for rows in _record_chunks(reader, path):  # one chunk: the whole file
+            ids, columns = _feature_columns(rows, specs, path)
+    return FeatureTable(ids=ids, columns=columns)
+
+
+def _feature_columns(rows, specs, path: Path) -> tuple[tuple[str, ...], dict]:
+    """A sidecar's rows as ids and feature columns. Row lengths, repeated
+    ids and numeric cells are checked a column at a time; the first row any
+    check refuses, in file order, raises its error."""
+    width = len(specs) + 1
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    bad = np.flatnonzero(lengths != width)
+    first_bad = int(bad[0]) if bad.size else len(rows)
+    cells = list(zip(*rows[:first_bad])) or [()] * width
+    ids = cells[0]
+    if len(set(ids)) < len(ids):
+        first_bad = _first_repeat(ids)
     columns: dict[str, FeatureColumn] = {}
-    for (name, kind), raw in zip(specs, raw_cols):
-        dtype = np.float64 if kind == "numeric" else object
-        columns[name] = FeatureColumn(kind=kind, values=np.array(raw, dtype=dtype))
-    return FeatureTable(ids=tuple(first_line), columns=columns)
+    for (name, kind), col in zip(specs, cells[1:]):
+        if kind == "categorical":
+            values = np.array(col, dtype=object)
+        else:
+            try:
+                values = np.fromiter(map(float, col), np.float64, len(col))
+            except ValueError:
+                values = np.array([_float_or_nan(cell) for cell in col])
+            finite = np.isfinite(values)
+            if not finite.all():
+                first_bad = min(first_bad, int(np.argmin(finite)))
+        columns[name] = FeatureColumn(kind=kind, values=values)
+    if first_bad < len(rows):
+        _refuse_feature_row(rows, first_bad, specs, path)
+    return ids, columns
+
+
+def _first_repeat(ids: Sequence[str]) -> int:
+    seen: set[str] = set()
+    for r, eid in enumerate(ids):
+        if eid in seen:
+            return r
+        seen.add(eid)
+    raise ValueError("no id repeats")
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _refuse_feature_row(rows, r: int, specs, path: Path) -> NoReturn:
+    """Raise the error of sidecar row ``r``, whose earlier rows all pass:
+    its cell count, then its id, then its numeric cells left to right."""
+    row, line_no = rows[r], _line_of(path, r)
+    if len(row) != len(specs) + 1:
+        raise MalformedRecord(path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}")
+    earlier = [other[0] for other in rows[:r]]
+    if row[0] in earlier:
+        first = _line_of(path, earlier.index(row[0]))
+        raise MalformedRecord(path, line_no, f"id {row[0]!r} repeats line {first}")
+    for (name, kind), cell in zip(specs, row[1:]):
+        if kind == "numeric":
+            _numeric_cell(cell, name, path, line_no)
+    raise AssertionError(f"{path}:{line_no}: the bulk checks refused a valid row")
 
 
 def _numeric_cell(cell: str, name: str, path: Path, line_no: int) -> float:
@@ -441,6 +767,25 @@ def sidecar_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(f"{stem}.users.csv"), Path(f"{stem}.items.csv")
 
 
+def _jsonl_events(path: Path) -> list[InteractionEvent]:
+    events = []
+    with _open_utf8(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line, object_pairs_hook=_object_without_repeats)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
+            except ValueError as exc:  # a repeated key
+                raise MalformedRecord(path, line_no, str(exc)) from None
+            if not isinstance(record, dict):
+                raise MalformedRecord(path, line_no, "record is not an object")
+            events.append(_event_from_record(record, path, line_no))
+    return events
+
+
 def load_events(path: str | Path) -> Dataset:
     """Load an interactions file (and feature sidecars, when present).
 
@@ -451,93 +796,58 @@ def load_events(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    events: list[InteractionEvent] = []
-    if _is_jsonl(path):
-        with _open_utf8(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line, object_pairs_hook=_object_without_repeats)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
-                except ValueError as exc:  # a repeated key
-                    raise MalformedRecord(path, line_no, str(exc)) from None
-                if not isinstance(record, dict):
-                    raise MalformedRecord(path, line_no, "record is not an object")
-                events.append(_event_from_record(record, path, line_no))
-    else:
-        with _open_utf8(path) as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []  # an empty file has zero events
-            missing = [f for f in _REQUIRED_FIELDS if header and f not in header]
-            if missing:
-                raise MalformedRecord(path, 1, f"header missing columns {missing}")
-            for name in header:
-                if header.count(name) > 1:
-                    raise MalformedRecord(path, 1, f"column {name!r} appears twice")
-            for record in reader:
-                # the line the record ends on; blank lines and quoted
-                # newlines make it differ from the record count
-                line_no = reader.line_num
-                if None in record:  # DictReader files extra cells under None
-                    raise MalformedRecord(
-                        path, line_no,
-                        f"expected {len(header)} cells, got {len(header) + len(record[None])}",
-                    )
-                events.append(_event_from_record(record, path, line_no))
-
+    log = Dataset.from_events(_jsonl_events(path)) if _is_jsonl(path) else _load_csv_events(path)
     user_path, item_path = sidecar_paths(path)
-    user_features = load_feature_table(user_path, "user_id") if user_path.exists() else None
-    item_features = load_feature_table(item_path, "item_id") if item_path.exists() else None
-    return Dataset.from_events(events, user_features, item_features)
+    return replace(
+        log,
+        user_features=load_feature_table(user_path, "user_id") if user_path.exists() else None,
+        item_features=load_feature_table(item_path, "item_id") if item_path.exists() else None,
+    )
 
 
 def write_feature_table(table: FeatureTable, path: str | Path, id_field: str) -> None:
     path = Path(path)
     tags = {"numeric": "num", "categorical": "cat"}
     names = list(table.columns)
+    cells = [
+        map(repr if col.kind == "numeric" else str, col.values.tolist())
+        for col in table.columns.values()
+    ]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([id_field] + [f"{n}:{tags[table.columns[n].kind]}" for n in names])
-        for i, eid in enumerate(table.ids):
-            row = [eid]
-            for n in names:
-                col = table.columns[n]
-                value = col.values[i]
-                row.append(repr(float(value)) if col.kind == "numeric" else str(value))
-            writer.writerow(row)
+        writer.writerows(zip(table.ids, *cells))
+
+
+def _format_micros(micros: np.ndarray) -> list[str]:
+    """``format_timestamp`` of each instant, given in microseconds since the epoch."""
+    when = micros.astype("datetime64[us]")
+    text = np.datetime_as_string(when, unit="s", timezone="UTC").astype(object)
+    fraction = micros % 1_000_000 != 0
+    text[fraction] = np.datetime_as_string(when[fraction], unit="us", timezone="UTC")
+    return text.tolist()
 
 
 def write_events(data: Dataset, path: str | Path) -> None:
     """Write a dataset back out, as JSONL or CSV by the file suffix;
     inverse of :func:`load_events`."""
     path = Path(path)
+    rows = zip(
+        map(data.user_ids.__getitem__, data.user.tolist()),
+        map(data.item_ids.__getitem__, data.item.tolist()),
+        map(("view", "sale").__getitem__, data.sale.tolist()),
+        _format_micros(data.timestamp),
+        data.quantity.tolist(),
+    )
     if _is_jsonl(path):
         with path.open("w", encoding="utf-8") as fh:
-            for e in data.events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "user_id": e.user_id,
-                            "item_id": e.item_id,
-                            "kind": e.kind.value,
-                            "timestamp": format_timestamp(e.timestamp),
-                            "quantity": e.quantity,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            for row in rows:
+                fh.write(json.dumps(dict(zip(_RECORD_FIELDS, row)), sort_keys=True) + "\n")
     else:
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_REQUIRED_FIELDS)
-            for e in data.events:
-                writer.writerow(
-                    [e.user_id, e.item_id, e.kind.value, format_timestamp(e.timestamp), e.quantity]
-                )
+            writer.writerow(_RECORD_FIELDS)
+            writer.writerows(rows)
     user_path, item_path = sidecar_paths(path)
     if data.user_features is not None:
         write_feature_table(data.user_features, user_path, "user_id")
@@ -558,11 +868,26 @@ def temporal_split(data: Dataset, boundary: datetime) -> TemporalSplit:
     """
     if boundary.tzinfo is None:
         raise ValueError("boundary must be timezone-aware")
-    train_events = [e for e in data.events if e.timestamp < boundary]
-    test_events = [e for e in data.events if e.timestamp >= boundary]
-    train = Dataset.from_events(train_events, data.user_features, data.item_features)
-    test = Dataset.from_events(test_events, data.user_features, data.item_features)
+    cut = int(np.searchsorted(data.timestamp, _micros(boundary)))
+    train, test = (_events_in(data, rows) for rows in (slice(None, cut), slice(cut, None)))
     return TemporalSplit(train=train, test=test, boundary=boundary)
+
+
+def _events_in(data: Dataset, rows: slice) -> Dataset:
+    """Some of ``data``'s events, each universe narrowed to the ids they name."""
+    users, user = np.unique(data.user[rows], return_inverse=True)
+    items, item = np.unique(data.item[rows], return_inverse=True)
+    return Dataset(
+        user_ids=tuple(map(data.user_ids.__getitem__, users.tolist())),
+        item_ids=tuple(map(data.item_ids.__getitem__, items.tolist())),
+        user=user,
+        item=item,
+        sale=data.sale[rows],
+        quantity=data.quantity[rows],
+        timestamp=data.timestamp[rows],
+        user_features=data.user_features,
+        item_features=data.item_features,
+    )
 
 
 def take_rows(indptr: np.ndarray, rows: np.ndarray, *flats) -> tuple[np.ndarray, ...]:
@@ -609,12 +934,12 @@ def _pct(part: int, whole: int) -> float:
 def _side_stats(data: Dataset) -> dict:
     """One side's row of the descriptive tables. Unobserved = user-item
     cells minus sale and view event counts, the summary tables' arithmetic."""
-    cells = len(data.users) * len(data.items)
+    cells = len(data.user_ids) * len(data.item_ids)
     sales, views = data.n_sales, data.n_views
     unobserved = cells - sales - views
     return {
-        "users": len(data.users),
-        "products": len(data.items),
+        "users": len(data.user_ids),
+        "products": len(data.item_ids),
         "sales": sales,
         "sales_pct": _pct(sales, cells),
         "views": views,

@@ -323,9 +323,9 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         raise DataError("evaluation requires a split boundary timestamp")
     with _stage("temporal_split"):
         split = temporal_split(data, cfg.boundary)
-        if not split.train.events:
+        if not split.train.n_events:
             raise DataError("no training events before the boundary")
-        if not split.test.events:
+        if not split.test.n_events:
             raise DataError("no test events at or after the boundary")
     if "CB" in cfg.algorithms:
         check_forest_inputs(cfg, data, split.train)

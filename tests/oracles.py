@@ -4,14 +4,28 @@ These deliberately take the slow, obviously-correct route (enumeration,
 dense algebra) and never share code with the package under test.
 """
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from stylebench.als import ConfidenceMatrix, FactorModel
-from stylebench.data import FeatureTable, Kind, PopularityTable, Segment
+from stylebench.data import (
+    _RECORD_FIELDS,
+    Dataset,
+    FeatureColumn,
+    FeatureTable,
+    Kind,
+    PopularityTable,
+    Segment,
+    _event_from_record,
+    _numeric_cell,
+    _open_utf8,
+)
+from stylebench.errors import MalformedRecord
 from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.errors import TooFewUsers, ZeroPopularity
@@ -626,3 +640,86 @@ def loop_sample_pair_indices(n_users, n_pairs, seed):
                 if len(flats) == n_pairs:
                     break
     return [loop_pair_from_flat(t, n_users) for t in flats]
+
+
+# The per-record CSV loaders that ``data.load_events`` (interactions only)
+# and ``data.load_feature_table`` replaced with bulk column checks, kept as
+# references for their results and for the error each malformed file gets.
+
+
+def loop_load_events(path):
+    """A CSV interactions file as a Dataset, one record at a time through a
+    ``csv.DictReader``; sidecars are not read."""
+    path = Path(path)
+    events = []
+    with _open_utf8(path) as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []  # an empty file has zero events
+        missing = [f for f in _RECORD_FIELDS if header and f not in header]
+        if missing:
+            raise MalformedRecord(path, 1, f"header missing columns {missing}")
+        for name in header:
+            if header.count(name) > 1:
+                raise MalformedRecord(path, 1, f"column {name!r} appears twice")
+        for record in reader:
+            # the line the record ends on; blank lines and quoted
+            # newlines make it differ from the record count
+            line_no = reader.line_num
+            if None in record:  # DictReader files extra cells under None
+                raise MalformedRecord(
+                    path, line_no,
+                    f"expected {len(header)} cells, got {len(header) + len(record[None])}",
+                )
+            events.append(_event_from_record(record, path, line_no))
+    return Dataset.from_events(events)
+
+
+def loop_load_feature_table(path, id_field):
+    """A feature sidecar as a FeatureTable, one row and one cell at a time."""
+    path = Path(path)
+    with _open_utf8(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRecord(path, 1, "empty feature file") from None
+        if not header or header[0].split(":")[0] != id_field:
+            raise MalformedRecord(path, 1, f"first column must be {id_field!r}")
+        specs = []
+        for cell in header[1:]:
+            name, _, tag = cell.partition(":")
+            tag = tag.strip().lower()
+            if any(name == seen for seen, _ in specs):
+                raise MalformedRecord(path, 1, f"column {name!r} appears twice")
+            if tag in ("num", "numeric"):
+                specs.append((name, "numeric"))
+            elif tag in ("cat", "categorical"):
+                specs.append((name, "categorical"))
+            else:
+                raise MalformedRecord(
+                    path, 1, f"column {cell!r} lacks a :num/:cat type tag"
+                )
+        first_line = {}
+        raw_cols = [[] for _ in specs]
+        for row in reader:
+            if not row:
+                continue
+            line_no = reader.line_num
+            if len(row) != len(specs) + 1:
+                raise MalformedRecord(
+                    path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}"
+                )
+            if row[0] in first_line:
+                raise MalformedRecord(
+                    path, line_no, f"id {row[0]!r} repeats line {first_line[row[0]]}"
+                )
+            first_line[row[0]] = line_no
+            for j, ((name, kind), cell) in enumerate(zip(specs, row[1:])):
+                raw_cols[j].append(
+                    _numeric_cell(cell, name, path, line_no) if kind == "numeric" else cell
+                )
+    columns = {}
+    for (name, kind), raw in zip(specs, raw_cols):
+        dtype = np.float64 if kind == "numeric" else object
+        columns[name] = FeatureColumn(kind=kind, values=np.array(raw, dtype=dtype))
+    return FeatureTable(ids=tuple(first_line), columns=columns)

@@ -397,8 +397,8 @@ class TestFitAls:
 
     def test_observed_cell_beats_cold_item(self):
         # one user, one view; a second catalog item with no events stays at 0
-        data = Dataset(
-            events=(ev("u1", "iA", Kind.VIEW, 0),),
+        data = Dataset.from_events(
+            [ev("u1", "iA", Kind.VIEW, 0)],
             users=frozenset({"u1"}),
             items=frozenset({"iA", "iCold"}),
         )

@@ -66,8 +66,8 @@ def sides(draw, start_hour):
     )
     extra_users = draw(st.sets(st.sampled_from(USERS), max_size=3))
     extra_items = draw(st.sets(st.sampled_from(ITEMS), max_size=3))
-    return Dataset(
-        events=events,
+    return Dataset.from_events(
+        events,
         users=frozenset(e.user_id for e in events) | extra_users,
         items=frozenset(e.item_id for e in events) | extra_items,
     )
@@ -77,7 +77,7 @@ def views_only(data: Dataset) -> Dataset:
     events = tuple(
         InteractionEvent(e.user_id, e.item_id, Kind.VIEW, e.timestamp) for e in data.events
     )
-    return Dataset(events=events, users=data.users, items=data.items)
+    return Dataset.from_events(events, users=data.users, items=data.items)
 
 
 @st.composite

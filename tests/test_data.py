@@ -467,7 +467,7 @@ class TestStats:
             [ev("u0", "i0", Kind.SALE, 0)]
             + [ev("u1", f"i{n}", Kind.VIEW, n) for n in range(1, 5)]
         )
-        train = Dataset(events=train_events, users=users, items=items)
+        train = Dataset.from_events(train_events, users=users, items=items)
         test = Dataset.from_events([ev("u0", "i0", Kind.VIEW, 200)])
         split = TemporalSplit(train=train, test=test, boundary=T0 + timedelta(hours=100))
         d = dataset_stats(split, segment_users(split))

@@ -16,6 +16,7 @@ from stylebench.cli import EXIT_OK, dispatch
 ROOT = Path(__file__).resolve().parents[1]
 
 SPANS = (
+    "data.load", "data.split",
     "recommend.mp", "recommend.cf", "recommend.cb",
     "metrics.ndcg", "metrics.ad", "metrics.rp",
     "als.fit", "forest.fit", "cli.render",
@@ -47,3 +48,7 @@ def test_traced_evaluate_records_every_layer(tmp_path):
     for name in SPANS:
         assert seconds.get(name, 0.0) > 0.0, name
     assert recorded["counts"]["recommend.cb_pairs"] > 0
+    # one event per line after the header: the generator writes no blank
+    # lines or quoted newlines
+    lines = (tmp_path / "data" / "interactions.csv").read_text().splitlines()
+    assert recorded["counts"]["data.events"] == len(lines) - 1

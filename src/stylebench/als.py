@@ -115,66 +115,37 @@ _CHUNK_ROWS = 256  # rows per stacked solve; bounds its (rows, f, f) stacks
 
 
 class _RowGroup(NamedTuple):
-    """The rows of one side that have k observed cells.
-
-    The first ``n_systems`` rows are the lowest row of each distinct
-    (columns, scaled ratings) system, ascending; the rest repeat one of
-    those systems exactly.
-    """
+    """The rows of one side that have k observed cells, ascending."""
 
     rows: np.ndarray  # (n,)
     cols: np.ndarray  # (n, k) column indices
     scaled: np.ndarray  # (n, k) alpha * rating
-    n_systems: int
 
 
 class _RowPlan(NamedTuple):
-    """One side's rows grouped by length, built once per fit. Each row in
-    ``copy_to`` has the same system as its ``copy_from`` row."""
+    """One side's non-empty rows grouped by length, built once per fit."""
 
     n_rows: int
     groups: tuple[_RowGroup, ...]
-    copy_to: np.ndarray
-    copy_from: np.ndarray
 
 
 def _plan_rows(mat: sp.csr_matrix, alpha: float) -> _RowPlan:
-    """Group ``mat``'s non-empty rows by length and find repeated systems.
-
-    Within a length group, one stable ``np.lexsort`` over each row's
-    (columns, scaled rating bits) key puts equal systems next to each other,
-    lowest row first.
-    """
+    """Group ``mat``'s non-empty rows by length."""
     lengths = np.diff(mat.indptr)
     groups = []
-    copy_to, copy_from = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for k in np.unique(lengths[lengths > 0]):
         rows = np.flatnonzero(lengths == k)
         pos = mat.indptr[rows][:, None] + np.arange(k)
-        cols = mat.indices[pos]
         with np.errstate(over="ignore"):  # an inf fails in _solve_side, naming its row
             scaled = alpha * mat.data[pos]
-        key = np.hstack([cols.astype(np.int64), scaled.view(np.int64)])
-        order = np.lexsort(key.T)
-        key = key[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (key[1:] != key[:-1]).any(axis=1)
-        system = np.cumsum(first) - 1
-        copy_to.append(rows[order[~first]])
-        copy_from.append(rows[order[first]][system[~first]])
-        keep = np.concatenate([np.sort(order[first]), order[~first]])
-        groups.append(_RowGroup(rows[keep], cols[keep], scaled[keep], int(first.sum())))
-    return _RowPlan(
-        mat.shape[0], tuple(groups), np.concatenate(copy_to), np.concatenate(copy_from)
-    )
+        groups.append(_RowGroup(rows, mat.indices[pos], scaled))
+    return _RowPlan(mat.shape[0], tuple(groups))
 
 
-def _chunks(group: _RowGroup, n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, cols, scaled) of the group's first ``n`` rows, at most
-    ``_CHUNK_ROWS`` at a time."""
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        yield group.rows[start:stop], group.cols[start:stop], group.scaled[start:stop]
+def _chunks(group: _RowGroup) -> Iterator[_RowGroup]:
+    """The group's rows, at most ``_CHUNK_ROWS`` at a time."""
+    for start in range(0, len(group.rows), _CHUNK_ROWS):
+        yield _RowGroup(*(a[start : start + _CHUNK_ROWS] for a in group))
 
 
 def _solve_rows(
@@ -208,14 +179,15 @@ def _solve_side(plan: _RowPlan, other: np.ndarray, lam: float) -> np.ndarray:
 
     For each row with observed columns J, scaled ratings s = alpha r: solve
     (B + M^T diag(s) M) x = M^T (1 + s) with M = other[J] and
-    B = other^T other + lam I, computed and inverted once. Each distinct
-    system is solved once, stacked with the others of its length into one
-    chunk of ``_solve_rows``: a k x k solve against B^-1 for a row with
-    fewer cells k than factors f, else the f x f solve. So each row's
-    solution is bit-identical to solving that row alone, for any chunk and
-    BLAS thread count, and agrees with an f x f LU solve per row to about
-    1e-12 relative (row norm). Repeated systems get a copy of the
-    solution. A chunk whose solve raises or returns non-finite values is
+    B = other^T other + lam I, computed and inverted once. Every row is
+    solved, stacked with the others of its length into one chunk of
+    ``_solve_rows``: a k x k solve against B^-1 for a row with fewer cells
+    k than factors f, else the f x f solve. So each row's solution is
+    bit-identical to solving that row alone, for any chunk, and agrees
+    with an f x f LU solve per row to about 1e-12 relative (row norm). It
+    is the same for any BLAS thread count unless the row has thousands of
+    cells, which makes its f x f product a BLAS call large enough to run
+    threaded. A chunk whose solve raises or returns non-finite values is
     re-solved row by row, and ``SingularSystem`` names its lowest failing
     row.
     """
@@ -227,9 +199,8 @@ def _solve_side(plan: _RowPlan, other: np.ndarray, lam: float) -> np.ndarray:
     out = np.zeros((plan.n_rows, other.shape[1]), dtype=np.float64)
     with np.errstate(all="ignore"):  # non-finite solutions raise below
         for group in plan.groups:
-            for rows, cols, scaled in _chunks(group, group.n_systems):
+            for rows, cols, scaled in _chunks(group):
                 out[rows] = _checked_solve(rows, other[cols], scaled, a_base, b_inv, lam)
-    out[plan.copy_to] = out[plan.copy_from]
     return out
 
 
@@ -306,7 +277,7 @@ def _training_loss(x: np.ndarray, y: np.ndarray, plan: _RowPlan, lam: float) -> 
     gram_term = _exact_sum(x.T @ x * (y.T @ y))
     row_terms = [np.empty(0)]
     for group in plan.groups:
-        for rows, cols, scaled in _chunks(group, len(group.rows)):
+        for rows, cols, scaled in _chunks(group):
             s = (y[cols] @ x[rows][:, :, None])[:, :, 0]
             terms = (1.0 + scaled) * (1.0 - s) ** 2 - s * s
             if terms.shape[1] == 1:
@@ -328,7 +299,8 @@ def fit_als(m: ConfidenceMatrix, cfg: AlsConfig) -> FactorModel:
     (``_solve_side``) solves a row with fewer observed cells k than
     factors as a k x k Woodbury system against one shared inverse, and
     any other row as its f x f normal equations. The factors do not
-    depend on how rows are stacked or on the BLAS thread count.
+    depend on how rows are stacked, nor on the BLAS thread count unless a
+    row has thousands of cells.
     """
     n_users, n_items = m.shape
     rng = np.random.default_rng(cfg.seed)

@@ -207,7 +207,8 @@ def _out(value, is_dir: bool = True) -> Path:
 def _inputs(args, raw: dict) -> tuple[Path, Dataset, datetime]:
     """Data path, dataset and split boundary of a data command, given its
     config. The boundary is the ``--boundary`` flag, else the config's,
-    else the one the generator manifest next to the data file records."""
+    else the one the generator or split manifest next to the data file
+    records."""
     data_path = Path(_require(args.data or raw.get("data"), "--data"))
     data = load_events(data_path)
     if args.boundary:
@@ -219,7 +220,7 @@ def _inputs(args, raw: dict) -> tuple[Path, Dataset, datetime]:
     if not value:
         raise DataError(
             "no split boundary: pass --boundary, set it in the config, "
-            "or keep the generator manifest next to the data file"
+            "or keep the generator or split manifest next to the data file"
         )
     try:
         return data_path, data, parse_timestamp(typed_config_value("boundary", value, str))
@@ -291,8 +292,17 @@ def _cmd_split(args) -> int:
     _, data, boundary = _inputs(args, raw)
     out_dir.mkdir(parents=True, exist_ok=True)
     split = temporal_split(data, boundary)
-    write_events(split.train, out_dir / "train.csv")
-    write_events(split.test, out_dir / "test.csv")
+    train_path, test_path = out_dir / "train.csv", out_dir / "test.csv"
+    write_events(split.train, train_path)
+    write_events(split.test, test_path)
+    _write_manifest(
+        out_dir,
+        {
+            "command": "split",
+            "boundary": format_timestamp(boundary),
+            "files": {**_input_digests(train_path), **_input_digests(test_path)},
+        },
+    )
     print(
         f"train: {split.train.n_events} events, "
         f"test: {split.test.n_events} events"

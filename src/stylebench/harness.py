@@ -361,28 +361,26 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             data.user_features, data.item_features,
         ),
     }
-    # per strategy: its covered users' top-k item ids as one (covered x m)
-    # matrix and their NDCG (NaN where undefined), both filled block by
-    # block, and each test row's row in them, -1 for a user not covered
-    at: dict[str, np.ndarray] = {}
-    top_items: dict[str, np.ndarray] = {}
+    # per strategy, over the test rows: which users it covers, their top-k
+    # candidate positions and their NDCG (NaN where undefined or not
+    # covered), each written at the block's rows
+    covered: dict[str, np.ndarray] = {}
+    top_pos: dict[str, np.ndarray] = {}
     ndcg: dict[str, np.ndarray] = {}
     item_ids = np.asarray(candidates)
     m = min(k, len(candidates))
     for algo in cfg.algorithms:
         with _stage(f"recommend_{algo.lower()}"):
-            at[algo] = np.full(len(test_users), -1)
-            tops, values = [np.empty((0, m), dtype=np.int64)], [np.empty(0)]
+            covered[algo] = np.zeros(len(test_users), dtype=bool)
+            top_pos[algo] = np.zeros((len(test_users), m), dtype=np.int64)
+            ndcg[algo] = np.full(len(test_users), np.nan)
             for rows, top, ranked_by in rank_users(scorers[algo](), k, masks):
-                # covered users are numbered in the order their blocks come
-                at[algo][rows] = np.arange(len(rows)) + at[algo].max() + 1
-                values.append(tie_aware_ndcg_arrays(
-                    ranked_by, top, *take_rows(indptr, rows, positions, grades)
-                ))
+                covered[algo][rows] = True
                 # a shared row's one top-k row stands for each of its users
-                tops.append(np.broadcast_to(top, (len(rows), m)))
-            top_items[algo] = item_ids[np.concatenate(tops)]
-            ndcg[algo] = np.concatenate(values)
+                top_pos[algo][rows] = top
+                ndcg[algo][rows] = tie_aware_ndcg_arrays(
+                    ranked_by, top, *take_rows(indptr, rows, positions, grades)
+                )
 
     # after the fits, so its temporaries reuse memory they have freed
     baselines = random_baseline_ndcg(indptr, grades, len(candidates), k)
@@ -405,15 +403,14 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
                 for metric in METRICS:
                     cells[metric][row][algo] = None
                 continue
-            # ascending test rows: the members in user-id order
-            members = in_row[row] & (at[algo] >= 0)
-            rows = at[algo][members]
-            cells["ndcg"][row][algo] = _ndcg_cell(ndcg[algo][rows], baselines[members])
-            top = top_items[algo][rows]
+            # a mask over the test rows: the members in user-id order
+            members = in_row[row] & covered[algo]
+            cells["ndcg"][row][algo] = _ndcg_cell(ndcg[algo][members], baselines[members])
+            top = item_ids[top_pos[algo][members]]
             cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, top, k)
             cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, top, pop, k)
 
-    check_report(cells, k, at, ndcg, in_row)
+    check_report(cells, k, covered, ndcg, in_row)
 
     # threads is an execution detail; keeping it out of the echo keeps
     # report.json byte-identical across --threads settings
@@ -423,8 +420,8 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         "dataset": stats,
         "coverage": {
             algo: {
-                "covered": len(ndcg[algo]),
-                "uncovered": len(test_users) - len(ndcg[algo]),
+                "covered": int(np.count_nonzero(covered[algo])),
+                "uncovered": int(np.count_nonzero(~covered[algo])),
             }
             for algo in cfg.algorithms
         },
@@ -445,7 +442,7 @@ METRIC_FIELDS = {"ndcg": ("value",), "ad": ("point", "ci_low", "ci_high"),
 
 
 def check_report(
-    cells: dict, k: int, at: dict[str, np.ndarray], ndcg: dict[str, np.ndarray],
+    cells: dict, k: int, covered: dict[str, np.ndarray], ndcg: dict[str, np.ndarray],
     in_row: dict[str, np.ndarray],
 ) -> None:
     """Raise InvalidReport naming the first cell or strategy that breaks
@@ -458,9 +455,10 @@ def check_report(
       than two (AD) or no (RP) covered users;
     - CB covers every test user and CF exactly the users who are not new.
 
-    ``at``, ``ndcg`` and ``in_row`` are run_evaluation's: each strategy's
-    row per test user (-1 where not covered), its NDCG per covered user,
-    and each report row's members. The cost is O(cells + test users)."""
+    ``covered``, ``ndcg`` and ``in_row`` are run_evaluation's masks and
+    arrays over the test rows: the users each strategy covers, its NDCG
+    per user (NaN where undefined or not covered), and each report row's
+    members. The cost is O(cells + test users)."""
     bounds = {"ndcg": (0.0, 1.0), "ad": (0.0, 2.0 * k), "rp": (0.0, math.inf)}
     for metric, fields in METRIC_FIELDS.items():
         lo, hi = bounds[metric]
@@ -471,11 +469,12 @@ def check_report(
                     if cell is not None:
                         raise InvalidReport(f"{where} is not null, but CF cannot cover new users")
                 elif cell is None:
-                    members = at[algo][in_row[row] & (at[algo] >= 0)]
+                    members = in_row[row] & covered[algo]
+                    n_members = np.count_nonzero(members)
                     graded = {
                         "ndcg": np.count_nonzero(~np.isnan(ndcg[algo][members])),
-                        "ad": len(members) - 1,
-                        "rp": len(members),
+                        "ad": n_members - 1,
+                        "rp": n_members,
                     }
                     if graded[metric] > 0:
                         raise InvalidReport(f"{where} is null, but its users can be graded")
@@ -485,9 +484,9 @@ def check_report(
                             raise InvalidReport(
                                 f"{where}: {name} = {cell[name]!r} is outside [{lo}, {hi}]"
                             )
-    if "CB" in at and (at["CB"] < 0).any():
-        raise InvalidReport(f"CB leaves {np.count_nonzero(at['CB'] < 0)} test users uncovered")
-    if "CF" in at and not np.array_equal(at["CF"] < 0, in_row[Segment.NEW.value]):
+    if "CB" in covered and not covered["CB"].all():
+        raise InvalidReport(f"CB leaves {np.count_nonzero(~covered['CB'])} test users uncovered")
+    if "CF" in covered and not np.array_equal(~covered["CF"], in_row[Segment.NEW.value]):
         raise InvalidReport("CF's uncovered test users are not the new users")
 
 

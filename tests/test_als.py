@@ -277,9 +277,10 @@ class TestStackedSolves:
                         fit_als(cm, cfg)
 
     def test_singular_system_shared_by_two_rows_names_the_lower(self, monkeypatch):
-        # rows 1 and 3 have one system (column 0, rating 5), solved once at
-        # row 1; solved row by row in chunks of 2, they would fall apart.
-        # 3 factors give k x k solves, 1 factor f x f ones
+        # rows 1 and 3 have one system (column 0, rating 5); both rows are
+        # solved, each in its own chunk of 2, and row 1's chunk comes first,
+        # so the lower row is still the one named. 3 factors give k x k
+        # solves, 1 factor f x f ones
         mat = sp.csr_matrix(([1.0, 5.0, 1.0, 5.0], [0, 0, 1, 0], [0, 1, 2, 3, 4]), shape=(4, 2))
         alpha, lam = 40.0, 0.1
         monkeypatch.setattr(als, "_CHUNK_ROWS", 2)

@@ -112,6 +112,27 @@ class TestSplit:
         full = load_events(data_path)
         assert len(train.events) + len(test.events) == len(full.events)
 
+    def test_manifest_supplies_boundary(self, workspace, tmp_path, capsys):
+        # stats on the split's train file, with no --boundary, prints the
+        # full log's train line: the split manifest records the boundary
+        _, config, data_path = workspace
+        out = tmp_path / "split"
+        assert dispatch([
+            "split", "--config", str(config), "--data", str(data_path), "--out", str(out),
+        ]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        recorded = json.loads((data_path.parent / "manifest.json").read_text())["boundary"]
+        assert manifest["command"] == "split"
+        assert manifest["boundary"] == recorded
+        assert manifest["files"] == {
+            path.name: digest(path) for path in sorted(out.iterdir()) if path.suffix == ".csv"
+        }
+        capsys.readouterr()
+        assert dispatch(["stats", "--config", str(config), "--data", str(data_path)]) == EXIT_OK
+        full = capsys.readouterr().out.splitlines()
+        assert dispatch(["stats", "--config", str(config), "--data", str(out / "train.csv")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:2] == full[:2]
+
 
 class TestTrain:
     def test_als_model_round_trips(self, workspace, tmp_path):

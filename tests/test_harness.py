@@ -292,23 +292,23 @@ class TestReportPostConditions:
         # a row with no members may be null (tiny data can leave a segment
         # empty); one with a gradable member may not
         cells = {m: {row: {"CB": None} for row in harness.SEGMENT_ROWS} for m in harness.METRICS}
-        at = {"CB": np.array([0, 1])}
+        covered = {"CB": np.array([True, True])}
         in_row = {row: np.zeros(2, dtype=bool) for row in harness.SEGMENT_ROWS}
-        check_report(cells, 10, at, {"CB": np.zeros(2)}, in_row)
+        check_report(cells, 10, covered, {"CB": np.zeros(2)}, in_row)
         in_row["sale_users"] = np.array([True, False])
         with pytest.raises(InvalidReport, match="report cell ndcg/sale_users/CB is null"):
-            check_report(cells, 10, at, {"CB": np.zeros(2)}, in_row)
+            check_report(cells, 10, covered, {"CB": np.zeros(2)}, in_row)
 
     def test_coverage(self):
         cells = {m: {row: {} for row in harness.SEGMENT_ROWS} for m in harness.METRICS}
         in_row = {row: np.ones(3, dtype=bool) for row in harness.SEGMENT_ROWS}
         in_row["new_users"] = np.array([False, True, False])
-        ok = {"CB": np.array([0, 1, 2]), "CF": np.array([0, -1, 1])}
+        ok = {"CB": np.array([True, True, True]), "CF": np.array([True, False, True])}
         check_report(cells, 10, ok, {}, in_row)
         with pytest.raises(InvalidReport, match="CB leaves 1 test users uncovered"):
-            check_report(cells, 10, {**ok, "CB": np.array([0, -1, 1])}, {}, in_row)
+            check_report(cells, 10, {**ok, "CB": np.array([True, False, True])}, {}, in_row)
         with pytest.raises(InvalidReport, match="CF's uncovered test users are not the new users"):
-            check_report(cells, 10, {**ok, "CF": np.array([0, 1, -1])}, {}, in_row)
+            check_report(cells, 10, {**ok, "CF": np.array([True, True, False])}, {}, in_row)
 
 
 class TestRendering:

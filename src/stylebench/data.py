@@ -278,24 +278,18 @@ class Dataset:
         user_id, item_id, kind, timestamp, quantity = (
             list(map(attrgetter(name), events)) for name in _RECORD_FIELDS
         )
-        stamps = np.array(list(map(_micros, timestamp)), np.int64)
-        order = np.argsort(stamps, kind="stable")
         sides = []
         for ids, declared in ((user_id, users), (item_id, items)):
             universe = tuple(sorted(set(ids if declared is None else declared)))
             codes = id_rows(universe, ids)
             if np.any(codes == len(universe)):
                 raise ValueError("an event names an id outside its declared universe")
-            sides.append((universe, codes[order]))
-        (user_ids, user), (item_ids, item) = sides
-        return cls(
-            user_ids=user_ids,
-            item_ids=item_ids,
-            user=user,
-            item=item,
-            sale=np.array([k is Kind.SALE for k in kind], bool)[order],
-            quantity=np.array(quantity, np.int64)[order],
-            timestamp=stamps[order],
+            sides.append((universe, codes))
+        return _time_ordered(
+            *sides,
+            sale=np.array([k is Kind.SALE for k in kind], bool),
+            quantity=np.array(quantity, np.int64),
+            timestamp=np.array(list(map(_micros, timestamp)), np.int64),
             user_features=user_features,
             item_features=item_features,
         )
@@ -500,6 +494,34 @@ def _joined_rows(parts: Sequence[tuple[tuple[str, ...], np.ndarray]]) -> tuple:
     return universe, np.concatenate(rows)
 
 
+def _time_ordered(
+    users: tuple[tuple[str, ...], np.ndarray],
+    items: tuple[tuple[str, ...], np.ndarray],
+    sale: np.ndarray,
+    quantity: np.ndarray,
+    timestamp: np.ndarray,
+    user_features: FeatureTable | None = None,
+    item_features: FeatureTable | None = None,
+) -> Dataset:
+    """Events given in any order, as each side's universe and every event's
+    position in it (a ``_distinct_rows`` result, say) plus sale, quantity
+    and timestamp columns, as a Dataset in time order: a stable sort, so
+    same-instant events keep the order they were given in."""
+    order = np.argsort(timestamp, kind="stable")
+    (user_ids, user), (item_ids, item) = users, items
+    return Dataset(
+        user_ids=user_ids,
+        item_ids=item_ids,
+        user=user[order],
+        item=item[order],
+        sale=sale[order],
+        quantity=quantity[order],
+        timestamp=timestamp[order],
+        user_features=user_features,
+        item_features=item_features,
+    )
+
+
 _CHUNK_ROWS = 4096  # CSV rows held, checked and coded at a time
 
 
@@ -601,18 +623,8 @@ def _load_csv_events(path: Path) -> Dataset:
     if not parts:
         return Dataset.from_events(())
     users, items, sale, quantity, timestamp = zip(*parts)
-    (user_ids, user), (item_ids, item) = _joined_rows(users), _joined_rows(items)
-    sale, quantity, timestamp = map(np.concatenate, (sale, quantity, timestamp))
-    order = np.argsort(timestamp, kind="stable")
-    return Dataset(
-        user_ids=user_ids,
-        item_ids=item_ids,
-        user=user[order],
-        item=item[order],
-        sale=sale[order],
-        quantity=quantity[order],
-        timestamp=timestamp[order],
-    )
+    return _time_ordered(_joined_rows(users), _joined_rows(items),
+                         *map(np.concatenate, (sale, quantity, timestamp)))
 
 
 def load_feature_table(path: str | Path, id_field: str) -> FeatureTable:

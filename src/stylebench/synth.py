@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .data import Dataset, FeatureColumn, FeatureTable, InteractionEvent, Kind
+from .data import Dataset, FeatureColumn, FeatureTable, _distinct_rows, _micros, _time_ordered
 from .errors import InfeasibleTargets
 
 WINDOW_START = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -60,6 +60,8 @@ class SynthConfig:
             raise ValueError("popularity_skew must be non-negative")
         if not 0.0 < self.target_sparsity < 1.0:
             raise ValueError("target_sparsity must be in (0, 1)")
+        if not all(share >= 0 for share in self.segment_targets):
+            raise ValueError("segment_targets must be non-negative")
         if abs(sum(self.segment_targets) - 1.0) > 1e-9:
             raise ValueError("segment_targets must sum to 1")
         if self.latent_dim < 1:
@@ -96,11 +98,16 @@ def _quantile_levels(values: np.ndarray, levels: tuple[str, ...]) -> np.ndarray:
     return np.array([levels[c] for c in codes], dtype=object)
 
 
+def _latent(latents: np.ndarray, j: int) -> np.ndarray:
+    """Latent dimension ``j``, wrapping round when there are fewer."""
+    return latents[:, j % latents.shape[1]]
+
+
 def _user_feature_table(ids, latents, rng) -> FeatureTable:
     noise = rng.standard_normal(size=(len(ids), 3)) * _FEATURE_NOISE
-    age = np.clip(38.0 + 9.0 * (latents[:, 0] + noise[:, 0]), 18.0, 80.0)
-    bmi = np.clip(24.5 + 3.5 * (latents[:, 1] + noise[:, 1]), 15.0, 45.0)
-    brand_pref = _quantile_levels(latents[:, 2] + noise[:, 2], _BRANDS)
+    age = np.clip(38.0 + 9.0 * (_latent(latents, 0) + noise[:, 0]), 18.0, 80.0)
+    bmi = np.clip(24.5 + 3.5 * (_latent(latents, 1) + noise[:, 1]), 15.0, 45.0)
+    brand_pref = _quantile_levels(_latent(latents, 2) + noise[:, 2], _BRANDS)
     return FeatureTable(
         ids=tuple(ids),
         columns={
@@ -115,10 +122,10 @@ def _user_feature_table(ids, latents, rng) -> FeatureTable:
 
 def _item_feature_table(ids, latents, rng) -> FeatureTable:
     noise = rng.standard_normal(size=(len(ids), 4)) * _FEATURE_NOISE
-    price = np.maximum(9.99, 75.0 + 28.0 * (latents[:, 0] + noise[:, 0]))
-    shape = _quantile_levels(latents[:, 1] + noise[:, 1], _SHAPES)
-    sleeve = _quantile_levels(latents[:, 2] + noise[:, 2], _SLEEVES)
-    brand = _quantile_levels(latents[:, 3 % latents.shape[1]] + noise[:, 3], _BRANDS)
+    price = np.maximum(9.99, 75.0 + 28.0 * (_latent(latents, 0) + noise[:, 0]))
+    shape = _quantile_levels(_latent(latents, 1) + noise[:, 1], _SHAPES)
+    sleeve = _quantile_levels(_latent(latents, 2) + noise[:, 2], _SLEEVES)
+    brand = _quantile_levels(_latent(latents, 3) + noise[:, 3], _BRANDS)
     return FeatureTable(
         ids=tuple(ids),
         columns={
@@ -136,9 +143,8 @@ def _item_feature_table(ids, latents, rng) -> FeatureTable:
     )
 
 
-def _uniform_instant(rng, lo: datetime, hi: datetime) -> datetime:
-    span = int((hi - lo).total_seconds())
-    return lo + timedelta(seconds=int(rng.integers(0, span)))
+_SECOND = 1_000_000  # microseconds
+_DAY = 86_400 * _SECOND
 
 
 def generate_dataset(cfg: SynthConfig) -> Dataset:
@@ -194,62 +200,68 @@ def generate_dataset(cfg: SynthConfig) -> Dataset:
             roles[int(u)] = role
         cursor += count
 
-    affinity_all = (user_latents @ item_latents.T) / np.sqrt(cfg.latent_dim)
-    buy_prob_all = _BASE_BUY_RATE / (1.0 + np.exp(-affinity_all))
+    # One gemm over all users, kept whole: a one-row product may round
+    # differently from the same row of the full product, which would move
+    # the draws.
+    scores = user_latents @ item_latents.T
+    scale = np.sqrt(cfg.latent_dim)
+    # (user, item, sale, timestamp in microseconds, quantity), in draw order
+    events: list[tuple[int, int, bool, int, int]] = []
 
-    events: list[InteractionEvent] = []
+    def draw(cdf: np.ndarray, n: int | None = None):
+        """``rng.choice(len(cdf), n, p=p)`` for the cdf of ``p``: the same
+        uniforms, turned into items the same way."""
+        return cdf.searchsorted(rng.random(n), side="right")
 
-    def item_weights(u: int) -> np.ndarray:
-        weights = base_pop * np.exp(_AFFINITY_WEIGHT * affinity_all[u])
-        return weights / weights.sum()
+    def instant(lo: int, hi: int) -> int:
+        return lo + int(rng.integers(0, (hi - lo) // _SECOND)) * _SECOND
 
-    def emit_views(u: int, n: int, lo: datetime, hi: datetime, can_buy: bool) -> bool:
+    def emit_views(u: int, affinity: np.ndarray, cdf: np.ndarray, n: int,
+                   lo: int, hi: int, can_buy: bool) -> bool:
         """Append n affinity-weighted views (plus converted sales); returns
         whether any sale was emitted."""
-        weights = item_weights(u)
-        chosen = rng.choice(cfg.n_items, size=n, replace=True, p=weights)
+        chosen = draw(cdf, n)
+        buy_prob = _BASE_BUY_RATE / (1.0 + np.exp(-affinity[chosen]))
         bought_any = False
-        for i in chosen:
-            i = int(i)
-            ts = _uniform_instant(rng, lo, hi)
-            events.append(
-                InteractionEvent(user_ids[u], item_ids[i], Kind.VIEW, ts, 1)
-            )
-            if can_buy and rng.random() < buy_prob_all[u, i]:
-                sale_ts = min(ts + timedelta(days=int(rng.integers(0, 3)) + 1),
-                              hi - timedelta(seconds=1))
-                qty = 1 + int(rng.poisson(0.15))
-                events.append(
-                    InteractionEvent(user_ids[u], item_ids[i], Kind.SALE,
-                                     max(sale_ts, lo), qty)
-                )
+        for i, p_buy in zip(chosen.tolist(), buy_prob.tolist()):
+            ts = instant(lo, hi)
+            events.append((u, i, False, ts, 1))
+            if can_buy and rng.random() < p_buy:
+                sale_ts = min(ts + (int(rng.integers(0, 3)) + 1) * _DAY, hi - _SECOND)
+                events.append((u, i, True, max(sale_ts, lo), 1 + int(rng.poisson(0.15))))
                 bought_any = True
         if can_buy and rng.random() < _DIRECT_SALE_RATE:
-            i = int(rng.choice(cfg.n_items, p=weights))
-            ts = _uniform_instant(rng, lo, hi)
-            events.append(
-                InteractionEvent(user_ids[u], item_ids[i], Kind.SALE, ts,
-                                 1 + int(rng.poisson(0.15)))
-            )
+            i = int(draw(cdf))
+            events.append((u, i, True, instant(lo, hi), 1 + int(rng.poisson(0.15))))
             bought_any = True
         return bought_any
 
-    boundary, end = cfg.boundary, cfg.window_end
+    start, boundary, end = map(_micros, (WINDOW_START, cfg.boundary, cfg.window_end))
     for u in sorted(roles):
         role = roles[u]
+        affinity = scores[u] / scale
+        weights = base_pop * np.exp(_AFFINITY_WEIGHT * affinity)
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
         if role in ("view", "sale", "train_only"):
             n_train_views = 1 + int(rng.poisson(_MEAN_TRAIN_VIEWS))
-            bought = emit_views(u, n_train_views, WINDOW_START, boundary,
+            bought = emit_views(u, affinity, cdf, n_train_views, start, boundary,
                                 can_buy=role in ("sale", "train_only"))
             if role == "sale" and not bought:
                 # force the guaranteed prior purchase
-                i = int(rng.choice(cfg.n_items, p=item_weights(u)))
-                ts = _uniform_instant(rng, WINDOW_START, boundary)
-                events.append(
-                    InteractionEvent(user_ids[u], item_ids[i], Kind.SALE, ts, 1)
-                )
+                i = int(draw(cdf))
+                events.append((u, i, True, instant(start, boundary), 1))
         if role in ("new", "view", "sale"):
             n_test_views = 1 + int(rng.poisson(_MEAN_TEST_VIEWS))
-            emit_views(u, n_test_views, boundary, end, can_buy=True)
+            emit_views(u, affinity, cdf, n_test_views, boundary, end, can_buy=True)
 
-    return Dataset.from_events(events, user_features, item_features)
+    user, item, sale, timestamp, quantity = zip(*events)
+    return _time_ordered(
+        _distinct_rows([user_ids[u] for u in user]),
+        _distinct_rows([item_ids[i] for i in item]),
+        sale=np.array(sale, bool),
+        quantity=np.array(quantity, np.int64),
+        timestamp=np.array(timestamp, np.int64),
+        user_features=user_features,
+        item_features=item_features,
+    )

@@ -7,6 +7,7 @@ dense algebra) and never share code with the package under test.
 import csv
 import itertools
 import math
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from stylebench.data import (
     Dataset,
     FeatureColumn,
     FeatureTable,
+    InteractionEvent,
     Kind,
     PopularityTable,
     Segment,
@@ -25,7 +27,8 @@ from stylebench.data import (
     _numeric_cell,
     _open_utf8,
 )
-from stylebench.errors import MalformedRecord
+from stylebench import synth
+from stylebench.errors import InfeasibleTargets, MalformedRecord
 from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
 from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
 from stylebench.errors import TooFewUsers, ZeroPopularity
@@ -723,3 +726,103 @@ def loop_load_feature_table(path, id_field):
         dtype = np.float64 if kind == "numeric" else object
         columns[name] = FeatureColumn(kind=kind, values=np.array(raw, dtype=dtype))
     return FeatureTable(ids=tuple(first_line), columns=columns)
+
+
+# The per-event generator that ``synth.generate_dataset`` replaced: a dense
+# users x items buy-probability matrix, ``Generator.choice`` per draw and one
+# ``InteractionEvent`` per event through ``Dataset.from_events``. It makes
+# the same RNG calls in the same order, so it gives the same Dataset. Only
+# the draw loop is its own: it takes the feature tables, the feasibility
+# check and the shape constants from ``synth``.
+
+
+def event_loop_generate_dataset(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    user_ids = [f"u{n:05d}" for n in range(cfg.n_users)]
+    item_ids = [f"i{n:04d}" for n in range(cfg.n_items)]
+
+    user_latents = rng.standard_normal(size=(cfg.n_users, cfg.latent_dim))
+    item_latents = rng.standard_normal(size=(cfg.n_items, cfg.latent_dim))
+    norms = np.linalg.norm(item_latents, axis=1, keepdims=True)
+    item_latents = item_latents / norms * np.sqrt(cfg.latent_dim)
+    user_features = synth._user_feature_table(user_ids, user_latents, rng)
+    item_features = synth._item_feature_table(item_ids, item_latents, rng)
+
+    ranks = rng.permutation(cfg.n_items) + 1
+    base_pop = ranks.astype(np.float64) ** -cfg.popularity_skew
+    base_pop /= base_pop.sum()
+
+    n_test = round(synth._TEST_USER_FRACTION * cfg.n_users)
+    p_new, p_view, _ = cfg.segment_targets
+    n_new = round(p_new * n_test)
+    n_view = round(p_view * n_test)
+    n_sale = n_test - n_new - n_view
+    n_train_only = round(synth._TRAIN_ONLY_RATIO * (n_view + n_sale))
+    if n_test + n_train_only > cfg.n_users:
+        raise InfeasibleTargets(
+            f"{n_test} test users plus {n_train_only} train-only users exceed "
+            f"the pool of {cfg.n_users}"
+        )
+    synth._check_feasible(cfg, n_view + n_sale + n_train_only)
+
+    shuffled = rng.permutation(cfg.n_users)
+    roles = {}
+    cursor = 0
+    for role, count in (("new", n_new), ("view", n_view), ("sale", n_sale),
+                        ("train_only", n_train_only)):
+        for u in shuffled[cursor : cursor + count]:
+            roles[int(u)] = role
+        cursor += count
+
+    affinity_all = (user_latents @ item_latents.T) / np.sqrt(cfg.latent_dim)
+    buy_prob_all = synth._BASE_BUY_RATE / (1.0 + np.exp(-affinity_all))
+
+    events = []
+
+    def item_weights(u):
+        weights = base_pop * np.exp(synth._AFFINITY_WEIGHT * affinity_all[u])
+        return weights / weights.sum()
+
+    def uniform_instant(lo, hi):
+        span = int((hi - lo).total_seconds())
+        return lo + timedelta(seconds=int(rng.integers(0, span)))
+
+    def emit_views(u, n, lo, hi, can_buy):
+        weights = item_weights(u)
+        chosen = rng.choice(cfg.n_items, size=n, replace=True, p=weights)
+        bought_any = False
+        for i in chosen:
+            i = int(i)
+            ts = uniform_instant(lo, hi)
+            events.append(InteractionEvent(user_ids[u], item_ids[i], Kind.VIEW, ts, 1))
+            if can_buy and rng.random() < buy_prob_all[u, i]:
+                sale_ts = min(ts + timedelta(days=int(rng.integers(0, 3)) + 1),
+                              hi - timedelta(seconds=1))
+                qty = 1 + int(rng.poisson(0.15))
+                events.append(InteractionEvent(user_ids[u], item_ids[i], Kind.SALE,
+                                               max(sale_ts, lo), qty))
+                bought_any = True
+        if can_buy and rng.random() < synth._DIRECT_SALE_RATE:
+            i = int(rng.choice(cfg.n_items, p=weights))
+            ts = uniform_instant(lo, hi)
+            events.append(InteractionEvent(user_ids[u], item_ids[i], Kind.SALE, ts,
+                                           1 + int(rng.poisson(0.15))))
+            bought_any = True
+        return bought_any
+
+    boundary, end = cfg.boundary, cfg.window_end
+    for u in sorted(roles):
+        role = roles[u]
+        if role in ("view", "sale", "train_only"):
+            n_train_views = 1 + int(rng.poisson(synth._MEAN_TRAIN_VIEWS))
+            bought = emit_views(u, n_train_views, synth.WINDOW_START, boundary,
+                                can_buy=role in ("sale", "train_only"))
+            if role == "sale" and not bought:
+                i = int(rng.choice(cfg.n_items, p=item_weights(u)))
+                ts = uniform_instant(synth.WINDOW_START, boundary)
+                events.append(InteractionEvent(user_ids[u], item_ids[i], Kind.SALE, ts, 1))
+        if role in ("new", "view", "sale"):
+            n_test_views = 1 + int(rng.poisson(synth._MEAN_TEST_VIEWS))
+            emit_views(u, n_test_views, boundary, end, can_buy=True)
+
+    return Dataset.from_events(events, user_features, item_features)

@@ -502,6 +502,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(paths[what]) in err and "Traceback" not in err
 
+    def test_negative_segment_target_is_data_error(self, tmp_path, capsys):
+        # the three targets sum to 1, but a negative count made the role
+        # slices overlap: the log came out 30% new, 0% view and 70% sale users
+        config = tmp_path / "negative.json"
+        config.write_text(json.dumps({
+            "synth_users": 400, "synth_items": 60, "synth_sparsity": 0.85,
+            "synth_segment_new": 0.5, "synth_segment_view": -0.2, "synth_segment_sale": 0.7,
+        }))
+        rc = dispatch(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert "segment_targets must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_report_directory_is_data_error(self, tmp_path, capsys):
         rc = dispatch(["report", "--report", str(tmp_path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA

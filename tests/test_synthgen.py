@@ -1,7 +1,15 @@
-"""Synthetic generator: determinism, shape targets, skew behavior."""
+"""Synthetic generator: determinism, shape targets, skew behavior, and
+equality with the per-event generator it replaced."""
 
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import event_loop_generate_dataset
 from stylebench.data import (
     Kind,
     Segment,
@@ -9,6 +17,7 @@ from stylebench.data import (
     popularity_table,
     segment_users,
     temporal_split,
+    write_events,
 )
 from stylebench.errors import InfeasibleTargets
 from stylebench.harness import short_head_curve
@@ -126,3 +135,97 @@ class TestInfeasibleTargets:
     def test_segment_proportions_validated(self):
         with pytest.raises(ValueError):
             SynthConfig(segment_targets=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("targets", [(0.5, -0.2, 0.7), (1.1, 0.0, -0.1), (-0.0001, 0.5, 0.5001)])
+    def test_negative_segment_target_rejected(self, targets):
+        assert sum(targets) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            SynthConfig(segment_targets=targets)
+
+
+@pytest.mark.parametrize("latent_dim", [1, 2])
+def test_fewer_latent_dims_than_features(latent_dim):
+    # the feature tables read latent dimensions 0-3, wrapping round
+    data = generate_dataset(small_cfg(latent_dim=latent_dim))
+    assert data.n_events > 0
+    assert len(data.item_features.ids) == 80
+
+
+@st.composite
+def synth_configs(draw):
+    months = draw(st.integers(2, 14))
+    low, high = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
+    return SynthConfig(
+        n_users=draw(st.integers(10, 300)),
+        n_items=draw(st.integers(2, 80)),
+        months=months,
+        boundary_month=draw(st.integers(1, months - 1)),
+        popularity_skew=draw(st.floats(0, 2)),
+        target_sparsity=draw(st.floats(0.3, 0.99)),
+        segment_targets=(low, high - low, 1 - high),
+        latent_dim=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _generated(generate, cfg, out: Path):
+    """The Dataset and the bytes ``write_events`` writes for it, or the
+    message of the InfeasibleTargets the config gets."""
+    try:
+        data = generate(cfg)
+    except InfeasibleTargets as exc:
+        return str(exc)
+    write_events(data, out / "interactions.csv")
+    return data, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=synth_configs())
+def test_generator_matches_event_loop_oracle(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new"), Path(tmp, "old")
+        new.mkdir()
+        old.mkdir()
+        assert _generated(generate_dataset, cfg, new) == _generated(
+            event_loop_generate_dataset, cfg, old
+        )
+
+
+class TestNumpyEquivalences:
+    """The generator draws items and buy probabilities through two numpy
+    identities instead of ``Generator.choice`` and a dense probability
+    matrix; a numpy that breaks either fails here by name."""
+
+    @staticmethod
+    def item_probabilities(seed: int, n_items: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        base = (rng.permutation(n_items) + 1.0) ** -1.2
+        weights = base / base.sum() * np.exp(1.2 * rng.standard_normal(n_items))
+        return weights / weights.sum()
+
+    @pytest.mark.parametrize("size", [None, 1, 2, 7, 64])
+    def test_cdf_searchsorted_is_generator_choice(self, size):
+        for seed in range(20):
+            p = self.item_probabilities(seed, 2 + 97 * seed)
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                drawn = cdf.searchsorted(ours.random(size), side="right")
+                chosen = numpys.choice(len(p), size=size, p=p)
+                assert np.shape(drawn) == np.shape(chosen)
+                assert np.array_equal(drawn, chosen)
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_exp_of_gathered_entries_is_exp_of_whole_row(self):
+        rng = np.random.default_rng(11)
+        affinity = rng.standard_normal((40, 2003)) * 2.5
+        whole = np.exp(-affinity)
+        for u in range(len(affinity)):
+            row = affinity[u]
+            full_row = np.exp(-row)
+            for n in (1, 2, 3, 5, 8, 13, 17, 33):
+                chosen = rng.integers(0, row.size, n)
+                gathered = np.exp(-row[chosen])
+                assert np.array_equal(gathered, full_row[chosen])
+                assert np.array_equal(gathered, whole[u, chosen])

@@ -157,6 +157,8 @@ def _report_formats(text: str) -> list[str]:
     unknown = set(formats) - set(REPORT_FORMATS)
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown report formats {sorted(unknown)}")
+    if not formats:
+        raise argparse.ArgumentTypeError("no report format given")
     return formats
 
 

@@ -403,6 +403,9 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
     missing = [f for f in _RECORD_FIELDS if f not in record or record[f] in (None, "")]
     if missing:
         raise MalformedRecord(path, line_no, f"missing fields {missing}")
+    for field in ("user_id", "item_id"):
+        if not _utf8_text(str(record[field])):
+            raise MalformedRecord(path, line_no, f"{field} {record[field]!r} holds a lone surrogate")
     kind = _record_kind(record["kind"], path, line_no)
     quantity = _record_quantity(record["quantity"], path, line_no)
     if kind is Kind.VIEW and quantity != 1:
@@ -418,6 +421,16 @@ def _event_from_record(record: Mapping[str, object], path, line_no) -> Interacti
         timestamp=ts,
         quantity=quantity,
     )
+
+
+def _utf8_text(text: str) -> bool:
+    """Whether UTF-8 encodes ``text``: not when a JSON escape such as
+    ``"\\ud800"`` has put a lone surrogate in it, which no file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _record_kind(value: object, path, line_no) -> Kind:
@@ -522,21 +535,24 @@ def _time_ordered(
     )
 
 
-_CHUNK_ROWS = 4096  # CSV rows held, checked and coded at a time
+_CHUNK_ROWS = 4096  # records held, checked and coded at a time
 
 
 def _record_chunks(reader, path: Path, size: int | None = None) -> Iterator[list[list[str]]]:
     """The reader's rows in lists of up to ``size`` (all in one list when
-    None), blank lines dropped. A row the csv module refuses (a cell over
-    ``csv.field_size_limit()``) raises MalformedRecord at its line, after
-    the rows before it are yielded: errors still come in file order."""
+    None), blank lines dropped. A line the reader cannot read (a CSV cell
+    over ``csv.field_size_limit()``, a JSONL line that holds no object,
+    bytes that do not decode) raises MalformedRecord at its line after the
+    rows before it are yielded: errors still come in file order."""
     while True:
         rows: list[list[str]] = []
         try:
             rows.extend(islice(reader, size))  # keeps the rows read before an error
-        except csv.Error as exc:
+        except (csv.Error, MalformedRecord, UnicodeDecodeError) as exc:
             yield list(filter(None, rows))
-            raise MalformedRecord(path, reader.line_num, str(exc)) from None
+            if isinstance(exc, csv.Error):
+                raise MalformedRecord(path, reader.line_num, str(exc)) from None
+            raise  # _open_utf8 names the line of bytes that do not decode
         yield list(filter(None, rows))
         if size is None or len(rows) < size:
             return
@@ -549,31 +565,51 @@ def _header(reader, path: Path) -> list[str] | None:
         raise MalformedRecord(path, reader.line_num, str(exc)) from None
 
 
-def _line_of(path: Path, record: int) -> int:
-    """The physical line that data record ``record`` (0 the first after the
-    header, blank lines not counted) ends on; read again from the file, only
-    to name the line of an error."""
+def _jsonl_records(fh, path: Path) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line of a JSONL file as its line number and object."""
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()  # before parsing, so error positions count from it
+        if not line:
+            continue
+        try:
+            record = json.loads(line, object_pairs_hook=_object_without_repeats)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
+        except ValueError as exc:  # a repeated key, or an int over int()'s digit limit
+            raise MalformedRecord(path, line_no, str(exc)) from None
+        if not isinstance(record, dict):
+            raise MalformedRecord(path, line_no, "record is not an object")
+        yield line_no, record
+
+
+def _record_at(path: Path, record: int) -> tuple[int, list[str] | dict]:
+    """Data record ``record`` (0 the first; blank lines and a CSV header not
+    counted), read again only to name and replay an error: the line it ends
+    on, and its fields, a CSV row's cells or a JSONL line's JSON-typed object."""
     with _open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                if not record:
-                    return reader.line_num
-                record -= 1
-    raise ValueError(f"{path} has fewer records")
+        if _is_jsonl(path):
+            records = _jsonl_records(fh, path)
+        else:
+            reader = csv.reader(fh)
+            next(reader)
+            records = ((reader.line_num, row) for row in reader if row)
+        return next(islice(records, record, None))
 
 
-def _refuse_event(header: list[str], row: list[str], path: Path, line_no: int) -> NoReturn:
-    """Raise the error the record rules give a row the bulk checks refused."""
-    if len(row) > len(header):
-        raise MalformedRecord(path, line_no, f"expected {len(header)} cells, got {len(row)}")
-    _event_from_record(dict(zip(header, row)), path, line_no)
-    raise AssertionError(f"{path}:{line_no}: the bulk checks refused a valid row")
+def _refuse_event(header: list[str], path: Path, record: int) -> NoReturn:
+    """Raise the error the record rules give data record ``record``, which the
+    bulk checks refused, on its fields as read (JSON-typed, from JSONL)."""
+    line_no, fields = _record_at(path, record)
+    if isinstance(fields, list):  # a CSV row
+        if len(fields) > len(header):
+            raise MalformedRecord(path, line_no, f"expected {len(header)} cells, got {len(fields)}")
+        fields = dict(zip(header, fields))
+    _event_from_record(fields, path, line_no)
+    raise AssertionError(f"{path}:{line_no}: the bulk checks refused a valid record")
 
 
 def _event_chunk(rows, header, path: Path, first: int) -> tuple:
-    """One chunk of CSV records, which start at data record ``first``, as
+    """One chunk of records, which start at data record ``first``, as
     user and item ``_distinct_rows`` and sale, quantity and timestamp
     columns. Each check runs on whole columns; the first record any of
     them refuses, in file order, raises its error."""
@@ -582,7 +618,7 @@ def _event_chunk(rows, header, path: Path, first: int) -> tuple:
     wide = np.flatnonzero(lengths > width)
     n = int(wide[0]) if wide.size else len(rows)
     if not n:  # also every row under a blank header line
-        _refuse_event(header, rows[0], path, _line_of(path, first))
+        _refuse_event(header, path, first)
     full = rows[:n]
     if (lengths[:n] < width).any():  # absent cells read as empty, as in a csv.DictReader
         full = [row + [""] * (width - len(row)) for row in full]
@@ -595,26 +631,33 @@ def _event_chunk(rows, header, path: Path, first: int) -> tuple:
     for distinct, at in (users, items):
         if distinct[0] == "":  # an empty id sorts first
             refused |= at == 0
+        if not _utf8_text("".join(distinct)):
+            refused |= ~np.array([_utf8_text(eid) for eid in distinct])[at]
     if refused.any():
-        r = int(np.argmax(refused))
-        _refuse_event(header, full[r], path, _line_of(path, first + r))
+        _refuse_event(header, path, first + int(np.argmax(refused)))
     if wide.size:
-        _refuse_event(header, rows[n], path, _line_of(path, first + n))
+        _refuse_event(header, path, first + n)
     return users, items, sale == 1, quantity, timestamp
 
 
-def _load_csv_events(path: Path) -> Dataset:
-    """A CSV interactions file as a Dataset without features, read in chunks
-    of ``_CHUNK_ROWS`` rows; errors as ``_event_from_record`` gives them."""
+def _load_interactions(path: Path) -> Dataset:
+    """An interactions file as a Dataset without features, in chunks of
+    ``_CHUNK_ROWS`` records checked by ``_event_chunk``. A JSONL record is a
+    row of ``_RECORD_FIELDS`` cells: ``str(value)``, ``""`` for null or absent."""
     with _open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path) or []  # an empty file has zero events
-        missing = [f for f in _RECORD_FIELDS if header and f not in header]
-        if missing:
-            raise MalformedRecord(path, 1, f"header missing columns {missing}")
-        for name in header:
-            if header.count(name) > 1:
-                raise MalformedRecord(path, 1, f"column {name!r} appears twice")
+        if _is_jsonl(path):
+            header = list(_RECORD_FIELDS)
+            reader = (["" if record.get(f) is None else str(record[f]) for f in header]
+                      for _, record in _jsonl_records(fh, path))
+        else:
+            reader = csv.reader(fh)
+            header = _header(reader, path) or []  # an empty file has zero events
+            missing = [f for f in _RECORD_FIELDS if header and f not in header]
+            if missing:
+                raise MalformedRecord(path, 1, f"header missing columns {missing}")
+            for name in header:
+                if header.count(name) > 1:
+                    raise MalformedRecord(path, 1, f"column {name!r} appears twice")
         parts, first = [], 0
         for rows in _record_chunks(reader, path, _CHUNK_ROWS):
             if rows:
@@ -709,12 +752,12 @@ def _float_or_nan(cell: str) -> float:
 def _refuse_feature_row(rows, r: int, specs, path: Path) -> NoReturn:
     """Raise the error of sidecar row ``r``, whose earlier rows all pass:
     its cell count, then its id, then its numeric cells left to right."""
-    row, line_no = rows[r], _line_of(path, r)
+    row, (line_no, _) = rows[r], _record_at(path, r)
     if len(row) != len(specs) + 1:
         raise MalformedRecord(path, line_no, f"expected {len(specs) + 1} cells, got {len(row)}")
     earlier = [other[0] for other in rows[:r]]
     if row[0] in earlier:
-        first = _line_of(path, earlier.index(row[0]))
+        first, _ = _record_at(path, earlier.index(row[0]))
         raise MalformedRecord(path, line_no, f"id {row[0]!r} repeats line {first}")
     for (name, kind), cell in zip(specs, row[1:]):
         if kind == "numeric":
@@ -779,25 +822,6 @@ def sidecar_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(f"{stem}.users.csv"), Path(f"{stem}.items.csv")
 
 
-def _jsonl_events(path: Path) -> list[InteractionEvent]:
-    events = []
-    with _open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, object_pairs_hook=_object_without_repeats)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
-            except ValueError as exc:  # a repeated key
-                raise MalformedRecord(path, line_no, str(exc)) from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(path, line_no, "record is not an object")
-            events.append(_event_from_record(record, path, line_no))
-    return events
-
-
 def load_events(path: str | Path) -> Dataset:
     """Load an interactions file (and feature sidecars, when present).
 
@@ -808,10 +832,9 @@ def load_events(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    log = Dataset.from_events(_jsonl_events(path)) if _is_jsonl(path) else _load_csv_events(path)
     user_path, item_path = sidecar_paths(path)
     return replace(
-        log,
+        _load_interactions(path),
         user_features=load_feature_table(user_path, "user_id") if user_path.exists() else None,
         item_features=load_feature_table(item_path, "item_id") if item_path.exists() else None,
     )

@@ -208,26 +208,17 @@ def random_baseline_ndcg(
     k: int,
 ) -> np.ndarray:
     """Expected NDCG@k of a uniformly random ranking of the candidates, per
-    user: the tie-aware NDCG of all-equal scores, i.e. one tie group
-    spanning the whole list, so every rank above the cutoff gets the mean
-    grade. Ragged ``(indptr, grades)``, indptr from 0, hold each user's
-    grades of (a subset of) the candidates. NaN where there is no candidate
-    or no positive grade. Bit-identical to :func:`tie_aware_ndcg_arrays`
-    on an all-zero row."""
+    user: :func:`tie_aware_ndcg_arrays` on one all-zero row, i.e. one tie
+    group spanning the whole list, so every rank above the cutoff gets the
+    mean grade. Ragged ``(indptr, grades)``, indptr from 0, hold each
+    user's grades of (a subset of) the candidates. NaN where there is no
+    candidate or no positive grade."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_users = len(indptr) - 1
-    owner = np.repeat(np.arange(n_users), np.diff(indptr))
-    m = min(k, n_candidates)
-    ideal = _ideal_dcg(owner, grades, n_users, m)
-    out = np.full(n_users, np.nan)
-    if n_candidates == 0:
-        return out
-    # summed in order like the kernel's bincount; np.sum would pair them
-    total = np.bincount(owner, weights=grades, minlength=n_users)
-    defined = ideal > 0.0
-    out[defined] = total[defined] / n_candidates * _discount_prefix(m)[m] / ideal[defined]
-    return out
+    # every grade ties with the top score, so any in-range position will do
+    top = np.arange(min(k, n_candidates))[None]
+    positions = np.zeros(len(grades), dtype=np.int64)
+    return tie_aware_ndcg_arrays(np.zeros((1, n_candidates)), top, indptr, positions, grades)
 
 
 def micro_average_ndcg(per_user: Iterable[float | None]) -> MicroAverage:

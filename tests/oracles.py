@@ -6,6 +6,7 @@ dense algebra) and never share code with the package under test.
 
 import csv
 import itertools
+import json
 import math
 from datetime import timedelta
 from pathlib import Path
@@ -25,6 +26,7 @@ from stylebench.data import (
     Segment,
     _event_from_record,
     _numeric_cell,
+    _object_without_repeats,
     _open_utf8,
 )
 from stylebench import synth
@@ -645,9 +647,10 @@ def loop_sample_pair_indices(n_users, n_pairs, seed):
     return [loop_pair_from_flat(t, n_users) for t in flats]
 
 
-# The per-record CSV loaders that ``data.load_events`` (interactions only)
-# and ``data.load_feature_table`` replaced with bulk column checks, kept as
-# references for their results and for the error each malformed file gets.
+# The per-record CSV and JSONL loaders that ``data.load_events``
+# (interactions only) and ``data.load_feature_table`` replaced with bulk
+# column checks, kept as references for their results and for the error
+# each malformed file gets.
 
 
 def loop_load_events(path):
@@ -673,6 +676,29 @@ def loop_load_events(path):
                     path, line_no,
                     f"expected {len(header)} cells, got {len(header) + len(record[None])}",
                 )
+            events.append(_event_from_record(record, path, line_no))
+    return Dataset.from_events(events)
+
+
+def loop_load_jsonl_events(path):
+    """A JSONL interactions file as a Dataset, one line at a time: each
+    line's object, JSON-typed values and all, through the record rules;
+    sidecars are not read."""
+    path = Path(path)
+    events = []
+    with _open_utf8(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line, object_pairs_hook=_object_without_repeats)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
+            except ValueError as exc:  # a repeated key
+                raise MalformedRecord(path, line_no, str(exc)) from None
+            if not isinstance(record, dict):
+                raise MalformedRecord(path, line_no, "record is not an object")
             events.append(_event_from_record(record, path, line_no))
     return Dataset.from_events(events)
 

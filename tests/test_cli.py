@@ -407,6 +407,36 @@ class TestExitCodes:
         assert "pdf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("formats", ["", " , "])
+    def test_empty_report_format_list_is_usage_error(self, tmp_path, capsys, formats):
+        # refused while the flags are parsed, before the report is read
+        report = tmp_path / "report.json"
+        report.write_text("{}")
+        rc = dispatch([
+            "report", "--report", str(report), "--out", str(tmp_path / "out"),
+            "--format", formats,
+        ])
+        assert rc == EXIT_USAGE
+        assert "no report format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lone_surrogate_id_is_data_error_for_split(self, tmp_path, capsys):
+        # json.loads decodes the escape to a str no UTF-8 file can hold
+        data = tmp_path / "events.jsonl"
+        data.write_text(
+            '{"user_id": "u1", "item_id": "i1", "kind": "view", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": 1}\n'
+            '{"user_id": "u\\ud800", "item_id": "i1", "kind": "view", '
+            '"timestamp": "2022-02-01T00:00:00Z", "quantity": 1}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "split"
+        rc = dispatch(["split", "--data", str(data), "--boundary", "2022-01-15T00:00:00Z",
+                       "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert f"{data}:2: user_id 'u\\ud800' holds a lone surrogate" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [b"{", b"[]", b"{}", b'{"config": "\xff"}'])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, content):
         report = tmp_path / "report.json"

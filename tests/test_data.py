@@ -1,5 +1,6 @@
 """Core data model: ingestion, splitting, segmentation, popularity, stats."""
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -226,6 +227,34 @@ class TestIngestion:
             load_events(f)
         assert exc.value.line_no == 2
         assert str(exc.value).startswith(f"{f}:2:")
+
+    @pytest.mark.parametrize("field", ["user_id", "item_id"])
+    def test_jsonl_id_with_lone_surrogate_rejected(self, tmp_path, field):
+        # an escaped lone surrogate decodes to a str that UTF-8 cannot encode,
+        # so a split or report would die writing it
+        record = {"user_id": "u1", "item_id": "i1", "kind": "view",
+                  "timestamp": "2022-01-01T00:00:00Z", "quantity": 1}
+        f = tmp_path / "events.jsonl"
+        f.write_text(json.dumps(record) + "\n\n" + json.dumps({**record, field: "x\ud800"}) + "\n",
+                     encoding="utf-8")
+        with pytest.raises(MalformedRecord, match="lone surrogate") as exc:
+            load_events(f)
+        assert str(exc.value).startswith(f"{f}:3: {field} 'x\\ud800'")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_earlier_record_error_beats_later_bytes_not_utf8(self, tmp_path, suffix):
+        # the bad byte lies in a later decoded block but in the same chunk of
+        # records as the bad kind on line 3: errors still come in file order
+        rows = [ev(f"u{n}", "i1", Kind.VIEW, 0) for n in range(3000)]
+        f = tmp_path / f"events{suffix}"
+        write_events(Dataset.from_events(rows), f)
+        lines = f.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"view", b"vue")
+        lines[1000] = lines[1000].replace(b"u", b"u\xff")
+        f.write_bytes(b"\n".join(lines))
+        with pytest.raises(UnknownKind) as exc:
+            load_events(f)
+        assert exc.value.line_no == 3
 
     def test_quantity_beyond_the_cap_rejected(self, tmp_path):
         f = tmp_path / "events.csv"
@@ -574,6 +603,17 @@ class TestFeatureTables:
             load_feature_table(path, "user_id")
         assert exc.value.line_no == 3
         assert str(exc.value).startswith(f"{path}:3:")
+
+    def test_earlier_repeated_id_beats_later_bytes_not_utf8(self, tmp_path):
+        # the bad byte lies in a later decoded block than the repeat on line 4
+        rows = [f"u{n},{n}" for n in range(3000)]
+        rows[2] = "u0,2"
+        path = tmp_path / "bad.users.csv"
+        text = "\n".join(["user_id,age:num"] + rows) + "\n"
+        path.write_bytes(text.encode().replace(b"u2500,", b"u\xff2500,"))
+        with pytest.raises(MalformedRecord, match="id 'u0' repeats line 2") as exc:
+            load_feature_table(path, "user_id")
+        assert exc.value.line_no == 4
 
     def test_bad_row_after_quoted_newline_names_its_physical_line(self, tmp_path):
         path = tmp_path / "bad.users.csv"

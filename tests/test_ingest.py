@@ -1,9 +1,9 @@
 """Loading, splitting and writing the interaction log as event columns.
 
-The CSV loaders check whole columns at once; ``tests/oracles.py`` keeps
-the per-record loops they replaced. Generated files, valid and with one
-malformed cell or row, must load to the same Dataset or FeatureTable, or
-raise the same error with the same file and line.
+The loaders check whole columns at once, a JSONL line read as a row of
+cells; ``tests/oracles.py`` keeps the per-record loops they replaced.
+Generated files, valid and malformed, must load to the same Dataset or
+FeatureTable, or raise the same error with the same file and line.
 """
 
 import csv
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_load_events, loop_load_feature_table
+from oracles import loop_load_events, loop_load_feature_table, loop_load_jsonl_events
 from stylebench import data as data_mod
 from stylebench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
 from stylebench.data import (
@@ -220,6 +220,108 @@ class TestBulkLoaderMatchesRecordLoop:
             assert got.n_events == 0 and got.events == ()
 
 
+# JSON-typed values a JSONL field may hold in place of a valid one: null,
+# bools, ints and floats (as ids, kinds, quantities or instants), nested
+# values and an escaped lone surrogate
+JSON_MUTANTS = [
+    None, "", True, False, 0, -1, 7, 2**31, 10**30, 1.0, 2.0, 1.5, float("nan"), [2],
+    {"a": [None]}, "x\ud800", "return", "later", "1_0", 1_700_000_000,
+]
+# lines that hold no record: bad JSON, an int over int()'s digit limit,
+# a repeated key (at the top or nested), and JSON values that are not objects
+JSONL_BAD_LINES = [
+    "{", '{"user_id": }', "nope", '{"a": 1} x', '{"quantity": %s}' % ("9" * 5000),
+    '{"user_id": "u1", "user_id": "u2"}', '{"note": {"a": 1, "a": 2}}',
+    "[1, 2]", "3", '"x"', "null", "true",
+]
+
+
+def padded(draw, line):
+    """The line with the same blanks, maybe none, on each side."""
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return pad + line + pad
+
+
+@st.composite
+def jsonl_record(draw, mutate):
+    """A JSONL record's text, its keys in any order, maybe with an extra key;
+    with ``mutate``, maybe a field absent or holding a JSON-typed mutant."""
+    kind = draw(st.sampled_from(["sale", "view", " Sale ", "VIEW"]))
+    sale = kind.strip().lower() == "sale"
+    record = {
+        "user_id": draw(st.sampled_from([*USER_IDS, 7, 0, True])),
+        "item_id": draw(st.sampled_from([*ITEM_IDS, 3, 2.5])),
+        "kind": kind,
+        "timestamp": draw(st.sampled_from(stamp_forms(draw(st.sampled_from(INSTANTS))))),
+        "quantity": draw(st.sampled_from([1, 2, 7, "007", "3"] if sale else [1, "1", "01"])),
+    }
+    if draw(st.booleans()):
+        record["note"] = draw(st.sampled_from(JSON_MUTANTS))
+    if mutate and draw(st.booleans()):
+        field = draw(st.sampled_from(sorted(record)))
+        if draw(st.integers(0, 3)) == 0:
+            del record[field]
+        else:
+            record[field] = draw(st.sampled_from(JSON_MUTANTS))
+    keys = draw(st.permutations(sorted(record)))
+    return padded(draw, json.dumps({key: record[key] for key in keys}))
+
+
+def render_jsonl(draw, lines):
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(line + end for line in lines)
+
+
+@st.composite
+def jsonl_files(draw, mutate):
+    """JSONL text of generated records and blank lines; with ``mutate``, any
+    line may hold a malformed record or no record at all."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        what = draw(st.sampled_from(["record"] * 6 + ["blank"] + ["bad"] * mutate))
+        if what == "record":
+            lines.append(draw(jsonl_record(mutate)))
+        elif what == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            lines.append(padded(draw, draw(st.sampled_from(JSONL_BAD_LINES))))
+    return render_jsonl(draw, lines)
+
+
+@st.composite
+def late_error_jsonl_files(draw):
+    """Six or more valid records (past a chunk of at most five), then a
+    record the rules refuse, a line that holds no record and more records."""
+    lines = [draw(jsonl_record(False)) for _ in range(draw(st.integers(6, 12)))]
+    record = json.loads(draw(jsonl_record(False)))
+    field, value = draw(st.sampled_from([
+        ("user_id", None), ("item_id", "x\ud800"), ("kind", "return"), ("quantity", -1),
+        ("quantity", 2.0), ("timestamp", "later"),
+    ]))
+    record[field] = value
+    bad = padded(draw, draw(st.sampled_from(JSONL_BAD_LINES)))
+    lines += [json.dumps(record), bad, draw(jsonl_record(False))]
+    return render_jsonl(draw, lines)
+
+
+class TestBulkJsonlMatchesLineLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=st.one_of(jsonl_files(False), jsonl_files(True), late_error_jsonl_files()),
+           chunk=st.integers(1, 5))
+    def test_interactions(self, text, chunk):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod, "_CHUNK_ROWS", chunk)  # many chunks per file
+            path = Path(tmp) / "events.jsonl"
+            path.write_text(text, encoding="utf-8", newline="")
+            kind, got = assert_same_outcome(path, load_events, loop_load_jsonl_events)
+            if kind == "ok":
+                want = loop_load_jsonl_events(path)
+                assert got == want
+                assert got.events == want.events
+                for col in ("user", "item", "quantity", "timestamp"):
+                    assert getattr(got, col).dtype == np.int64
+
+
 class TestCanonicalStamps:
     @settings(max_examples=500, deadline=None)
     @given(ts=st.datetimes(min_value=datetime(1, 1, 1),
@@ -393,8 +495,9 @@ class TestColumnSplitAndWrite:
             Dataset.from_events([event], users={"u2"})
 
 
-def test_evaluate_builds_no_event_objects(tmp_path, monkeypatch):
-    """Loading a CSV and evaluating it reads the columns only."""
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_evaluate_builds_no_event_objects(tmp_path, monkeypatch, suffix):
+    """Loading a CSV or JSONL log and evaluating it reads the columns only."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "synth_users": 200, "synth_items": 40, "synth_sparsity": 0.85, "seed": 3,
@@ -402,12 +505,15 @@ def test_evaluate_builds_no_event_objects(tmp_path, monkeypatch):
         "forest_negatives_per_user": 4,
     }))
     assert dispatch(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == EXIT_OK
+    data = tmp_path / "data" / f"interactions{suffix}"
+    if suffix == ".jsonl":  # next to the generator's manifest, which holds the boundary
+        write_events(load_events(tmp_path / "data" / "interactions.csv"), data)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("an InteractionEvent was built")
 
     monkeypatch.setattr(InteractionEvent, "__init__", refuse)
-    argv = ["evaluate", "--config", str(config), "--data",
-            str(tmp_path / "data" / "interactions.csv"), "--out", str(tmp_path / "run")]
+    argv = ["evaluate", "--config", str(config), "--data", str(data),
+            "--out", str(tmp_path / "run")]
     assert dispatch(argv) == EXIT_OK
     assert (tmp_path / "run" / "report.json").exists()

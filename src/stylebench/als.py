@@ -17,10 +17,9 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset
 from .errors import EmptyTraining, SingularSystem
@@ -50,6 +49,28 @@ class AlsConfig:
             raise ValueError("iterations must be positive")
 
 
+class Csr(NamedTuple):
+    """Compressed sparse rows: row r holds ``data[j]`` in column
+    ``indices[j]`` for j in ``indptr[r]:indptr[r + 1]``, columns ascending."""
+
+    indptr: np.ndarray  # (rows + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    data: np.ndarray  # (nnz,) float64
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def transpose(self) -> Csr:
+        """The transpose; a stable sort by column keeps each column's rows ascending."""
+        n_rows, n_cols = self.shape
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
+        indptr = np.searchsorted(self.indices[order], np.arange(n_cols + 1))
+        return Csr(indptr, rows[order], self.data[order], (n_cols, n_rows))
+
+
 @dataclass(frozen=True, eq=False)
 class ConfidenceMatrix:
     """Sparse user x item implicit ratings, rows ``users`` and columns ``items``.
@@ -58,7 +79,7 @@ class ConfidenceMatrix:
     derived as 1 + alpha * r_ui.
     """
 
-    ratings: sp.csr_matrix
+    ratings: Csr
     users: tuple[str, ...]
     items: tuple[str, ...]
     alpha: float
@@ -103,49 +124,38 @@ def build_confidence(train: Dataset, cfg: AlsConfig) -> ConfidenceMatrix:
     """
     if not train.n_events:
         raise EmptyTraining("cannot build a confidence matrix from zero events")
-    rows, cols, sold = train.pairs()
-    ratings = sp.csr_matrix(
-        (np.where(sold, cfg.sale_weight, 1.0), (rows, cols)),
-        shape=(len(train.user_ids), len(train.item_ids)),
-    )
+    rows, cols, sold = train.pairs()  # ascending, so already in row order
+    n_users, n_items = len(train.user_ids), len(train.item_ids)
+    indptr = np.searchsorted(rows, np.arange(n_users + 1))
+    ratings = Csr(indptr, cols, np.where(sold, cfg.sale_weight, 1.0), (n_users, n_items))
     return ConfidenceMatrix(ratings, train.user_ids, train.item_ids, cfg.alpha)
 
 
 _CHUNK_ROWS = 256  # rows per stacked solve; bounds its (rows, f, f) stacks
 
 
-class _RowGroup(NamedTuple):
-    """The rows of one side that have k observed cells, ascending."""
-
-    rows: np.ndarray  # (n,)
-    cols: np.ndarray  # (n, k) column indices
-    scaled: np.ndarray  # (n, k) alpha * rating
-
-
 class _RowPlan(NamedTuple):
-    """One side's non-empty rows grouped by length, built once per fit."""
+    """One side's non-empty rows as chunks of at most ``_CHUNK_ROWS`` rows with
+    k cells each: (rows, (n, k) columns, (n, k) alpha * rating), by k, then row."""
 
     n_rows: int
-    groups: tuple[_RowGroup, ...]
+    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _plan_rows(mat: sp.csr_matrix, alpha: float) -> _RowPlan:
-    """Group ``mat``'s non-empty rows by length."""
+def _plan_rows(mat: Csr, alpha: float) -> _RowPlan:
+    """Chunk ``mat``'s non-empty rows by length."""
     lengths = np.diff(mat.indptr)
-    groups = []
+    chunks = []
     for k in np.unique(lengths[lengths > 0]):
         rows = np.flatnonzero(lengths == k)
         pos = mat.indptr[rows][:, None] + np.arange(k)
+        cols = mat.indices[pos]
         with np.errstate(over="ignore"):  # an inf fails in _solve_side, naming its row
             scaled = alpha * mat.data[pos]
-        groups.append(_RowGroup(rows, mat.indices[pos], scaled))
-    return _RowPlan(mat.shape[0], tuple(groups))
-
-
-def _chunks(group: _RowGroup) -> Iterator[_RowGroup]:
-    """The group's rows, at most ``_CHUNK_ROWS`` at a time."""
-    for start in range(0, len(group.rows), _CHUNK_ROWS):
-        yield _RowGroup(*(a[start : start + _CHUNK_ROWS] for a in group))
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            at = slice(start, start + _CHUNK_ROWS)
+            chunks.append((rows[at], cols[at], scaled[at]))
+    return _RowPlan(mat.shape[0], tuple(chunks))
 
 
 def _solve_rows(
@@ -198,9 +208,8 @@ def _solve_side(plan: _RowPlan, other: np.ndarray, lam: float) -> np.ndarray:
         b_inv = np.full_like(a_base, np.nan)
     out = np.zeros((plan.n_rows, other.shape[1]), dtype=np.float64)
     with np.errstate(all="ignore"):  # non-finite solutions raise below
-        for group in plan.groups:
-            for rows, cols, scaled in _chunks(group):
-                out[rows] = _checked_solve(rows, other[cols], scaled, a_base, b_inv, lam)
+        for rows, cols, scaled in plan.chunks:
+            out[rows] = _checked_solve(rows, other[cols], scaled, a_base, b_inv, lam)
     return out
 
 
@@ -276,16 +285,15 @@ def _training_loss(x: np.ndarray, y: np.ndarray, plan: _RowPlan, lam: float) -> 
     """
     gram_term = _exact_sum(x.T @ x * (y.T @ y))
     row_terms = [np.empty(0)]
-    for group in plan.groups:
-        for rows, cols, scaled in _chunks(group):
-            s = (y[cols] @ x[rows][:, :, None])[:, :, 0]
-            terms = (1.0 + scaled) * (1.0 - s) ** 2 - s * s
-            if terms.shape[1] == 1:
-                row_terms.append(terms[:, 0])
-            elif terms.shape[1] == 2:
-                row_terms.append(terms[:, 0] + terms[:, 1])
-            else:
-                row_terms.append(np.array(list(map(math.fsum, terms.tolist()))))
+    for rows, cols, scaled in plan.chunks:
+        s = (y[cols] @ x[rows][:, :, None])[:, :, 0]
+        terms = (1.0 + scaled) * (1.0 - s) ** 2 - s * s
+        if terms.shape[1] == 1:
+            row_terms.append(terms[:, 0])
+        elif terms.shape[1] == 2:
+            row_terms.append(terms[:, 0] + terms[:, 1])
+        else:
+            row_terms.append(np.array(list(map(math.fsum, terms.tolist()))))
     cell_term = _exact_sum(np.concatenate(row_terms))
     reg = lam * (_exact_sum(x**2) + _exact_sum(y**2))
     return math.fsum([gram_term, cell_term, reg])
@@ -307,7 +315,7 @@ def fit_als(m: ConfidenceMatrix, cfg: AlsConfig) -> FactorModel:
     user_factors = rng.uniform(0.0, 0.01, size=(n_users, cfg.factors))
     item_factors = rng.uniform(0.0, 0.01, size=(n_items, cfg.factors))
     by_user = _plan_rows(m.ratings, m.alpha)
-    by_item = _plan_rows(m.ratings.T.tocsr(), m.alpha)
+    by_item = _plan_rows(m.ratings.transpose(), m.alpha)
     trace: list[float] = []
     for _ in range(cfg.iterations):
         user_factors = _solve_side(by_user, item_factors, cfg.regularization)

@@ -114,6 +114,8 @@ def _read_object(path: Path, what: str) -> dict:
         raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise DataError(f"{what} {path} is nested too deeply to read") from None
     if not isinstance(raw, dict):
         raise DataError(f"{what} {path} must hold a JSON object")
     return raw

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique reads np.ma, which numpy 2 imports on first use (~10 ms)
 
 from .errors import (
     DataError,
@@ -577,6 +578,8 @@ def _jsonl_records(fh, path: Path) -> Iterator[tuple[int, dict]]:
             raise MalformedRecord(path, line_no, f"bad JSON: {exc}") from None
         except ValueError as exc:  # a repeated key, or an int over int()'s digit limit
             raise MalformedRecord(path, line_no, str(exc)) from None
+        except RecursionError:  # arrays or objects nested past the parser's depth
+            raise MalformedRecord(path, line_no, "JSON nested too deeply to read") from None
         if not isinstance(record, dict):
             raise MalformedRecord(path, line_no, "record is not an object")
         yield line_no, record

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from stylebench.als import ConfidenceMatrix, FactorModel
+from stylebench.als import ConfidenceMatrix, Csr, FactorModel
 from stylebench.data import (
     _RECORD_FIELDS,
     Dataset,
@@ -274,7 +274,19 @@ def loop_build_confidence(train, cfg):
         [cfg.sale_weight if c in sale_pairs else 1.0 for c in cells], dtype=np.float64
     )
     ratings = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
-    return ConfidenceMatrix(ratings=ratings, users=users, items=items, alpha=cfg.alpha)
+    return ConfidenceMatrix(ratings=as_csr(ratings), users=users, items=items, alpha=cfg.alpha)
+
+
+def as_csr(mat: sp.csr_matrix) -> Csr:
+    """A scipy CSR matrix's arrays as the package's ``Csr``, indices as int64."""
+    return Csr(mat.indptr.astype(np.int64), mat.indices.astype(np.int64), mat.data, mat.shape)
+
+
+def csr_cell(mat, row: int, col: int) -> float:
+    """Entry (row, col) of a CSR matrix; 0.0 when the cell is not stored."""
+    lo, hi = mat.indptr[row], mat.indptr[row + 1]
+    at = np.flatnonzero(mat.indices[lo:hi] == col)
+    return float(mat.data[lo + at[0]]) if at.size else 0.0
 
 
 def loop_segment_users(split):
@@ -482,8 +494,8 @@ class UnknownUser(Exception):
 
 def confidence(cm: ConfidenceMatrix, user_id: str, item_id: str) -> float:
     """Confidence for one cell; 1.0 when the pair was never observed."""
-    r = cm.ratings[cm.users.index(user_id), cm.items.index(item_id)]
-    return 1.0 + cm.alpha * float(r)
+    r = csr_cell(cm.ratings, cm.users.index(user_id), cm.items.index(item_id))
+    return 1.0 + cm.alpha * r
 
 
 def scores_for_user(model: FactorModel, user_id: str, item_idx: np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     UnknownUser,
+    as_csr,
     confidence,
+    csr_cell,
     dense_implicit_als_loss,
     dense_implicit_als_user_solve,
     per_row_als_loss,
@@ -67,7 +69,7 @@ class TestBuildConfidence:
 
     def test_sale_dominates_view_on_same_pair(self):
         cm = small_confidence()
-        r = cm.ratings[cm.users.index("u2"), cm.items.index("iA")]
+        r = csr_cell(cm.ratings, cm.users.index("u2"), cm.items.index("iA"))
         assert r == pytest.approx(5.0)
 
     def test_unobserved_cell_confidence_one(self):
@@ -77,7 +79,7 @@ class TestBuildConfidence:
     def test_quantity_does_not_scale_rating(self):
         data = Dataset.from_events([ev("u1", "iA", Kind.SALE, 0, quantity=3)])
         cm = build_confidence(data, AlsConfig())
-        assert cm.ratings[0, 0] == pytest.approx(5.0)
+        assert csr_cell(cm.ratings, 0, 0) == pytest.approx(5.0)
 
     def test_empty_training(self):
         with pytest.raises(EmptyTraining):
@@ -87,6 +89,54 @@ class TestBuildConfidence:
         cm = small_confidence()
         assert cm.users == ("u1", "u2", "u3")
         assert cm.items == ("iA", "iB", "iC")
+
+
+@st.composite
+def rated_cells(draw):
+    """Distinct cells of a grid, each a view or a sale, in drawn order:
+    drawn cells in the first rows and columns, then a row holding one
+    cell in the last column, then an empty row; the column before the
+    last is empty too."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)), unique=True,
+    ))
+    cells.append((n_rows, n_cols + 1))
+    sold = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return (n_rows + 2, n_cols + 2), cells, sold
+
+
+def _assert_same_csr(got, want):
+    """Equal shapes, and equal CSR arrays in value, order and dtype, with
+    scipy's int32 indices read as int64."""
+    assert tuple(got.shape) == want.shape
+    for part in ("indptr", "indices"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == np.int64 and np.array_equal(g, w), part
+    assert got.data.dtype == np.float64 and np.array_equal(got.data, want.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=rated_cells())
+def test_csr_arrays_match_scipy(problem):
+    # build_confidence's arrays and their transpose against scipy's, on the
+    # rows and columns with a cell; the transpose also on the whole grid
+    shape, cells, sold = problem
+    events = []
+    for hour, ((r, c), s) in enumerate(zip(cells, sold)):
+        events.append(ev(f"u{r:02d}", f"i{c:02d}", Kind.VIEW, hour))
+        if s:
+            events.append(ev(f"u{r:02d}", f"i{c:02d}", Kind.SALE, hour))
+    got = build_confidence(Dataset.from_events(events), AlsConfig(sale_weight=3.0)).ratings
+    rows, cols = (np.array(a) for a in zip(*cells))
+    values = np.where(sold, 3.0, 1.0)
+    users, user_rows = np.unique(rows, return_inverse=True)
+    items, item_cols = np.unique(cols, return_inverse=True)
+    want = sp.csr_matrix((values, (user_rows, item_cols)), shape=(len(users), len(items)))
+    _assert_same_csr(got, want)
+    _assert_same_csr(got.transpose(), want.T.tocsr())
+    grid = sp.csr_matrix((values, (rows, cols)), shape=shape)
+    _assert_same_csr(as_csr(grid).transpose(), grid.T.tocsr())
 
 
 class TestSolveSide:

@@ -372,6 +372,48 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_USAGE
 
+    def test_commands_need_no_scipy(self, workspace, tmp_path):
+        # scipy is a test dependency only: with every scipy import failing,
+        # synth, train --algo als and evaluate write the files a run with
+        # scipy importable writes
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        _, config, data_path = workspace
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        blocked = ('import sys; sys.modules["scipy"] = None; '
+                   'from stylebench.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))')
+        common = ["--config", str(config)]
+        with_data = [*common, "--data", str(data_path)]
+        runs = {
+            "synth": ["synth", *common],
+            "als.json": ["train", *with_data, "--algo", "als"],
+            "run": ["evaluate", *with_data],
+        }
+        (tmp_path / "blocked").mkdir()
+        (tmp_path / "plain").mkdir()
+        for name, argv in runs.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", blocked, *argv, "--out", str(tmp_path / "blocked" / name)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            if name != "synth":  # the workspace's data is the plain synth run
+                assert dispatch([*argv, "--out", str(tmp_path / "plain" / name)]) == EXIT_OK
+        plain = {
+            **{f"synth/{p.name}": p for p in data_path.parent.iterdir()},
+            "als.json": tmp_path / "plain" / "als.json",
+            "run/report.json": tmp_path / "plain" / "run" / "report.json",
+            "run/report.md": tmp_path / "plain" / "run" / "report.md",
+        }
+        assert len(plain) == 7
+        for name, path in plain.items():
+            assert (tmp_path / "blocked" / name).read_bytes() == path.read_bytes(), name
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
@@ -445,6 +487,34 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert f"report {report}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader", ["data", "config", "report", "manifest"])
+    def test_nesting_past_the_parser_depth_is_data_error(
+        self, workspace, tmp_path, capsys, reader
+    ):
+        # json.loads raises RecursionError, not a ValueError, on these files
+        _, config, data_path = workspace
+        deep = "[" * 100_000 + "\n"
+        for name in ("deep.json", "deep.jsonl"):
+            (tmp_path / name).write_text(deep, encoding="utf-8")
+        data = tmp_path / "interactions.csv"
+        data.write_bytes(data_path.read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(deep if reader == "manifest" else '{"boundary": "2022-08-29T00:00:00Z"}')
+        deep_json, out = tmp_path / "deep.json", tmp_path / "out"
+        argv, named = {
+            "data": (["evaluate", "--config", str(config), "--data", str(tmp_path / "deep.jsonl")],
+                     f"{tmp_path / 'deep.jsonl'}:1: JSON nested too deeply"),
+            "config": (["evaluate", "--config", str(deep_json), "--data", str(data)],
+                       f"config {deep_json} is nested too deeply"),
+            "report": (["report", "--report", str(deep_json)],
+                       f"report {deep_json} is nested too deeply"),
+            "manifest": (["evaluate", "--config", str(config), "--data", str(data)],
+                         f"manifest {manifest} is nested too deeply"),
+        }[reader]
+        assert dispatch([*argv, "--out", str(out)]) == EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys):
         _, _, data_path = workspace

@@ -228,6 +228,19 @@ class TestIngestion:
         assert exc.value.line_no == 2
         assert str(exc.value).startswith(f"{f}:2:")
 
+    def test_jsonl_nesting_past_the_parser_depth_names_its_line(self, tmp_path):
+        # json.loads raises RecursionError, not a ValueError, for this line
+        f = tmp_path / "events.jsonl"
+        f.write_text(
+            '{"user_id": "u1", "item_id": "i1", "kind": "view", '
+            '"timestamp": "2022-01-01T00:00:00Z", "quantity": 1}\n' + "[" * 100_000 + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRecord, match="nested too deeply") as exc:
+            load_events(f)
+        assert exc.value.line_no == 2
+        assert str(exc.value).startswith(f"{f}:2:")
+
     @pytest.mark.parametrize("field", ["user_id", "item_id"])
     def test_jsonl_id_with_lone_surrogate_rejected(self, tmp_path, field):
         # an escaped lone surrogate decodes to a str that UTF-8 cannot encode,

@@ -274,29 +274,21 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _training_loss(x: np.ndarray, y: np.ndarray, plan: _RowPlan, lam: float) -> float:
-    """Exact objective value: every sum is correctly rounded.
+    """Exact objective value: one correctly rounded sum of all its terms.
 
-    The dense term sum_{u,i} (x_u . y_i)^2 reduces to the elementwise
-    product of the two Gram matrices; observed cells of the user-side
-    ``plan`` then swap in their confidence-weighted residuals, summed per
-    row: one term as is, two with one add, more with ``math.fsum``. The
-    other sums are ``_exact_sum``s, so the order of the rows does not
-    matter.
+    With Gram matrices G_x = x^T x and G_y = y^T y, the dense term
+    sum_{u,i} (x_u . y_i)^2 is the sum of the entries of G_x * G_y, and
+    the regularizer is lam * (trace G_x + trace G_y). Each observed cell
+    of the user-side ``plan``, with prediction s, then swaps its s^2 for
+    its confidence-weighted residual. One ``_exact_sum`` adds all these
+    terms, so the order of the rows and their chunks does not matter.
     """
-    gram_term = _exact_sum(x.T @ x * (y.T @ y))
-    row_terms = [np.empty(0)]
+    gx, gy = x.T @ x, y.T @ y
+    terms = [(gx * gy).ravel(), lam * np.diag(gx), lam * np.diag(gy)]
     for rows, cols, scaled in plan.chunks:
         s = (y[cols] @ x[rows][:, :, None])[:, :, 0]
-        terms = (1.0 + scaled) * (1.0 - s) ** 2 - s * s
-        if terms.shape[1] == 1:
-            row_terms.append(terms[:, 0])
-        elif terms.shape[1] == 2:
-            row_terms.append(terms[:, 0] + terms[:, 1])
-        else:
-            row_terms.append(np.array(list(map(math.fsum, terms.tolist()))))
-    cell_term = _exact_sum(np.concatenate(row_terms))
-    reg = lam * (_exact_sum(x**2) + _exact_sum(y**2))
-    return math.fsum([gram_term, cell_term, reg])
+        terms.append(((1.0 + scaled) * (1.0 - s) ** 2 - s * s).ravel())
+    return _exact_sum(np.concatenate(terms))
 
 
 def fit_als(m: ConfidenceMatrix, cfg: AlsConfig) -> FactorModel:

@@ -25,6 +25,7 @@ from . import als as als_mod
 from . import forest as forest_mod
 from .data import (
     Dataset,
+    _object_without_repeats,
     dataset_stats,
     format_timestamp,
     load_events,
@@ -109,11 +110,14 @@ def _load_config(path: str | None) -> dict:
 
 def _read_object(path: Path, what: str) -> dict:
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text, object_pairs_hook=_object_without_repeats)
     except OSError as exc:  # a directory, say
         raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # a repeated key, or an int over int()'s digit limit
+        raise DataError(f"{what} {path}: {exc}") from None
     except RecursionError:  # arrays or objects nested past the parser's depth
         raise DataError(f"{what} {path} is nested too deeply to read") from None
     if not isinstance(raw, dict):
@@ -201,10 +205,16 @@ def _eval_config(raw: dict, args, boundary: datetime) -> EvalConfig:
 
 def _out(value, is_dir: bool = True) -> Path:
     """The ``--out`` path, checked before any work: a directory, or for
-    ``train`` a file, that may not yet exist but is not the other kind."""
+    ``train`` a file, that may not yet exist but is not the other kind,
+    and whose nearest existing ancestor is a directory."""
     path = Path(_require(value, "--out"))
-    if path.exists() and path.is_dir() != is_dir:
-        raise _UsageError(f"--out {path} is {'not ' if is_dir else ''}a directory")
+    if path.exists():
+        if path.is_dir() != is_dir:
+            raise _UsageError(f"--out {path} is {'not ' if is_dir else ''}a directory")
+    else:
+        ancestor = next(p for p in path.parents if p.exists())
+        if not ancestor.is_dir():
+            raise _UsageError(f"--out {path}: {ancestor} is not a directory")
     return path
 
 
@@ -255,8 +265,8 @@ def _cmd_synth(args) -> int:
     raw = _load_config(args.config)
     cfg = _synth_config(raw, args)
     out_dir = _out(args.out or raw.get("out") or "synth_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = generate_dataset(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "interactions.csv"
     write_events(data, data_path)
     _write_manifest(
@@ -323,6 +333,7 @@ def _cmd_train(args) -> int:
     if args.algo == "forest":
         check_forest_inputs(cfg, data, train)
     confidence, model = fit_factor_model(cfg, train)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.algo == "als":
         als_mod.save_model(model, out_path)
     else:

@@ -66,6 +66,8 @@ class SynthConfig:
             raise ValueError("segment_targets must sum to 1")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def boundary(self) -> datetime:

@@ -122,8 +122,25 @@ def per_row_als_solve(mat, other, alpha, lam):
 
 
 def per_row_als_loss(x, y, mat, alpha, lam):
+    """Implicit-ALS objective as one ``math.fsum``: the entries of the
+    product of the two Gram matrices, lambda times each of their
+    diagonals, and every observed cell's term, row by row."""
+    gx, gy = x.T @ x, y.T @ y
+    terms = [*(gx * gy).ravel(), *(lam * np.diag(gx)), *(lam * np.diag(gy))]
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    for row in range(mat.shape[0]):
+        lo, hi = indptr[row], indptr[row + 1]
+        s = y[indices[lo:hi]] @ x[row]
+        conf = 1.0 + alpha * data[lo:hi]
+        terms.extend(conf * (1.0 - s) ** 2 - s * s)
+    return math.fsum(terms)
+
+
+def row_sum_als_loss(x, y, mat, alpha, lam):
     """Implicit-ALS objective with one ``math.fsum`` per observed row, then
-    an ``fsum`` over the rows, the Gram term and the regularizer."""
+    an ``fsum`` over the rows, the Gram term and a regularizer summed over
+    the squared factor entries: the loss's earlier definition, the
+    reference the one-sum loss is held within a bound of."""
     gram_term = math.fsum((x.T @ x * (y.T @ y)).ravel())
     indptr, indices, data = mat.indptr, mat.indices, mat.data
     cell_terms = []

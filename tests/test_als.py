@@ -22,6 +22,7 @@ from oracles import (
     per_row_als_loss,
     per_row_als_solve,
     predict_scores,
+    row_sum_als_loss,
     scores_for_user,
 )
 from stylebench import als
@@ -275,6 +276,47 @@ class TestStackedSolves:
             _assert_row_independent_and_close(mat, other, alpha, lam, solved)
         assert loss == per_row_als_loss(x, other, mat, alpha, lam)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        problem=csr_problems(),
+        scale=st.integers(-30, 30),
+        lam=st.sampled_from([1e-3, 0.1, 10.0]),
+    )
+    def test_loss_close_to_row_sums(self, problem, scale, lam):
+        """The one-sum loss against ``row_sum_als_loss``: per-row fsums and
+        a regularizer over the squared factor entries.
+
+        Both read the same Gram entries and cell terms, bit for bit. With
+        u = 2^-53, n the larger factor row count and A the sum of the
+        absolute values of all terms (regularizer lam * |x|^2 + lam * |y|^2),
+        they differ by at most:
+        - regularizer: a Gram diagonal entry is a float sum of n products,
+          within gamma_n ~ n u relative of its exact value (Higham's inner
+          product bound; all terms are >= 0), and five roundings around
+          the two regularizers (squares, sums, add, the two lam products)
+          add at most 5u relative: (n + 5) u A;
+        - cells: the old definition rounds each row sum and the sum of rows,
+          2u A;
+        - totals: the old definition rounds its Gram part and its total,
+          the new its one total, 3u A.
+        So at most (n + 10) u A; the test allows (n + 10) eps A, eps = 2u.
+        """
+        mat, other, x = problem
+        x, other = x * 2.0**scale, other * 2.0**scale
+        alpha = 40.0
+        loss = _training_loss(x, other, _plan_rows(mat, alpha), lam)
+        old = row_sum_als_loss(x, other, mat, alpha, lam)
+        gram = np.abs(x.T @ x * (other.T @ other)).ravel()
+        cells = []
+        for row in range(mat.shape[0]):
+            lo, hi = mat.indptr[row], mat.indptr[row + 1]
+            s = other[mat.indices[lo:hi]] @ x[row]
+            cells.extend(np.abs((1.0 + alpha * mat.data[lo:hi]) * (1.0 - s) ** 2 - s * s))
+        reg = lam * (math.fsum((x**2).ravel()) + math.fsum((other**2).ravel()))
+        size = math.fsum([*gram, *cells, reg])
+        n = max(len(x), len(other))
+        assert abs(loss - old) <= (n + 10) * np.finfo(np.float64).eps * size
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_rows_around_the_factor_count(self, k):
         # f = 4: k = 3 takes the k x k solve, 4 and 5 the f x f one
@@ -386,8 +428,8 @@ class TestExactSum:
             assert _exact_sum(array) == math.fsum(values)
 
     def test_squares_of_factors(self):
-        # what the regularizer sums: tens of thousands of squares over a
-        # wide range of exponents
+        # tens of thousands of squares over a wide range of exponents: more
+        # terms than the loss sums per sweep at the 10x tier
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2000, 32)) * np.exp(rng.normal(scale=20.0, size=(2000, 1)))
         values = x**2

@@ -165,6 +165,18 @@ class TestTrain:
             models.append(out.read_bytes())
         assert models[0] == models[1]
 
+    @pytest.mark.parametrize("algo", ["als", "forest"])
+    def test_out_into_a_missing_directory(self, workspace, tmp_path, algo):
+        # the model's directory is made once the model is fitted
+        _, config, data_path = workspace
+        out = tmp_path / "models" / "deeper" / f"{algo}.json"
+        rc = dispatch([
+            "train", "--config", str(config), "--data", str(data_path),
+            "--algo", algo, "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert out.is_file()
+
     def test_forest_model_round_trips(self, workspace, tmp_path):
         _, config, data_path = workspace
         out = tmp_path / "forest.json"
@@ -415,6 +427,26 @@ class TestEntryPoint:
             assert (tmp_path / "blocked" / name).read_bytes() == path.read_bytes(), name
 
 
+def _argv_doing_no_work(workspace, tmp_path, monkeypatch, command):
+    """``command``'s arguments but ``--out``, with loading, generating and
+    rendering patched to fail: an ``--out`` check must come first."""
+    _, config, data_path = workspace
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_events", "generate_dataset", "render_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = {
+        "synth": ["synth"],
+        "split": ["split", "--data", str(data_path)],
+        "train": ["train", "--data", str(data_path), "--algo", "forest"],
+        "evaluate": ["evaluate", "--data", str(data_path)],
+        "report": ["report", "--report", str(tmp_path / "report.json")],
+    }[command]
+    return argv if command == "report" else [*argv, "--config", str(config)]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
         _, config, data_path = workspace
@@ -625,29 +657,67 @@ class TestExitCodes:
     def test_out_of_the_wrong_kind_is_usage_error(
         self, workspace, tmp_path, capsys, monkeypatch, command
     ):
-        _, config, data_path = workspace
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before --out was checked")
-
-        for name in ("load_events", "generate_dataset", "render_report"):
-            monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "out"
         if command == "train":
             out.mkdir()
         else:
             out.write_text("")
-        argv = {
-            "synth": ["synth"],
-            "split": ["split", "--data", str(data_path)],
-            "train": ["train", "--data", str(data_path), "--algo", "forest"],
-            "evaluate": ["evaluate", "--data", str(data_path)],
-            "report": ["report", "--report", str(tmp_path / "report.json")],
-        }[command]
-        if command != "report":
-            argv += ["--config", str(config)]
+        argv = _argv_doing_no_work(workspace, tmp_path, monkeypatch, command)
         assert dispatch([*argv, "--out", str(out)]) == EXIT_USAGE
         assert f"--out {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "evaluate", "report"])
+    def test_out_under_a_file_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" / ("model.json" if command == "train" else "out")
+        argv = _argv_doing_no_work(workspace, tmp_path, monkeypatch, command)
+        assert dispatch([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert f"--out {out}: {blocker} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["config", "report", "manifest"])
+    def test_repeated_key_is_data_error(self, workspace, tmp_path, capsys, reader):
+        # json.loads would keep the last value: the config would run with k = 7
+        _, config, data_path = workspace
+        data = tmp_path / "interactions.csv"
+        data.write_bytes(data_path.read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"boundary": "2022-08-29T00:00:00Z"}')
+        repeated, out = tmp_path / "repeated.json", tmp_path / "out"
+        if reader == "config":
+            repeated.write_text(config.read_text()[:-1] + ', "k": 5, "k": 7}')
+            argv, key = ["evaluate", "--config", str(repeated), "--data", str(data)], "k"
+        elif reader == "report":
+            repeated.write_text('{"config": {"k": 10}, "cells": {"ndcg": {"a": 1, "a": 2}}}')
+            argv, key = ["report", "--report", str(repeated)], "a"
+        else:
+            manifest.write_text('{"boundary": "2022-08-29T00:00:00Z", '
+                                '"files": {"x": {"b": 1, "b": 2}}}')
+            argv, key = ["evaluate", "--config", str(config), "--data", str(data)], "b"
+            repeated = manifest
+        assert dispatch([*argv, "--out", str(out)]) == EXIT_DATA
+        assert f"{reader} {repeated}: key {key!r} appears twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config", "infeasible"])
+    def test_failed_synth_leaves_no_out(self, tmp_path, capsys, where):
+        shape = {"synth_users": 120, "synth_items": 30, "synth_sparsity": 0.85}
+        if where == "config":
+            shape["seed"] = -5
+        elif where == "infeasible":
+            shape["synth_sparsity"] = 0.999
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(shape))
+        out = tmp_path / "out"
+        argv = ["synth", "--config", str(config), "--out", str(out)]
+        if where == "flag":
+            argv += ["--seed", "-5"]
+        assert dispatch(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert ("cannot keep" if where == "infeasible" else "seed must be non-negative") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "train"])
     def test_over_wide_features_per_split_is_data_error(

@@ -142,6 +142,11 @@ class TestInfeasibleTargets:
         with pytest.raises(ValueError, match="non-negative"):
             SynthConfig(segment_targets=targets)
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng refuses it with its own ValueError, mid-run
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SynthConfig(seed=-5)
+
 
 @pytest.mark.parametrize("latent_dim", [1, 2])
 def test_fewer_latent_dims_than_features(latent_dim):

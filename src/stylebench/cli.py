@@ -5,9 +5,10 @@ descriptive tables, ``split`` materializes the temporal split, ``train``
 fits and serializes one model, ``evaluate`` runs the full pipeline, and
 ``report`` re-renders tables from a canonical report.json.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 internal error. Flags
-override config-file values; every run writes a manifest with the
-resolved config and input digests.
+Exit codes: 0 success, 1 usage, 2 data error, 3 internal error. Each
+value flag sets the config key it is stored under, over the config
+file's value; every run writes a manifest with the resolved config and
+input digests.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ _SYNTH_KEYS = {
     "synth_latent_dim": "latent_dim",
 }
 _SEGMENT_KEYS = ("synth_segment_new", "synth_segment_view", "synth_segment_sale")
-# generator flag -> SynthConfig field
-_SYNTH_FLAGS = {"users": "n_users", "items": "n_items", "skew": "popularity_skew", "seed": "seed"}
 _PATH_KEYS = {"data", "out"}
-# every key a --config file may hold, whichever command reads it
+# every key a --config file may hold, whichever command reads it; a value
+# flag's dest is one of them
 _CONFIG_KEYS = CONFIG_KEYS.keys() | _SYNTH_KEYS.keys() | set(_SEGMENT_KEYS) | _PATH_KEYS
 
 
@@ -91,21 +91,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_config(path: str | None) -> dict:
-    """A flat config file, its keys checked against every command's table."""
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such config file: {p}")
-    raw = _read_object(p, "config")
-    unknown = raw.keys() - _CONFIG_KEYS
-    if unknown:
-        raise DataError(f"config {p}: unknown keys {sorted(unknown)}")
-    for key in raw.keys() & _PATH_KEYS:
-        if not isinstance(raw[key], str):
-            raise DataError(f"config {p}: key {key!r} must be str, got {raw[key]!r}")
-    return raw
+def _settings(args) -> dict:
+    """The run's flat settings: the ``--config`` file's keys, checked
+    against every command's table, with each value flag given laid over
+    the key it is stored under."""
+    raw = {}
+    if args.config is not None:
+        p = Path(args.config)
+        if not p.exists():
+            raise DataError(f"no such config file: {p}")
+        raw = _read_object(p, "config")
+        unknown = raw.keys() - _CONFIG_KEYS
+        if unknown:
+            raise DataError(f"config {p}: unknown keys {sorted(unknown)}")
+        for key in raw.keys() & _PATH_KEYS:
+            if not isinstance(raw[key], str):
+                raise DataError(f"config {p}: key {key!r} must be str, got {raw[key]!r}")
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    return {**raw, **flags}
 
 
 def _read_object(path: Path, what: str) -> dict:
@@ -168,35 +171,27 @@ def _report_formats(text: str) -> list[str]:
     return formats
 
 
-def _synth_config(raw: dict, args) -> SynthConfig:
-    """Generator config from the ``synth_*`` keys and ``seed`` of a flat
-    config, overridden by flags."""
+def _synth_config(settings: dict) -> SynthConfig:
+    """Generator config from the ``synth_*`` keys and ``seed`` of the
+    settings."""
     hints = typing.get_type_hints(SynthConfig)
     try:
         given = {
-            name: typed_config_value(key, raw[key], hints[name])
+            name: typed_config_value(key, settings[key], hints[name])
             for key, name in {**_SYNTH_KEYS, "seed": "seed"}.items()
-            if key in raw
+            if key in settings
         }
         given["segment_targets"] = tuple(
-            typed_config_value(key, raw[key], float) if key in raw else default
+            typed_config_value(key, settings[key], float) if key in settings else default
             for key, default in zip(_SEGMENT_KEYS, SynthConfig.segment_targets)
-        )
-        given.update(
-            (name, getattr(args, flag))
-            for flag, name in _SYNTH_FLAGS.items()
-            if getattr(args, flag, None) is not None
         )
         return SynthConfig(**given)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
 
-def _eval_config(raw: dict, args, boundary: datetime) -> EvalConfig:
-    given = {k: v for k, v in raw.items() if k in CONFIG_KEYS}
-    for key in ("seed", "k", "threads", "grading"):
-        if getattr(args, key, None) is not None:
-            given[key] = getattr(args, key)
+def _eval_config(settings: dict, boundary: datetime) -> EvalConfig:
+    given = {k: v for k, v in settings.items() if k in CONFIG_KEYS}
     try:
         return EvalConfig.from_dict({**given, "boundary": boundary})
     except ValueError as exc:
@@ -218,16 +213,16 @@ def _out(value, is_dir: bool = True) -> Path:
     return path
 
 
-def _inputs(args, raw: dict) -> tuple[Path, Dataset, datetime]:
+def _inputs(settings: dict, config: str | None) -> tuple[Path, Dataset, datetime]:
     """Data path, dataset and split boundary of a data command, given its
-    config. The boundary is the ``--boundary`` flag, else the config's,
-    else the one the generator or split manifest next to the data file
-    records."""
-    data_path = Path(_require(args.data or raw.get("data"), "--data"))
+    settings and config file. The boundary is the ``--boundary`` flag's
+    (parsed to a datetime), else the config's, else the one the
+    generator or split manifest next to the data file records."""
+    data_path = Path(_require(settings.get("data"), "--data"))
     data = load_events(data_path)
-    if args.boundary:
-        return data_path, data, args.boundary
-    value, source = raw.get("boundary"), f"config {args.config}"
+    value, source = settings.get("boundary"), f"config {config}"
+    if isinstance(value, datetime):
+        return data_path, data, value
     manifest = data_path.parent / "manifest.json"
     if not value and manifest.exists():
         value, source = _read_object(manifest, "manifest").get("boundary"), f"manifest {manifest}"
@@ -262,9 +257,9 @@ def _input_digests(data_path: Path) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    raw = _load_config(args.config)
-    cfg = _synth_config(raw, args)
-    out_dir = _out(args.out or raw.get("out") or "synth_out")
+    settings = _settings(args)
+    cfg = _synth_config(settings)
+    out_dir = _out(settings.get("out") or "synth_out")
     data = generate_dataset(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "interactions.csv"
@@ -283,7 +278,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _, data, boundary = _inputs(args, _load_config(args.config))
+    _, data, boundary = _inputs(_settings(args), args.config)
     split = temporal_split(data, boundary)
     stats = dataset_stats(split, segment_users(split))
     print(f"boundary: {format_timestamp(boundary)}")
@@ -301,9 +296,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    raw = _load_config(args.config)
-    out_dir = _out(args.out or raw.get("out"))
-    _, data, boundary = _inputs(args, raw)
+    settings = _settings(args)
+    out_dir = _out(settings.get("out"))
+    _, data, boundary = _inputs(settings, args.config)
     out_dir.mkdir(parents=True, exist_ok=True)
     split = temporal_split(data, boundary)
     train_path, test_path = out_dir / "train.csv", out_dir / "test.csv"
@@ -325,28 +320,27 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw = _load_config(args.config)
-    out_path = _out(args.out or raw.get("out"), is_dir=False)
-    _, data, boundary = _inputs(args, raw)
-    cfg = _eval_config(raw, args, boundary)
+    settings = _settings(args)
+    out_path = _out(settings.get("out"), is_dir=False)
+    _, data, boundary = _inputs(settings, args.config)
+    cfg = _eval_config(settings, boundary)
     train = temporal_split(data, boundary).train
     if args.algo == "forest":
         check_forest_inputs(cfg, data, train)
     confidence, model = fit_factor_model(cfg, train)
+    if args.algo == "forest":
+        model = fit_cb_forest(cfg, train, confidence, model)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if args.algo == "als":
-        als_mod.save_model(model, out_path)
-    else:
-        forest_mod.save_forest(fit_cb_forest(cfg, train, confidence, model), out_path)
+    (als_mod.save_model if args.algo == "als" else forest_mod.save_forest)(model, out_path)
     print(f"wrote {args.algo} model to {out_path}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    raw = _load_config(args.config)
-    out_dir = _out(args.out or raw.get("out") or "eval_out")
-    data_path, data, boundary = _inputs(args, raw)
-    cfg = _eval_config(raw, args, boundary)
+    settings = _settings(args)
+    out_dir = _out(settings.get("out") or "eval_out")
+    data_path, data, boundary = _inputs(settings, args.config)
+    cfg = _eval_config(settings, boundary)
     report = run_evaluation(cfg, data)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = render_report(report, out_dir)
@@ -393,41 +387,35 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="stylebench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, *, seeded, data, out=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--seed", type=int, help="master seed")
+        if seeded:
+            p.add_argument("--seed", type=int, help="master seed")
+        if data:
+            p.add_argument("--data", help="interactions file")
+            p.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
+        if out:
+            p.add_argument("--out", help=out)
+        return p
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p_synth)
-    p_synth.add_argument("--out", help="output directory")
-    p_synth.add_argument("--users", type=int, help="user pool size")
-    p_synth.add_argument("--items", type=int, help="catalog size")
-    p_synth.add_argument("--skew", type=float, help="popularity Zipf exponent")
+    # a value flag's dest is the config key it sets
+    p_synth = command("synth", "generate a synthetic dataset", seeded=True, data=False,
+                      out="output directory")
+    p_synth.add_argument("--users", dest="synth_users", type=int, help="user pool size")
+    p_synth.add_argument("--items", dest="synth_items", type=int, help="catalog size")
+    p_synth.add_argument("--skew", dest="synth_skew", type=float, help="popularity Zipf exponent")
 
-    p_stats = sub.add_parser("stats", help="print descriptive statistics")
-    common(p_stats)
-    p_stats.add_argument("--data", help="interactions file")
-    p_stats.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
+    command("stats", "print descriptive statistics", seeded=False, data=True)
+    command("split", "write the temporal split", seeded=False, data=True, out="output directory")
 
-    p_split = sub.add_parser("split", help="write the temporal split")
-    common(p_split)
-    p_split.add_argument("--data", help="interactions file")
-    p_split.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
-    p_split.add_argument("--out", help="output directory")
-
-    p_train = sub.add_parser("train", help="fit and serialize one model")
-    common(p_train)
-    p_train.add_argument("--data", help="interactions file")
-    p_train.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
+    p_train = command("train", "fit and serialize one model", seeded=True, data=True,
+                      out="model output path")
     p_train.add_argument("--algo", choices=("als", "forest"), required=True)
-    p_train.add_argument("--out", help="model output path")
     p_train.add_argument("--threads", type=int, help="worker cap")
 
-    p_eval = sub.add_parser("evaluate", help="run the full evaluation pipeline")
-    common(p_eval)
-    p_eval.add_argument("--data", help="interactions file")
-    p_eval.add_argument("--boundary", type=parse_timestamp, help="RFC 3339 split boundary")
-    p_eval.add_argument("--out", help="report output directory")
+    p_eval = command("evaluate", "run the full evaluation pipeline", seeded=True, data=True,
+                     out="report output directory")
     p_eval.add_argument("--k", type=int, help="recommendation list length")
     p_eval.add_argument("--threads", type=int, help="worker cap")
     p_eval.add_argument("--grading", choices=GRADING_MODES)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -590,7 +591,8 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
     """Train n_trees trees on seeded bootstrap resamples.
 
     Per-tree RNG streams derive from (seed, tree index), so the result is
-    independent of scheduling and of ``threads``.
+    independent of scheduling and of ``threads``, which is capped at the
+    CPUs this process may run on.
     """
     x, y = table.features, table.labels
     if len(y) < 2:
@@ -610,8 +612,9 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
         )
     fit = functools.partial(_fit_tree, _FitState.build(table, cfg))
     # the state is pickled once per task chunk, so one chunk per worker, and
-    # one worker per chunk: a forked pool starts all its workers at once
-    chunksize = math.ceil(cfg.n_trees / max(threads, 1))
+    # one worker per chunk: a forked pool starts all its workers at once,
+    # each with its own copy of the state, so no more than the usable CPUs
+    chunksize = math.ceil(cfg.n_trees / max(min(threads, _usable_cpus()), 1))
     n_chunks = math.ceil(cfg.n_trees / chunksize)
     if n_chunks > 1:
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
@@ -619,6 +622,15 @@ def fit_forest(table: AugmentedTable, cfg: ForestConfig, threads: int = 1) -> Fo
     else:
         trees = tuple(map(fit, range(cfg.n_trees)))
     return ForestModel(trees=trees, schema=table.schema, config=cfg)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
 
 
 # (row, node) decisions per tree that predict_forest makes at once: 1M

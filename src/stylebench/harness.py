@@ -281,8 +281,9 @@ def check_forest_inputs(cfg: EvalConfig, data: Dataset, train: Dataset) -> None:
     """Reject, as a data error, data the CB forest cannot be fitted and
     scored on, so nothing is fitted for a forest that cannot be: no user or
     item feature table, a user of the data or an item of its ``train``
-    split without a feature row, or a ``forest_features_per_split`` wider
-    than the tables' columns."""
+    split without a feature row, tables with no feature column between
+    them, or a ``forest_features_per_split`` wider than the tables'
+    columns."""
     missing = [
         side
         for side, table in (("user", data.user_features), ("item", data.item_features))
@@ -304,6 +305,11 @@ def check_forest_inputs(cfg: EvalConfig, data: Dataset, train: Dataset) -> None:
                 f"item; {side} {ids[absent[0]]!r} has none"
             )
     schema = forest_mod.FeatureSchema.from_tables(data.user_features, data.item_features)
+    if not schema.n_features:
+        raise MissingFeatures(
+            "the CB forest needs a feature column; the user and item feature "
+            "tables hold only ids"
+        )
     try:
         cfg.forest.resolved_features_per_split(schema.n_features)
     except ValueError as exc:

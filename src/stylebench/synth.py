@@ -9,6 +9,7 @@ vectors driving preference, so a content-based learner has real signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -56,8 +57,8 @@ class SynthConfig:
             raise ValueError("need at least 10 users and 2 items")
         if not 1 <= self.boundary_month < self.months:
             raise ValueError("boundary_month must lie inside the window")
-        if self.popularity_skew < 0:
-            raise ValueError("popularity_skew must be non-negative")
+        if not 0 <= self.popularity_skew < math.inf:
+            raise ValueError("popularity_skew must be finite and non-negative")
         if not 0.0 < self.target_sparsity < 1.0:
             raise ValueError("target_sparsity must be in (0, 1)")
         if not all(share >= 0 for share in self.segment_targets):

@@ -1,5 +1,6 @@
 """Command-line interface: flows, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,8 @@ import pytest
 from stylebench import cli, harness
 from stylebench.als import load_model
 from stylebench.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
-from stylebench.data import load_events
+from stylebench.data import format_timestamp, load_events
+from stylebench.errors import StylebenchError
 from stylebench.forest import load_forest
 
 
@@ -176,6 +178,25 @@ class TestTrain:
         ])
         assert rc == EXIT_OK
         assert out.is_file()
+
+    def test_failed_fit_makes_no_out_directory(self, workspace, tmp_path, monkeypatch, capsys):
+        # the forest's directory was once made between the ALS fit and the forest fit
+        _, config, data_path = workspace
+
+        def fails(*args, **kwargs):
+            raise StylebenchError("fit failed")
+
+        for algo, fit in (("als", "fit_factor_model"), ("forest", "fit_cb_forest")):
+            monkeypatch.setattr(cli, fit, fails)
+            out = tmp_path / algo / "model.json"
+            rc = dispatch([
+                "train", "--config", str(config), "--data", str(data_path),
+                "--algo", algo, "--out", str(out),
+            ])
+            assert rc == EXIT_INTERNAL
+            assert "fit failed" in capsys.readouterr().err
+            assert not out.parent.exists()
+            monkeypatch.undo()
 
     def test_forest_model_round_trips(self, workspace, tmp_path):
         _, config, data_path = workspace
@@ -810,6 +831,43 @@ class TestExitCodes:
         assert "stage" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_cb_without_feature_columns_is_data_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        # sidecars cut to their id column: ALS once ran, and then the forest
+        # fit failed with a traceback; MP and CF still run on such data
+        import stylebench.als
+
+        _, config, data_path = workspace
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in data_path.parent.iterdir():  # the manifest holds the boundary
+            text = path.read_text()
+            if path.name.split(".")[1] in ("users", "items"):
+                text = "".join(line.split(",")[0] + "\n" for line in text.splitlines())
+            (data / path.name).write_text(text)
+        events = str(data / "interactions.csv")
+        if command == "evaluate":
+            mp_cf = tmp_path / "mp_cf.json"
+            mp_cf.write_text(json.dumps({**json.loads(config.read_text()), "algorithms": "MP,CF"}))
+            assert dispatch([
+                "evaluate", "--config", str(mp_cf), "--data", events,
+                "--out", str(tmp_path / "mp_cf"),
+            ]) == EXIT_OK
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("fitted before the feature columns were checked")
+
+        monkeypatch.setattr(stylebench.als, "fit_als", not_called)
+        out = tmp_path / "out" / ("f.json" if command == "train" else "run")
+        argv = [command, "--config", str(config), "--data", events, "--out", str(out)]
+        if command == "train":
+            argv += ["--algo", "forest"]
+        assert dispatch(argv) == EXIT_DATA
+        assert "hold only ids" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("algorithms", ["MP,MP", ""])
     def test_empty_or_repeated_algorithms_is_data_error(
         self, workspace, tmp_path, capsys, algorithms
@@ -851,8 +909,24 @@ class TestExitCodes:
         assert not out.exists()
 
 
+# value flag -> (the config key it sets, the file's value, the flag's
+# value); "{tmp}" is the test's directory and "{data}" the fixture's events
+FLAG_KEYS = {
+    "--users": ("synth_users", 150, "120"),
+    "--items": ("synth_items", 40, "30"),
+    "--skew": ("synth_skew", 2.0, "0.5"),
+    "--seed": ("seed", 3, "7"),
+    "--k": ("k", 5, "3"),
+    "--threads": ("threads", 1, "2"),
+    "--grading": ("grading", "binary", "sales_only"),
+    "--data": ("data", "{tmp}/missing.csv", "{data}"),
+    "--out": ("out", "{tmp}/from_file", "{tmp}/from_flag"),
+    "--boundary": ("boundary", "2022-06-01T00:00:00Z", "2022-07-01T00:00:00+02:00"),
+}
+
+
 class TestInputs:
-    """Config keys, data path and boundary: one step shared by every data command."""
+    """Settings, data path and boundary: one step shared by every data command."""
 
     @pytest.mark.parametrize("command, extra", [
         ("synth", ["--out"]),
@@ -907,3 +981,72 @@ class TestInputs:
         for extra, expected in runs:
             assert dispatch(["stats", "--data", str(data_path), *extra]) == EXIT_OK
             assert capsys.readouterr().out.splitlines()[0] == f"boundary: {expected}"
+
+    def test_every_value_flag_is_a_config_key(self):
+        # a flag stored under any other name would never reach the settings
+        parser = cli._build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        for name, command in commands.items():
+            if name != "report":
+                dests = {a.dest for a in command._actions} - {"help", "config", "algo"}
+                assert dests <= cli._CONFIG_KEYS, name
+
+    @pytest.mark.parametrize("flag", list(FLAG_KEYS))
+    def test_flag_overrides_its_config_key(self, workspace, tmp_path, capsys, flag):
+        _, config, data_path = workspace
+        key, in_file, given = (
+            v.format(tmp=tmp_path, data=data_path) if isinstance(v, str) else v
+            for v in FLAG_KEYS[flag]
+        )
+        command = ("stats" if key in ("data", "boundary")
+                   else "evaluate" if key in ("k", "threads", "grading") else "synth")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {**json.loads(config.read_text()), "algorithms": "MP", key: in_file}
+        ))
+        argv = [command, "--config", str(cfg), flag, given]
+        if command != "stats" and key != "out":
+            argv += ["--out", str(tmp_path / "out")]
+        if command != "synth" and key != "data":
+            argv += ["--data", str(data_path)]
+        args = cli._build_parser().parse_args(argv)
+        value = getattr(args, key)
+        assert cli._settings(args)[key] == value != in_file
+        assert dispatch(argv) == EXIT_OK  # a missing --data file would fail stats
+        if key == "boundary":
+            assert capsys.readouterr().out.startswith(f"boundary: {format_timestamp(value)}\n")
+        elif key == "out":
+            assert (tmp_path / "from_flag" / "manifest.json").exists()
+            assert not (tmp_path / "from_file").exists()
+        elif command == "synth":
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["synth_config"][cli._SYNTH_KEYS.get(key, key)] == value
+        elif command == "evaluate":
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["config"][key] == value
+
+    @pytest.mark.parametrize("skew", ["nan", "inf"])
+    def test_non_finite_skew_flag_is_data_error(self, tmp_path, capsys, skew):
+        # --skew nan once wrote a log with every event on one item
+        out = tmp_path / "nanskew"
+        rc = dispatch([
+            "synth", "--users", "120", "--items", "30", "--skew", skew, "--seed", "3",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_DATA
+        assert f"config key 'synth_skew' must be finite float, got {skew}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "split"])
+    def test_seed_flag_is_usage_error(self, workspace, tmp_path, capsys, command):
+        # neither command reads a seed
+        _, config, data_path = workspace
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--data", str(data_path), "--seed", "5"]
+        if command == "split":
+            argv += ["--out", str(out)]
+        assert dispatch(argv) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()

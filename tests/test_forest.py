@@ -2,6 +2,7 @@
 prediction, determinism, serialization."""
 
 import json
+import os
 import sys
 import tempfile
 import threading
@@ -260,6 +261,7 @@ class TestFitForest:
             return state.__dict__
 
         monkeypatch.setattr(forest._FitState, "__getstate__", getstate, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = ForestConfig(n_trees=5, seed=6)
         a = fit_forest(table, cfg, threads=2)
         assert len(pickled) == 2
@@ -275,28 +277,36 @@ class TestFitForest:
     def test_pool_starts_one_worker_per_chunk(self, monkeypatch, n_trees, threads, workers):
         # a forked pool starts all max_workers at its first submit, so a
         # worker without a chunk would only idle
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", SerialPool)
+        started = serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         x, schema = numeric_table(60, seed=5)
         table = table_from(x, x[:, 0] ** 2, schema)
         cfg = ForestConfig(n_trees=n_trees, seed=6)
         pooled = fit_forest(table, cfg, threads=threads)
         assert started == workers
         for ta, tb in zip(pooled.trees, fit_forest(table, cfg).trees, strict=True):
+            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+            assert np.array_equal(ta.value, tb.value, equal_nan=True)
+
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [({0, 1}, 8, [2]), (None, 3, [3])])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, affinity, cpu_count, workers):
+        # each forked worker holds its own copy of the fit state: threads=64
+        # once opened a worker per tree chunk on a 2-CPU box
+        started = serial_pool(monkeypatch)
+        if affinity is None:  # a platform without sched_getaffinity
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        x, schema = numeric_table(60, seed=5)
+        table = table_from(x, x[:, 0] ** 2, schema)
+        cfg = ForestConfig(n_trees=20, seed=6)
+        pooled = fit_forest(table, cfg, threads=64)
+        assert started == workers
+        for ta, tb in zip(pooled.trees, fit_forest(table, cfg, threads=1).trees, strict=True):
+            assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
             assert np.array_equal(ta.value, tb.value, equal_nan=True)
 
@@ -838,6 +848,28 @@ class TestEncodeEntities:
     def test_first_unknown_level_named(self):
         with pytest.raises(SchemaMismatch, match="level 'y' not in schema for user.c"):
             encode_entities(self.SCHEMA, self.table(["x", "a", "y"]), "user", ["u2", "u3", "u1"])
+
+
+def serial_pool(monkeypatch) -> list:
+    """Patch the forest's process pool with one that maps in the calling
+    process, and return the list it appends each pool's ``max_workers`` to."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(forest, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 def _goes_left(tree, node, rows):

@@ -142,6 +142,12 @@ class TestInfeasibleTargets:
         with pytest.raises(ValueError, match="non-negative"):
             SynthConfig(segment_targets=targets)
 
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+    def test_non_finite_skew_rejected(self, skew):
+        # NaN once put every event on the first item
+        with pytest.raises(ValueError, match="popularity_skew must be finite"):
+            SynthConfig(popularity_skew=skew)
+
     def test_negative_seed_rejected(self):
         # numpy's default_rng refuses it with its own ValueError, mid-run
         with pytest.raises(ValueError, match="seed must be non-negative"):

@@ -7,8 +7,9 @@ fits and serializes one model, ``evaluate`` runs the full pipeline, and
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error. Each
 value flag sets the config key it is stored under, over the config
-file's value; every run writes a manifest with the resolved config and
-input digests.
+file's value. ``synth``, ``split``, ``train`` and ``evaluate`` write a
+manifest beside their output: the command, its resolved config or split
+boundary, and the digests of the files it read or wrote.
 """
 
 from __future__ import annotations
@@ -36,19 +37,17 @@ from .data import (
     temporal_split,
     write_events,
 )
-from .errors import DataError, StylebenchError
+from .errors import DataError, InvalidReport, StylebenchError
 from .harness import (
     CONFIG_KEYS,
     REPORT_FORMATS,
-    REPORT_SHAPE,
     EvalConfig,
     EvaluationReport,
     check_forest_inputs,
+    check_payload,
     fit_cb_forest,
     fit_factor_model,
-    is_number,
     render_report,
-    report_entries_shape,
     run_evaluation,
     typed_config_value,
 )
@@ -87,10 +86,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _settings(args) -> dict:
     """The run's flat settings: the ``--config`` file's keys, checked
     against every command's table, with each value flag given laid over
@@ -126,39 +121,6 @@ def _read_object(path: Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise DataError(f"{what} {path} must hold a JSON object")
     return raw
-
-
-def _lacks(node: dict, shape: dict) -> str | None:
-    """Dotted path of the first key of ``shape`` that ``node`` lacks, or
-    holds as a non-object where ``shape`` wants one (a dict) or as other
-    than a finite number where it wants one (``float``)."""
-    for key, sub in shape.items():
-        if key not in node:
-            return key
-        if sub is float:
-            if not is_number(node[key]):
-                return key
-        elif sub is not None:
-            if not isinstance(node[key], dict):
-                return key
-            inner = _lacks(node[key], sub)
-            if inner:
-                return f"{key}.{inner}"
-    return None
-
-
-def _report_lacks(payload: dict) -> str | None:
-    """Dotted path of the first part of a report that render_report reads
-    and ``payload`` lacks: a REPORT_SHAPE key, ``config.algorithms`` as a
-    list of names, or a key of :func:`report_entries_shape`, each of the
-    kind the shape wants."""
-    lacking = _lacks(payload, REPORT_SHAPE)
-    if lacking:
-        return lacking
-    algorithms = payload["config"]["algorithms"]
-    if not isinstance(algorithms, list) or not all(isinstance(a, str) for a in algorithms):
-        return "config.algorithms"
-    return _lacks(payload, report_entries_shape(payload))
 
 
 def _report_formats(text: str) -> list[str]:
@@ -237,18 +199,15 @@ def _inputs(settings: dict, config: str | None) -> tuple[Path, Dataset, datetime
         raise DataError(f"{source}: {exc}") from None
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    (out_dir / "manifest.json").write_text(
+def _write_manifest(path: Path, payload: dict) -> None:
+    path.write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
 def _input_digests(data_path: Path) -> dict:
-    digests = {data_path.name: _sha256(data_path)}
-    for side in sidecar_paths(data_path):
-        if side.exists():
-            digests[side.name] = _sha256(side)
-    return digests
+    paths = [data_path, *(side for side in sidecar_paths(data_path) if side.exists())]
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +224,7 @@ def _cmd_synth(args) -> int:
     data_path = out_dir / "interactions.csv"
     write_events(data, data_path)
     _write_manifest(
-        out_dir,
+        out_dir / "manifest.json",
         {
             "command": "synth",
             "boundary": format_timestamp(cfg.boundary),
@@ -305,7 +264,7 @@ def _cmd_split(args) -> int:
     write_events(split.train, train_path)
     write_events(split.test, test_path)
     _write_manifest(
-        out_dir,
+        out_dir / "manifest.json",
         {
             "command": "split",
             "boundary": format_timestamp(boundary),
@@ -322,7 +281,7 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     settings = _settings(args)
     out_path = _out(settings.get("out"), is_dir=False)
-    _, data, boundary = _inputs(settings, args.config)
+    data_path, data, boundary = _inputs(settings, args.config)
     cfg = _eval_config(settings, boundary)
     train = temporal_split(data, boundary).train
     if args.algo == "forest":
@@ -332,6 +291,17 @@ def _cmd_train(args) -> int:
         model = fit_cb_forest(cfg, train, confidence, model)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     (als_mod.save_model if args.algo == "als" else forest_mod.save_forest)(model, out_path)
+    # beside the model and named after it: a model written into the data
+    # directory keeps the generator's manifest.json
+    _write_manifest(
+        out_path.with_name(f"{out_path.stem}.manifest.json"),
+        {
+            "command": "train",
+            "algo": args.algo,
+            "config": cfg.to_dict(),
+            "inputs": _input_digests(data_path),
+        },
+    )
     print(f"wrote {args.algo} model to {out_path}")
     return EXIT_OK
 
@@ -345,7 +315,7 @@ def _cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = render_report(report, out_dir)
     _write_manifest(
-        out_dir,
+        out_dir / "manifest.json",
         {
             "command": "evaluate",
             "config": cfg.to_dict(),
@@ -363,9 +333,10 @@ def _cmd_report(args) -> int:
     if not report_path.exists():
         raise DataError(f"no such report file: {report_path}")
     payload = _read_object(report_path, "report")
-    lacking = _report_lacks(payload)
-    if lacking:
-        raise DataError(f"report {report_path} has no valid {lacking!r}")
+    try:
+        check_payload(payload, f"report {report_path}")
+    except InvalidReport as exc:
+        raise DataError(str(exc)) from None
     written = render_report(EvaluationReport(payload), out_dir, formats=args.format)
     for path in written:
         print(f"wrote {path}")

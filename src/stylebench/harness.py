@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import types
@@ -28,6 +29,7 @@ from .data import (
     Dataset,
     PopularityTable,
     Segment,
+    _object_without_repeats,
     dataset_stats,
     format_timestamp,
     id_rows,
@@ -65,6 +67,8 @@ from .recommend import (
 
 SEGMENT_ROWS = ("sale_users", "view_users", "new_users", "average")
 METRICS = ("ndcg", "ad", "rp")
+# CF cannot cover new users, so its cells in these rows are null
+CF_NULL_ROWS = ("new_users", "average")
 REPORT_FORMATS = ("json", "csv", "markdown")
 
 # flat config key -> (EvalConfig attribute holding the field, or None for
@@ -221,7 +225,12 @@ class EvaluationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationReport":
-        return cls(payload=json.loads(text))
+        """The report in report.json's ``text``, held to the report
+        contract: a key given twice raises ValueError, and a payload that
+        breaks :func:`check_payload` InvalidReport."""
+        payload = json.loads(text, object_pairs_hook=_object_without_repeats)
+        check_payload(payload)
+        return cls(payload=payload)
 
 
 @contextmanager
@@ -403,9 +412,7 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
     }
     for algo in cfg.algorithms:
         for row in SEGMENT_ROWS:
-            # CF cannot cover new users, so its new-user and pooled rows
-            # stay unavailable
-            if algo == "CF" and row in ("new_users", "average"):
+            if algo == "CF" and row in CF_NULL_ROWS:
                 for metric in METRICS:
                     cells[metric][row][algo] = None
                 continue
@@ -415,8 +422,6 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
             top = item_ids[top_pos[algo][members]]
             cells["ad"][row][algo] = _bootstrap_cell(cfg, "ad", row, algo, top, k)
             cells["rp"][row][algo] = _bootstrap_cell(cfg, "rp", row, algo, top, pop, k)
-
-    check_report(cells, k, covered, ndcg, in_row)
 
     # threads is an execution detail; keeping it out of the echo keeps
     # report.json byte-identical across --threads settings
@@ -439,69 +444,124 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         },
         "cells": cells,
     }
+    check_payload(payload)
+    check_report(cells, covered, ndcg, in_row)
     return EvaluationReport(payload=payload)
 
 
-# the fields of a non-null cell that hold its metric, per metric
-METRIC_FIELDS = {"ndcg": ("value",), "ad": ("point", "ci_low", "ci_high"),
-                 "rp": ("point", "ci_low", "ci_high")}
+def cell_fields(k: int) -> dict[str, dict]:
+    """A non-null cell's fields per metric, in report.json's order: a [lo,
+    hi] range, None for any finite number, or int for a count."""
+    ad, rp = (0.0, 2.0 * k), (0.0, math.inf)
+    return {
+        "ndcg": {"value": (0.0, 1.0), "pct_over_random": None, "random_baseline": (0.0, 1.0),
+                 "n_users": int, "n_excluded": int},
+        "ad": {"point": ad, "sd": rp, "ci_low": ad, "ci_high": ad, "n_pairs": int},
+        "rp": {"point": rp, "sd": rp, "ci_low": rp, "ci_high": rp, "n_users": int},
+    }
+
+
+def _is_count(value, least: int = 0) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def check_payload(payload, name: str = "report") -> None:
+    """Raise InvalidReport at the first part of a report payload that breaks
+    the report contract (README, "Report contract"), reading nothing but
+    the payload. A shape or type fault reads ``{name} has no valid
+    'dotted.path'``; ``name`` is "report FILE" for a report read from a
+    file. The cost is O(cells)."""
+
+    def get(path: str, valid=lambda value: True):
+        node, keys = payload, path.split(".")
+        for i, key in enumerate(keys):
+            if not isinstance(node, dict) or key not in node:
+                path = ".".join(keys[: i + 1])
+                break
+            node = node[key]
+        else:
+            if valid(node):
+                return node
+        raise InvalidReport(f"{name} has no valid {path!r}")
+
+    algorithms = get("config.algorithms", lambda a: isinstance(a, list) and a and all(
+        x in ALGORITHMS for x in a) and len(set(a)) == len(a))
+    k = get("config.k", lambda v: _is_count(v, 1))
+    get("config.seed"), get("config.boundary")  # printed as they are
+    users = get("dataset.test.users", _is_count)
+    members = {s.value: get(f"dataset.test.segments.{s.value}.users", _is_count) for s in Segment}
+    get("dataset.test.segments", lambda _: sum(members.values()) == users)
+    members["average"] = users
+    for algo in algorithms:
+        covered, uncovered = (get(f"coverage.{algo}.{key}", _is_count)
+                              for key in ("covered", "uncovered"))
+        # MP and CB cover every test user, CF all but the new users
+        new = members[Segment.NEW.value] if algo == "CF" else 0
+        if (covered, uncovered) != (users - new, new):
+            raise InvalidReport(f"{name} coverage {algo}: {covered} covered + {uncovered} "
+                                f"uncovered, but {algo} covers {users - new} of {users} test users")
+    get("coverage", lambda c: c.keys() <= set(algorithms))
+    for key in ("short_head_fraction", "n_short_head_items", "n_items", "total_sales"):
+        get(f"short_head.{key}", is_number)
+
+    for metric, fields in cell_fields(k).items():
+        for row, algo in itertools.product(SEGMENT_ROWS, algorithms):
+            path, where = f"cells.{metric}.{row}.{algo}", f"{name} cell {metric}/{row}/{algo}"
+            cell, m = get(path, lambda c: c is None or isinstance(c, dict)), members[row]
+            if algo == "CF" and row in CF_NULL_ROWS:
+                if cell is not None:
+                    raise InvalidReport(f"{where} is not null, but CF cannot cover new users")
+            elif cell is None:  # whether an NDCG member can be graded is not in the payload
+                if metric != "ndcg" and m >= (2 if metric == "ad" else 1):
+                    raise InvalidReport(f"{where} is null, but its users can be graded")
+            else:
+                for field_name, kind in fields.items():
+                    # a non-finite float in a ranged field is out of range, not malformed
+                    value = get(f"{path}.{field_name}", _is_count if kind is int else (
+                        lambda v: is_number(v) or kind is not None and isinstance(v, float)))
+                    lo, hi = kind if isinstance(kind, tuple) else (-math.inf, math.inf)
+                    if not (math.isfinite(value) and lo <= value <= hi):
+                        raise InvalidReport(
+                            f"{where}: {field_name} = {value!r} is outside [{lo}, {hi}]"
+                        )
+                # a cell's counts add up to its m covered members, or AD's pairs of them
+                counts = [f for f, kind in fields.items() if kind is int]
+                total = sum(cell[f] for f in counts)
+                want = min(m, m * (m - 1) // 2) if metric == "ad" else m
+                if total != want:
+                    raise InvalidReport(f"{where}: {' + '.join(counts)} = {total}, "
+                                        f"not the {want} its row's {m} covered users give")
 
 
 def check_report(
-    cells: dict, k: int, covered: dict[str, np.ndarray], ndcg: dict[str, np.ndarray],
+    cells: dict, covered: dict[str, np.ndarray], ndcg: dict[str, np.ndarray],
     in_row: dict[str, np.ndarray],
 ) -> None:
-    """Raise InvalidReport naming the first cell or strategy that breaks
-    the report's invariants:
-
-    - NDCG is in [0, 1], AD in [0, 2k], and RP finite and >= 0 (point
-      and CI ends);
-    - CF's new-user and pooled cells are null, and any other cell is null
-      only when none of its users can be graded (NDCG), or it has fewer
-      than two (AD) or no (RP) covered users;
-    - CB covers every test user and CF exactly the users who are not new.
-
-    ``covered``, ``ndcg`` and ``in_row`` are run_evaluation's masks and
-    arrays over the test rows: the users each strategy covers, its NDCG
-    per user (NaN where undefined or not covered), and each report row's
-    members. The cost is O(cells + test users)."""
-    bounds = {"ndcg": (0.0, 1.0), "ad": (0.0, 2.0 * k), "rp": (0.0, math.inf)}
-    for metric, fields in METRIC_FIELDS.items():
-        lo, hi = bounds[metric]
-        for row in SEGMENT_ROWS:
-            for algo, cell in cells[metric][row].items():
-                where = f"report cell {metric}/{row}/{algo}"
-                if algo == "CF" and row in ("new_users", "average"):
-                    if cell is not None:
-                        raise InvalidReport(f"{where} is not null, but CF cannot cover new users")
-                elif cell is None:
-                    members = in_row[row] & covered[algo]
-                    n_members = np.count_nonzero(members)
-                    graded = {
-                        "ndcg": np.count_nonzero(~np.isnan(ndcg[algo][members])),
-                        "ad": n_members - 1,
-                        "rp": n_members,
-                    }
-                    if graded[metric] > 0:
-                        raise InvalidReport(f"{where} is null, but its users can be graded")
-                else:
-                    for name in fields:
-                        if not (math.isfinite(cell[name]) and lo <= cell[name] <= hi):
-                            raise InvalidReport(
-                                f"{where}: {name} = {cell[name]!r} is outside [{lo}, {hi}]"
-                            )
-    if "CB" in covered and not covered["CB"].all():
-        raise InvalidReport(f"CB leaves {np.count_nonzero(~covered['CB'])} test users uncovered")
+    """Raise InvalidReport at the first fault only run_evaluation's masks
+    show: a test user MP or CB leaves uncovered, CF uncovered users that are
+    not the new users, or a null NDCG cell with a member that can be graded.
+    ``covered``, ``ndcg`` and ``in_row`` are over the test rows: the users
+    each strategy covers, its NDCG per user (NaN where undefined or not
+    covered), and each report row's members."""
+    for algo in ("MP", "CB"):
+        if algo in covered and not covered[algo].all():
+            n = np.count_nonzero(~covered[algo])
+            raise InvalidReport(f"{algo} leaves {n} test users uncovered")
     if "CF" in covered and not np.array_equal(~covered["CF"], in_row[Segment.NEW.value]):
         raise InvalidReport("CF's uncovered test users are not the new users")
+    for row in SEGMENT_ROWS:
+        for algo, cell in cells["ndcg"][row].items():
+            if cell is None and not (algo == "CF" and row in CF_NULL_ROWS):
+                if not np.isnan(ndcg[algo][in_row[row] & covered[algo]]).all():
+                    raise InvalidReport(
+                        f"report cell ndcg/{row}/{algo} is null, but its users can be graded"
+                    )
 
 
 def _ndcg_cell(values: np.ndarray, baselines: np.ndarray) -> dict | None:
     """One NDCG cell from its members' values and random baselines, NaN
     where undefined."""
-    if not len(values):
-        return None
-    try:
+    try:  # no member, or none with a graded item
         micro = micro_average_ndcg(values)
     except AllUndefined:
         return None
@@ -539,42 +599,6 @@ def _bootstrap_cell(cfg: EvalConfig, metric: str, row, algo, top, *args) -> dict
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-# what render_report reads of a report.json: a dict is an object holding
-# at least its keys, float a finite number, None any value
-REPORT_SHAPE = {
-    "config": dict.fromkeys(("algorithms", "k", "seed", "boundary")),
-    "coverage": {},
-    "short_head": dict.fromkeys(
-        ("short_head_fraction", "n_short_head_items", "n_items", "total_sales"), float
-    ),
-    "cells": {metric: dict.fromkeys(SEGMENT_ROWS, {}) for metric in METRICS},
-}
-# what format_cell reads of a non-null cell, per metric
-CELL_FIELDS = {"ndcg": ("value", "pct_over_random"), "ad": ("point", "sd"), "rp": ("point", "sd")}
-
-
-def report_entries_shape(payload: dict) -> dict:
-    """What render_report reads per algorithm of a payload that holds
-    REPORT_SHAPE and lists its algorithms by name: a ``coverage`` entry
-    for each listed algorithm and each coverage key, and the metric's
-    CELL_FIELDS in each non-null cell of a listed algorithm."""
-    algorithms, cells = payload["config"]["algorithms"], payload["cells"]
-    entry = dict.fromkeys(("covered", "uncovered"))
-    return {
-        "coverage": dict.fromkeys([*algorithms, *payload["coverage"]], entry),
-        "cells": {
-            metric: {
-                row: {
-                    a: dict.fromkeys(fields, float)
-                    for a in algorithms
-                    if cells[metric][row].get(a) is not None
-                }
-                for row in SEGMENT_ROWS
-            }
-            for metric, fields in CELL_FIELDS.items()
-        },
-    }
 
 _ROW_TITLES = {
     "sale_users": "Sale Users",

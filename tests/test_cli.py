@@ -198,6 +198,31 @@ class TestTrain:
             assert not out.parent.exists()
             monkeypatch.undo()
 
+    def test_manifest_beside_the_model(self, workspace, tmp_path):
+        # named after the model, so a model written into the data directory
+        # leaves the generator's manifest.json as it was
+        _, config, data_path = workspace
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for path in data_path.parent.iterdir():
+            (data_dir / path.name).write_bytes(path.read_bytes())
+        generated = (data_dir / "manifest.json").read_bytes()
+        rc = dispatch([
+            "train", "--config", str(config), "--data", str(data_dir / "interactions.csv"),
+            "--algo", "als", "--out", str(data_dir / "als.json"),
+        ])
+        assert rc == EXIT_OK
+        assert (data_dir / "manifest.json").read_bytes() == generated
+        manifest = json.loads((data_dir / "als.manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert manifest["algo"] == "als"
+        assert manifest["config"]["seed"] == 5
+        assert manifest["config"]["boundary"] == json.loads(generated)["boundary"]
+        assert manifest["inputs"] == {
+            name: digest(data_dir / name)
+            for name in ("interactions.csv", "interactions.users.csv", "interactions.items.csv")
+        }
+
     def test_forest_model_round_trips(self, workspace, tmp_path):
         _, config, data_path = workspace
         out = tmp_path / "forest.json"
@@ -312,6 +337,106 @@ ENTRY_EDITS = {
 }
 
 
+# members of each report row in report_payload: 3 sale, 2 view and 2 new users
+ROW_USERS = {"sale_users": 3, "view_users": 2, "new_users": 2, "average": 7}
+
+
+def report_payload(algorithms: list[str]) -> dict:
+    """A valid report of ``algorithms`` over 7 test users (ROW_USERS), with
+    every cell filled in but CF's null new-user and pooled ones."""
+
+    def cells(metric, m):
+        return {
+            "ndcg": {"value": 0.1, "pct_over_random": 100.0, "random_baseline": 0.05,
+                     "n_users": m, "n_excluded": 0},
+            "ad": {"point": 2.0, "sd": 0.5, "ci_low": 1.5, "ci_high": 2.5,
+                   "n_pairs": min(m, m * (m - 1) // 2)},
+            "rp": {"point": 0.3, "sd": 0.1, "ci_low": 0.2, "ci_high": 0.4, "n_users": m},
+        }[metric]
+
+    segments = {row: {"users": n, "pct": 100 * n / 7} for row, n in ROW_USERS.items()}
+    del segments["average"]
+    return {
+        "config": {"algorithms": algorithms, "k": 10, "seed": 0, "boundary": "b"},
+        "dataset": {"test": {"users": 7, "segments": segments}},
+        "coverage": {a: {"covered": 5 if a == "CF" else 7, "uncovered": 2 if a == "CF" else 0}
+                     for a in algorithms},
+        "short_head": {"short_head_fraction": 0.5, "n_short_head_items": 1,
+                       "n_items": 2, "total_sales": 3},
+        "cells": {
+            metric: {
+                row: {a: None if a == "CF" and row in ("new_users", "average") else cells(metric, m)
+                      for a in algorithms}
+                for row, m in ROW_USERS.items()
+            }
+            for metric in ("ndcg", "ad", "rp")
+        },
+    }
+
+
+def _set(path: str, value):
+    """An edit of a report that sets its entry at dotted ``path`` to ``value``."""
+    def edit(payload):
+        *parents, key = path.split(".")
+        for part in parents:
+            payload = payload[part]
+        payload[key] = value
+    return edit
+
+
+# case id -> (edit of report_payload(["MP", "CF", "CB"]), the fault the
+# error names after "report FILE"); each edit breaks one rule of the contract
+CONTRACT_EDITS = {
+    "ndcg_value_above_1": (_set("cells.ndcg.average.MP.value", 7.0),
+                           "cell ndcg/average/MP: value = 7.0 is outside [0.0, 1.0]"),
+    "random_baseline_above_1": (_set("cells.ndcg.sale_users.CB.random_baseline", 1.5),
+                                "cell ndcg/sale_users/CB: random_baseline = 1.5 is outside"),
+    "ad_ci_high_above_2k": (_set("cells.ad.view_users.CF.ci_high", 21.0),
+                            "cell ad/view_users/CF: ci_high = 21.0 is outside [0.0, 20.0]"),
+    "rp_sd_below_0": (_set("cells.rp.sale_users.MP.sd", -0.1),
+                      "cell rp/sale_users/MP: sd = -0.1 is outside [0.0, inf]"),
+    "coverage_sum": (_set("coverage.MP.covered", 8),
+                     "coverage MP: 8 covered + 0 uncovered, but MP covers 7 of 7 test users"),
+    "coverage_negative": (_set("coverage.CB.covered", -3), "has no valid 'coverage.CB.covered'"),
+    "coverage_extra_algorithm": (_set("coverage.XX", {"covered": 7, "uncovered": 0}),
+                                 "has no valid 'coverage'"),
+    "cb_uncovered": (_set("coverage.CB", {"covered": 6, "uncovered": 1}),
+                     "coverage CB: 6 covered + 1 uncovered, but CB covers 7 of 7 test users"),
+    "mp_uncovered": (_set("coverage.MP", {"covered": 6, "uncovered": 1}),
+                     "coverage MP: 6 covered + 1 uncovered, but MP covers 7 of 7 test users"),
+    "cf_uncovered_not_new_users": (
+        _set("coverage.CF", {"covered": 6, "uncovered": 1}),
+        "coverage CF: 6 covered + 1 uncovered, but CF covers 5 of 7 test users",
+    ),
+    "cf_new_user_cell": (
+        _set("cells.ad.new_users.CF", {"point": 2.0, "sd": 0.5, "ci_low": 1.5, "ci_high": 2.5,
+                                       "n_pairs": 1}),
+        "cell ad/new_users/CF is not null, but CF cannot cover new users",
+    ),
+    "cf_average_cell": (_set("cells.ndcg.average.CF", {}),
+                        "cell ndcg/average/CF is not null, but CF cannot cover new users"),
+    "ndcg_count": (_set("cells.ndcg.view_users.MP.n_excluded", 1),
+                   "cell ndcg/view_users/MP: n_users + n_excluded = 3, not the 2 "),
+    "rp_count": (_set("cells.rp.average.CB.n_users", 99999),
+                 "cell rp/average/CB: n_users = 99999, not the 7 "),
+    "ad_count": (_set("cells.ad.sale_users.MP.n_pairs", 2),
+                 "cell ad/sale_users/MP: n_pairs = 2, not the 3 "),
+    "count_not_an_int": (_set("cells.rp.sale_users.MP.n_users", 3.0),
+                         "has no valid 'cells.rp.sale_users.MP.n_users'"),
+    "null_ad_cell": (_set("cells.ad.view_users.MP", None),
+                     "cell ad/view_users/MP is null, but its users can be graded"),
+    "null_rp_cell": (_set("cells.rp.new_users.CB", None),
+                     "cell rp/new_users/CB is null, but its users can be graded"),
+    "unknown_algorithm": (_set("config.algorithms", ["MP", "CF", "CB", "XX"]),
+                          "has no valid 'config.algorithms'"),
+    "repeated_algorithm": (_set("config.algorithms", ["MP", "CF", "CB", "MP"]),
+                           "has no valid 'config.algorithms'"),
+    "k_below_1": (_set("config.k", 0), "has no valid 'config.k'"),
+    "segments_sum": (_set("dataset.test.segments.new_users.users", 3),
+                     "has no valid 'dataset.test.segments'"),
+}
+
+
 class TestReportCommand:
     def test_rerender_matches(self, workspace, tmp_path):
         _, config, data_path = workspace
@@ -334,7 +459,7 @@ class TestReportCommand:
             )
 
     def test_report_missing_a_row_is_data_error(self, tmp_path, capsys):
-        payload = report_payload({"MP": None})
+        payload = report_payload(["MP"])
         report = tmp_path / "report.json"
         report.write_text(json.dumps(payload))
         assert dispatch(["report", "--report", str(report), "--out", str(tmp_path / "ok")]) == EXIT_OK
@@ -347,15 +472,7 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("path", list(ENTRY_EDITS))
     def test_report_missing_an_entry_is_data_error(self, tmp_path, capsys, path):
-        cells = {
-            "ndcg": {"value": 0.1, "pct_over_random": 5.0},
-            "ad": {"point": 2.0, "sd": 0.5},
-            "rp": {"point": 0.3, "sd": 0.1},
-        }
-        payload = report_payload({"MP": None, "CF": None})
-        for metric, cell in cells.items():
-            for row in payload["cells"][metric].values():
-                row.update(MP=cell, CF=cell)
+        payload = report_payload(["MP", "CF"])
         report = tmp_path / "report.json"
         report.write_text(json.dumps(payload))
         assert dispatch(["report", "--report", str(report), "--out", str(tmp_path / "ok")]) == EXIT_OK
@@ -368,17 +485,30 @@ class TestReportCommand:
         assert not (tmp_path / "out").exists()
 
 
-def report_payload(cells: dict) -> dict:
-    """A minimal report listing ``cells``' algorithms, each covered once,
-    with ``cells`` in every metric x segment row."""
-    rows = ("sale_users", "view_users", "new_users", "average")
-    return {
-        "config": {"algorithms": list(cells), "k": 10, "seed": 0, "boundary": "b"},
-        "coverage": {a: {"covered": 1, "uncovered": 0} for a in cells},
-        "short_head": {"short_head_fraction": 0.5, "n_short_head_items": 1,
-                       "n_items": 2, "total_sales": 3},
-        "cells": {m: {row: dict(cells) for row in rows} for m in ("ndcg", "ad", "rp")},
-    }
+    @pytest.mark.parametrize("case", list(CONTRACT_EDITS))
+    def test_report_breaking_the_contract_is_data_error(self, tmp_path, capsys, case):
+        edit, fault = CONTRACT_EDITS[case]
+        payload = report_payload(["MP", "CF", "CB"])
+        harness.check_payload(payload)
+        edit(payload)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload))
+        rc = dispatch(["report", "--report", str(report), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert f"report {report} {fault}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("settings", [
+        {}, {"exclude_purchased": True, "k": 70}, {"grading": "binary"}, {"grading": "sales_only"},
+    ], ids=["plain", "exclude_purchased_k70", "binary", "sales_only"])
+    def test_evaluation_reports_keep_the_contract(self, workspace, settings):
+        _, config, data_path = workspace
+        raw = {k: v for k, v in json.loads(config.read_text()).items() if k in harness.CONFIG_KEYS}
+        boundary = json.loads((data_path.parent / "manifest.json").read_text())["boundary"]
+        cfg = harness.EvalConfig.from_dict({**raw, **settings, "boundary": boundary})
+        report = harness.run_evaluation(cfg, load_events(data_path))
+        harness.check_payload(report.payload)
+        assert harness.EvaluationReport.from_json(report.to_json()).payload == report.payload
 
 
 class TestEntryPoint:

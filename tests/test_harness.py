@@ -294,21 +294,21 @@ class TestReportPostConditions:
         cells = {m: {row: {"CB": None} for row in harness.SEGMENT_ROWS} for m in harness.METRICS}
         covered = {"CB": np.array([True, True])}
         in_row = {row: np.zeros(2, dtype=bool) for row in harness.SEGMENT_ROWS}
-        check_report(cells, 10, covered, {"CB": np.zeros(2)}, in_row)
+        check_report(cells, covered, {"CB": np.zeros(2)}, in_row)
         in_row["sale_users"] = np.array([True, False])
         with pytest.raises(InvalidReport, match="report cell ndcg/sale_users/CB is null"):
-            check_report(cells, 10, covered, {"CB": np.zeros(2)}, in_row)
+            check_report(cells, covered, {"CB": np.zeros(2)}, in_row)
 
     def test_coverage(self):
         cells = {m: {row: {} for row in harness.SEGMENT_ROWS} for m in harness.METRICS}
         in_row = {row: np.ones(3, dtype=bool) for row in harness.SEGMENT_ROWS}
         in_row["new_users"] = np.array([False, True, False])
         ok = {"CB": np.array([True, True, True]), "CF": np.array([True, False, True])}
-        check_report(cells, 10, ok, {}, in_row)
+        check_report(cells, ok, {}, in_row)
         with pytest.raises(InvalidReport, match="CB leaves 1 test users uncovered"):
-            check_report(cells, 10, {**ok, "CB": np.array([True, False, True])}, {}, in_row)
+            check_report(cells, {**ok, "CB": np.array([True, False, True])}, {}, in_row)
         with pytest.raises(InvalidReport, match="CF's uncovered test users are not the new users"):
-            check_report(cells, 10, {**ok, "CF": np.array([True, True, False])}, {}, in_row)
+            check_report(cells, {**ok, "CF": np.array([True, True, False])}, {}, in_row)
 
 
 class TestRendering:
@@ -346,3 +346,18 @@ class TestRendering:
                 (first / "tables" / f"{name}.csv").read_text()
                 == (second / "tables" / f"{name}.csv").read_text()
             )
+
+    def test_from_json_holds_the_report_contract(self, small_report):
+        # the library's way in reads as `stylebench report --report` does
+        _, report = small_report
+        text = report.to_json()
+        assert EvaluationReport.from_json(text).payload == report.payload
+        with pytest.raises(ValueError, match="key 'k' appears twice"):
+            EvaluationReport.from_json(text.replace('"k": 10,', '"k": 10,\n    "k": 10,', 1))
+        payload = json.loads(text)
+        payload["cells"]["ndcg"]["average"]["MP"]["value"] = 7.0
+        with pytest.raises(InvalidReport, match=r"report cell ndcg/average/MP: value = 7.0 is outside"):
+            EvaluationReport.from_json(json.dumps(payload))
+        del payload["dataset"]
+        with pytest.raises(InvalidReport, match="report has no valid 'dataset'"):
+            EvaluationReport.from_json(json.dumps(payload))

@@ -240,39 +240,6 @@ def _checked_solve(
     return x
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The correctly rounded sum of ``values``, without a Python float per
-    entry: the bits of ``math.fsum(values)`` wherever fsum does not fail on
-    an intermediate overflow.
-
-    Each finite value is an integer mantissa q, |q| < 2^53, times 2^(e - 53).
-    q is split into three 18-bit digits, and ``np.bincount`` sums each digit
-    per exponent e exactly: every partial sum is an integer below 2^53 for
-    fewer than 2^35 values. The per-exponent sums are then added as Python
-    integers, and one correctly rounded division of Python integers rounds
-    the exact total once, subnormal results included.
-    """
-    values = values.ravel()
-    if not values.size:
-        return 0.0
-    if not np.isfinite(values).all():  # fsum's inf, nan or ValueError
-        return math.fsum(values.tolist())
-    mant, exp = np.frexp(values)
-    q = (mant * 2.0**53).astype(np.int64)
-    low = int(exp.min())
-    bins = exp - low
-    total = 0
-    for shift in (0, 18, 36):
-        digit = q >> shift
-        if shift < 36:  # the top digit keeps q's sign
-            digit &= 2**18 - 1
-        sums = np.bincount(bins, weights=digit)
-        at = np.flatnonzero(sums)
-        total += sum(int(v) << (e + shift) for e, v in zip(at.tolist(), sums[at].tolist()))
-    scale = low - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
-
-
 def _training_loss(x: np.ndarray, y: np.ndarray, plan: _RowPlan, lam: float) -> float:
     """Exact objective value: one correctly rounded sum of all its terms.
 
@@ -280,7 +247,7 @@ def _training_loss(x: np.ndarray, y: np.ndarray, plan: _RowPlan, lam: float) -> 
     sum_{u,i} (x_u . y_i)^2 is the sum of the entries of G_x * G_y, and
     the regularizer is lam * (trace G_x + trace G_y). Each observed cell
     of the user-side ``plan``, with prediction s, then swaps its s^2 for
-    its confidence-weighted residual. One ``_exact_sum`` adds all these
+    its confidence-weighted residual. One ``math.fsum`` adds all these
     terms, so the order of the rows and their chunks does not matter.
     """
     gx, gy = x.T @ x, y.T @ y
@@ -288,7 +255,7 @@ def _training_loss(x: np.ndarray, y: np.ndarray, plan: _RowPlan, lam: float) -> 
     for rows, cols, scaled in plan.chunks:
         s = (y[cols] @ x[rows][:, :, None])[:, :, 0]
         terms.append(((1.0 + scaled) * (1.0 - s) ** 2 - s * s).ravel())
-    return _exact_sum(np.concatenate(terms))
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 def fit_als(m: ConfidenceMatrix, cfg: AlsConfig) -> FactorModel:

@@ -175,6 +175,20 @@ def _out(value, is_dir: bool = True) -> Path:
     return path
 
 
+def _refuse_overwrite(settings: dict, config: str | None, written: list[Path]) -> None:
+    """Refuse, before the data is read, a run that would write one of
+    ``written`` over its config file, its ``--data`` file or one of that
+    file's sidecars."""
+    data = settings.get("data")
+    read = [Path(config)] if config else []
+    if data:
+        read += [Path(data), *sidecar_paths(data)]
+    resolved = {path.resolve() for path in read}
+    for path in written:
+        if path.resolve() in resolved:
+            raise _UsageError(f"--out would write over the input file {path}")
+
+
 def _inputs(settings: dict, config: str | None) -> tuple[Path, Dataset, datetime]:
     """Data path, dataset and split boundary of a data command, given its
     settings and config file. The boundary is the ``--boundary`` flag's
@@ -257,10 +271,14 @@ def _cmd_stats(args) -> int:
 def _cmd_split(args) -> int:
     settings = _settings(args)
     out_dir = _out(settings.get("out"))
+    train_path, test_path = out_dir / "train.csv", out_dir / "test.csv"
+    _refuse_overwrite(settings, args.config, [
+        out_dir / "manifest.json", train_path, test_path,
+        *sidecar_paths(train_path), *sidecar_paths(test_path),
+    ])
     _, data, boundary = _inputs(settings, args.config)
     out_dir.mkdir(parents=True, exist_ok=True)
     split = temporal_split(data, boundary)
-    train_path, test_path = out_dir / "train.csv", out_dir / "test.csv"
     write_events(split.train, train_path)
     write_events(split.test, test_path)
     _write_manifest(
@@ -281,6 +299,10 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     settings = _settings(args)
     out_path = _out(settings.get("out"), is_dir=False)
+    # beside the model and named after it: a model written into the data
+    # directory keeps the generator's manifest.json
+    manifest_path = out_path.with_name(f"{out_path.stem}.manifest.json")
+    _refuse_overwrite(settings, args.config, [out_path, manifest_path])
     data_path, data, boundary = _inputs(settings, args.config)
     cfg = _eval_config(settings, boundary)
     train = temporal_split(data, boundary).train
@@ -291,10 +313,8 @@ def _cmd_train(args) -> int:
         model = fit_cb_forest(cfg, train, confidence, model)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     (als_mod.save_model if args.algo == "als" else forest_mod.save_forest)(model, out_path)
-    # beside the model and named after it: a model written into the data
-    # directory keeps the generator's manifest.json
     _write_manifest(
-        out_path.with_name(f"{out_path.stem}.manifest.json"),
+        manifest_path,
         {
             "command": "train",
             "algo": args.algo,
@@ -318,6 +338,7 @@ def _cmd_evaluate(args) -> int:
         out_dir / "manifest.json",
         {
             "command": "evaluate",
+            "boundary": format_timestamp(boundary),
             "config": cfg.to_dict(),
             "inputs": _input_digests(data_path),
         },

@@ -8,7 +8,8 @@ timestamp, quantity`` where ``kind`` is ``sale`` or ``view`` and
 ``timestamp`` is RFC 3339. Feature sidecars are CSV files named
 ``<stem>.users.csv`` / ``<stem>.items.csv`` next to the interactions file;
 their header declares each column's type with a ``:num`` or ``:cat``
-suffix (e.g. ``age:num,brand_pref:cat``). All files are UTF-8.
+suffix (e.g. ``age:num,brand_pref:cat``). All files are UTF-8, with or
+without a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -98,11 +99,12 @@ _STAMP_SHAPES = ("dddd-dd-ddTdd:dd:ddZ", "dddd-dd-ddTdd:dd:dd.ddddddZ")
 
 def _canonical_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Microseconds since the epoch of each stamp in one of the
-    ``_STAMP_SHAPES`` whose fields are all in range (leap days counted,
-    seconds up to 59), and a mask of those stamps. Such a stamp is UTC, so
-    ``parse_timestamp`` gives it the same instant; every other stamp is
-    left to ``parse_timestamp``. The stamps of one length are read as one
-    fixed-width array of code points."""
+    ``_STAMP_SHAPES`` from year 1 on, and a mask of those stamps. Such a
+    stamp is UTC, so numpy's ``datetime64`` parser, given it without its
+    ``Z``, reads the instant ``parse_timestamp`` gives it. The stamps of one
+    length are checked as one fixed-width array of code points; if numpy
+    refuses any of them (a 29 February outside a leap year, say), that
+    group is left whole to ``parse_timestamp``, as is every other stamp."""
     n = len(stamps)
     micros, parsed = np.zeros(n, np.int64), np.zeros(n, bool)
     lengths = np.fromiter(map(len, stamps), np.int64, n)
@@ -114,24 +116,18 @@ def _canonical_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         chars = np.array(text, dtype=f"U{len(shape)}").view(np.uint32).reshape(rows.size, -1)
         want = np.array([ord(c) for c in shape], np.uint32)
         digit = want == ord("d")
-        # a code point below "0" wraps round to a large unsigned value
-        ok = (chars[:, ~digit] == want[~digit]).all(1) & (chars[:, digit] - ord("0") <= 9).all(1)
-        rows, digits = rows[ok], (chars[ok][:, digit] - ord("0")).astype(np.int64)
-
-        def field(start: int, stop: int) -> np.ndarray:
-            return digits[:, start:stop] @ 10 ** np.arange(stop - start - 1, -1, -1)
-
-        year, month, day = field(0, 4), field(4, 6), field(6, 8)
-        hour, minute, second = field(8, 10), field(10, 12), field(12, 14)
-        month_start = ((year - 1970) * 12 + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
-        start_day = month_start.astype("datetime64[D]").astype(np.int64)
-        month_days = (month_start + 1).astype("datetime64[D]").astype(np.int64) - start_day
-        parsed[rows] = (
-            (year >= 1) & (1 <= month) & (month <= 12) & (1 <= day) & (day <= month_days)
-            & (hour <= 23) & (minute <= 59) & (second <= 59)
+        # a code point below "0" wraps round to a large unsigned value;
+        # numpy reads year 0000, which parse_timestamp refuses
+        ok = (
+            (chars[:, ~digit] == want[~digit]).all(1) & (chars[:, digit] - ord("0") <= 9).all(1)
+            & (chars[:, :4] != ord("0")).any(1)
         )
-        seconds = (((start_day + day - 1) * 24 + hour) * 60 + minute) * 60 + second
-        micros[rows] = seconds * 1_000_000 + (field(14, 20) if digits.shape[1] > 14 else 0)
+        rows, zoneless = rows[ok], np.ascontiguousarray(chars[ok, :-1]).view(f"U{len(shape) - 1}")
+        try:
+            micros[rows] = zoneless.ravel().astype("datetime64[us]").view(np.int64)
+        except ValueError:
+            continue
+        parsed[rows] = True
     return micros, parsed
 
 
@@ -780,13 +776,14 @@ def _numeric_cell(cell: str, name: str, path: Path, line_no: int) -> float:
 
 @contextmanager
 def _open_utf8(path: Path) -> Iterator[IO[str]]:
-    """``path`` opened for reading as UTF-8 text. A read that meets bytes
-    that do not decode raises MalformedRecord at the first physical line
-    holding them: a newline byte never occurs inside a multi-byte UTF-8
+    """``path`` opened for reading as UTF-8 text, past a leading byte-order
+    mark if it has one (as spreadsheet programs write). A read that meets
+    bytes that do not decode raises MalformedRecord at the first physical
+    line holding them: a newline byte never occurs inside a multi-byte UTF-8
     sequence, so decoding the raw lines one by one finds it exactly. A path
     that cannot be opened (a directory, say) raises DataError naming it."""
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     try:

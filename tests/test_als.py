@@ -3,7 +3,6 @@ monotonicity, determinism, ranking quality on synthetic factors."""
 
 import math
 from datetime import datetime, timedelta, timezone
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,6 @@ from stylebench import als
 from stylebench.als import (
     AlsConfig,
     FactorModel,
-    _exact_sum,
     _plan_rows,
     _solve_side,
     _training_loss,
@@ -384,65 +382,6 @@ class TestStackedSolves:
                     _failing_solve_at(patch, target, mode)
                     with pytest.raises(SingularSystem, match=r"subproblem at row 1 "):
                         _solve_side(_plan_rows(mat, alpha), other, lam)
-
-
-def _fraction_sum(values):
-    """The exact sum of float values, correctly rounded to a float."""
-    return float(sum(map(Fraction, values), Fraction(0)))
-
-
-class TestExactSum:
-    """``_exact_sum`` against ``math.fsum`` and exact rational arithmetic."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
-    def test_equals_fsum(self, values):
-        array = np.array(values, dtype=np.float64)
-        try:
-            want = math.fsum(values)
-        except OverflowError:  # fsum also fails on an intermediate overflow
-            try:
-                want = _fraction_sum(values)
-            except OverflowError:
-                with pytest.raises(OverflowError):
-                    _exact_sum(array)
-                return
-        assert np.float64(_exact_sum(array)).view(np.uint64) == np.float64(want).view(np.uint64)
-
-    @pytest.mark.parametrize("values", [
-        [],
-        [0.0, -0.0, 0.0],
-        [5e-324] * 1000,  # subnormals summing into the normal range
-        [2.2250738585072014e-308, -5e-324, 1e-320],
-        [1e-310, -1e-310, 3e-321, 7e-323],
-        [1.7976931348623157e308, -1.7976931348623157e308, 1e292, 1.0],
-        [1e300] * 100 + [1e-300] * 100 + [-1e300] * 99,
-        [0.1] * 10_000,
-        [3.0, 2.0**53, 1.0, -(2.0**53)],  # a tie rounded to even
-    ])
-    def test_edge_cases(self, values):
-        array = np.array(values, dtype=np.float64)
-        want = _fraction_sum(values)
-        assert np.float64(_exact_sum(array)).view(np.uint64) == np.float64(want).view(np.uint64)
-        if all(v >= 0 for v in values):  # no intermediate overflow
-            assert _exact_sum(array) == math.fsum(values)
-
-    def test_squares_of_factors(self):
-        # tens of thousands of squares over a wide range of exponents: more
-        # terms than the loss sums per sweep at the 10x tier
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2000, 32)) * np.exp(rng.normal(scale=20.0, size=(2000, 1)))
-        values = x**2
-        assert _exact_sum(values) == math.fsum(values.ravel().tolist())
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            _exact_sum(np.full(2, 1.7976931348623157e308))
-
-    @pytest.mark.parametrize("values", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 2.0]])
-    def test_non_finite_as_fsum(self, values):
-        got, want = _exact_sum(np.array(values)), math.fsum(values)
-        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestFitAls:

@@ -276,6 +276,26 @@ class TestEvaluate:
             digests.append(digest(out / "report.json"))
         assert digests[0] != digests[1]
 
+    def test_out_into_the_data_directory_keeps_the_boundary(self, workspace, tmp_path, capsys):
+        # evaluate's manifest replaces the generator's there, so it records
+        # the boundary the next stats or evaluate on that data reads
+        _, config, data_path = workspace
+        for path in data_path.parent.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["boundary"]
+        data = tmp_path / "interactions.csv"
+        argv = ["--config", str(config), "--data", str(data)]
+        assert dispatch(["evaluate", *argv, "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "evaluate"
+        assert manifest["boundary"] == recorded
+        first = (tmp_path / "report.json").read_bytes()
+        capsys.readouterr()
+        assert dispatch(["stats", *argv]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"boundary: {recorded}"
+        assert dispatch(["evaluate", *argv, "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert (tmp_path / "again" / "report.json").read_bytes() == first
+
 
     def test_report_independent_of_string_hashing(self, workspace, tmp_path):
         # relevance judgments and purchase masks once followed set order,
@@ -827,6 +847,36 @@ class TestExitCodes:
         argv = _argv_doing_no_work(workspace, tmp_path, monkeypatch, command)
         assert dispatch([*argv, "--out", str(out)]) == EXIT_USAGE
         assert f"--out {out}: {blocker} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out, target", [
+        ("train", "data/interactions.csv", "data/interactions.csv"),
+        ("train", "data/interactions.users.csv", "data/interactions.users.csv"),
+        ("train", "config.json", "config.json"),
+        ("split", "split", "split/train.csv"),
+    ])
+    def test_out_over_an_input_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command, out, target
+    ):
+        # such a run once exited 0 and left model JSON (or a re-split)
+        # where the data or config had been
+        _, config, data_path = workspace
+        (tmp_path / "config.json").write_bytes(config.read_bytes())
+        (tmp_path / "data").mkdir()
+        for path in data_path.parent.iterdir():
+            (tmp_path / "data" / path.name).write_bytes(path.read_bytes())
+        data = tmp_path / "data" / "interactions.csv"
+        if command == "split":
+            assert dispatch(["split", "--data", str(data), "--out", str(tmp_path / "split")]) == EXIT_OK
+            data = tmp_path / "split" / "train.csv"
+        before = (tmp_path / target).read_bytes()
+        monkeypatch.setattr(cli, "load_events", lambda path: pytest.fail("the data was read"))
+        capsys.readouterr()
+        argv = [command, "--config", str(tmp_path / "config.json"), "--data", str(data)]
+        if command == "train":
+            argv += ["--algo", "als"]
+        assert dispatch([*argv, "--out", str(tmp_path / out)]) == EXIT_USAGE
+        assert f"would write over the input file {tmp_path / target}" in capsys.readouterr().err
+        assert (tmp_path / target).read_bytes() == before
 
     @pytest.mark.parametrize("reader", ["config", "report", "manifest"])
     def test_repeated_key_is_data_error(self, workspace, tmp_path, capsys, reader):

@@ -60,6 +60,25 @@ class TestIngestion:
         assert data.users == {"u1", "u2"}
         assert data.items == {"i1", "i2"}
 
+    @pytest.mark.parametrize("name", ["events.csv", "events.users.csv", "events.jsonl"])
+    def test_leading_byte_order_mark_is_read_past(self, tmp_path, name):
+        # as spreadsheet programs write UTF-8; the mark once fused with the
+        # first header cell or JSON line and the file was refused
+        suffix = ".jsonl" if name.endswith(".jsonl") else ".csv"
+        events = Dataset.from_events([
+            ev("u1", "i1", Kind.SALE, 0, 2), ev("u2", "i2", Kind.VIEW, 1), ev("u1", "i2", Kind.VIEW, 2),
+        ])
+        for folder in ("plain", "marked"):
+            (tmp_path / folder).mkdir()
+            write_events(events, tmp_path / folder / f"events{suffix}")
+            (tmp_path / folder / "events.users.csv").write_text("user_id,age:num\nu1,30\nu2,40\n")
+            (tmp_path / folder / "events.items.csv").write_text("item_id,brand:cat\ni1,a\ni2,b\n")
+        marked = tmp_path / "marked" / name
+        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        plain, bom = (load_events(tmp_path / folder / f"events{suffix}") for folder in ("plain", "marked"))
+        assert bom == plain
+        assert bom.user_features.ids == ("u1", "u2")
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "events.csv"
         f.write_text("", encoding="utf-8")

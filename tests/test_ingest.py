@@ -27,6 +27,7 @@ from stylebench.data import (
     Kind,
     _canonical_micros,
     _micros,
+    _stamp_micros,
     format_timestamp,
     load_events,
     load_feature_table,
@@ -364,6 +365,28 @@ class TestCanonicalStamps:
             assert not ok[0]
         else:
             assert ok[0] and micros[0] == want
+
+    def test_mixed_chunk_agrees_with_parse_timestamp(self, tmp_path):
+        # numpy refuses 29 February 2023, so its shape group goes whole to
+        # parse_timestamp; numpy's reading of year 0000 is never used
+        stamps = [
+            "2022-01-01T00:00:00Z", "2023-02-29T00:00:00Z", "2022-06-01T12:30:00.250000Z",
+            "0000-12-31T00:00:00Z", "2022-03-04T05:06:07z", "2022-03-04T05:06:07+02:00",
+            "2024-02-29T23:59:59Z", "2023-02-28T00:00:00.000001Z",
+        ]
+        micros, parsed = _stamp_micros(stamps)
+        for text, got, ok in zip(stamps, micros.tolist(), parsed.tolist()):
+            try:
+                want = _micros(parse_timestamp(text))
+            except ValueError:
+                assert not ok, text
+            else:
+                assert ok and got == want, text
+        path = tmp_path / "events.csv"
+        path.write_text("\n".join([HEADER] + [f"u{n},i1,view,{t},1" for n, t in enumerate(stamps)]))
+        with pytest.raises(MalformedRecord, match="day is out of range") as exc:
+            load_events(path)
+        assert str(exc.value).startswith(f"{path}:3: ")
 
     def test_round_trip_before_year_1000(self, tmp_path):
         ts = datetime(1, 1, 1, tzinfo=UTC)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json_object
 from .errors import EmptyTraining, SingularSystem
 
 
@@ -313,7 +313,7 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FactorModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json_object(path, "model")
     if payload.get("kind") != "als_factor_model":
         raise ValueError(f"{path} is not a serialized factor model")
     cfg = AlsConfig(**payload["config"])

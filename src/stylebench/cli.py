@@ -27,11 +27,11 @@ from . import als as als_mod
 from . import forest as forest_mod
 from .data import (
     Dataset,
-    _object_without_repeats,
     dataset_stats,
     format_timestamp,
     load_events,
     parse_timestamp,
+    read_json_object,
     segment_users,
     sidecar_paths,
     temporal_split,
@@ -40,6 +40,7 @@ from .data import (
 from .errors import DataError, InvalidReport, StylebenchError
 from .harness import (
     CONFIG_KEYS,
+    REPORT_FILES,
     REPORT_FORMATS,
     EvalConfig,
     EvaluationReport,
@@ -93,9 +94,7 @@ def _settings(args) -> dict:
     raw = {}
     if args.config is not None:
         p = Path(args.config)
-        if not p.exists():
-            raise DataError(f"no such config file: {p}")
-        raw = _read_object(p, "config")
+        raw = read_json_object(p, "config")
         unknown = raw.keys() - _CONFIG_KEYS
         if unknown:
             raise DataError(f"config {p}: unknown keys {sorted(unknown)}")
@@ -104,23 +103,6 @@ def _settings(args) -> dict:
                 raise DataError(f"config {p}: key {key!r} must be str, got {raw[key]!r}")
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     return {**raw, **flags}
-
-
-def _read_object(path: Path, what: str) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-        raw = json.loads(text, object_pairs_hook=_object_without_repeats)
-    except OSError as exc:  # a directory, say
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
-    except ValueError as exc:  # a repeated key, or an int over int()'s digit limit
-        raise DataError(f"{what} {path}: {exc}") from None
-    except RecursionError:  # arrays or objects nested past the parser's depth
-        raise DataError(f"{what} {path} is nested too deeply to read") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{what} {path} must hold a JSON object")
-    return raw
 
 
 def _report_formats(text: str) -> list[str]:
@@ -175,12 +157,12 @@ def _out(value, is_dir: bool = True) -> Path:
     return path
 
 
-def _refuse_overwrite(settings: dict, config: str | None, written: list[Path]) -> None:
-    """Refuse, before the data is read, a run that would write one of
-    ``written`` over its config file, its ``--data`` file or one of that
-    file's sidecars."""
+def _refuse_overwrite(settings: dict, source: str | None, written: list[Path]) -> None:
+    """Refuse, before any input is read, a run that would write one of
+    ``written`` over ``source`` (its config file, or the report ``report``
+    renders), its ``--data`` file or one of that file's sidecars."""
     data = settings.get("data")
-    read = [Path(config)] if config else []
+    read = [Path(source)] if source else []
     if data:
         read += [Path(data), *sidecar_paths(data)]
     resolved = {path.resolve() for path in read}
@@ -201,7 +183,8 @@ def _inputs(settings: dict, config: str | None) -> tuple[Path, Dataset, datetime
         return data_path, data, value
     manifest = data_path.parent / "manifest.json"
     if not value and manifest.exists():
-        value, source = _read_object(manifest, "manifest").get("boundary"), f"manifest {manifest}"
+        value = read_json_object(manifest, "manifest").get("boundary")
+        source = f"manifest {manifest}"
     if not value:
         raise DataError(
             "no split boundary: pass --boundary, set it in the config, "
@@ -351,9 +334,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     report_path = Path(args.report)
     out_dir = _out(args.out or report_path.parent)
-    if not report_path.exists():
-        raise DataError(f"no such report file: {report_path}")
-    payload = _read_object(report_path, "report")
+    _refuse_overwrite({}, args.report, [
+        out_dir / name for f in args.format for name in REPORT_FILES[f]
+    ])
+    payload = read_json_object(report_path, "report")
     try:
         check_payload(payload, f"report {report_path}")
     except InvalidReport as exc:

@@ -801,6 +801,27 @@ def _open_utf8(path: Path) -> Iterator[IO[str]]:
         raise
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path`` (a config, manifest, report
+    or model file), read past a leading byte-order mark. A file that cannot
+    be read, does not hold one JSON object or repeats a key raises
+    DataError naming ``what`` and the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+        raw = json.loads(text, object_pairs_hook=_object_without_repeats)
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # a repeated key, or an int over int()'s digit limit
+        raise DataError(f"{what} {path}: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise DataError(f"{what} {path} is nested too deeply to read") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
 def _is_jsonl(path: Path) -> bool:
     return path.suffix.lower() in (".jsonl", ".ndjson")
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .als import ConfidenceMatrix, FactorModel
-from .data import Dataset, FeatureTable, id_rows
+from .data import Dataset, FeatureTable, id_rows, read_json_object
 from .errors import DegenerateTableWarning, MissingFeatures, SchemaMismatch
 
 # Exhaustive level-subset search is exponential; above this many levels a
@@ -171,21 +171,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def goes_left(self, nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """The split test: whether feature values ``vals`` take the left
-        branch at ``nodes``, which index the last axis of ``vals``.
-
-        A categorical node tests membership of the level code (its values
-        must be level codes), a numeric node ``vals <= threshold`` (so NaN
-        goes right).
-        """
-        with np.errstate(invalid="ignore"):
-            left = vals <= self.threshold[nodes]
-        cat = self.is_cat[nodes]
-        if cat.any():
-            left[..., cat] = self.members[nodes[cat], vals[..., cat].astype(np.int64)]
-        return left
 
 
 @dataclass(frozen=True, eq=False)
@@ -634,7 +619,7 @@ def _usable_cpus() -> int:
 
 
 # (row, node) decisions per tree that predict_forest makes at once: 1M
-# keeps a chunk's float64 feature gather at 8 MiB and its table at 1 MiB.
+# keeps a chunk's boolean decision table at 1 MiB per tree.
 _ROW_NODE_BUDGET = 1 << 20
 
 
@@ -694,23 +679,30 @@ def _co_partition(model, n_user, enc_users, enc_items):
     its whole block of pairs. A categorical value that is not one of its
     feature's level codes raises SchemaMismatch.
     """
+    # each feature's column over its side's entities: a numeric feature's
+    # values, a categorical feature's level codes
+    columns = []
     for f, spec in enumerate(model.schema.specs):
+        column = enc_users[:, f] if f < n_user else enc_items[:, f - n_user]
         if spec.kind == "categorical":
-            values = enc_users[:, f] if f < n_user else enc_items[:, f - n_user]
-            if not np.isin(values, np.arange(len(spec.levels or ()))).all():
+            if not np.isin(column, np.arange(len(spec.levels or ()))).all():
                 raise SchemaMismatch(f"feature {spec.name!r} holds values that are not level codes")
+            column = column.astype(np.int64)
+        columns.append(column)
     total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
     leaf = np.empty(total.shape, dtype=np.intp)
     for tree in model.trees:
         # side 0 decides users, side 1 items, -1 is a leaf; goes[s][node, e]
         # is whether entity e of side s takes the left branch at node
         side = np.where(tree.feature < 0, -1, tree.feature >= n_user)
-        goes = []
-        for s, enc in enumerate((enc_users, enc_items)):
-            nodes = np.flatnonzero(side == s)
-            table = np.empty((tree.n_nodes, len(enc)), dtype=bool)
-            table[nodes] = tree.goes_left(nodes, enc[:, tree.feature[nodes] - s * n_user]).T
-            goes.append(table)
+        goes = [np.empty((tree.n_nodes, len(enc)), dtype=bool) for enc in (enc_users, enc_items)]
+        for f in np.unique(tree.feature[side >= 0]).tolist():
+            nodes = np.flatnonzero(tree.feature == f)
+            if model.schema.specs[f].kind == "categorical":
+                goes[f >= n_user][nodes] = tree.members[nodes][:, columns[f]]
+            else:
+                with np.errstate(invalid="ignore"):  # NaN goes right
+                    goes[f >= n_user][nodes] = columns[f] <= tree.threshold[nodes, None]
         side, lefts, rights = side.tolist(), tree.left.tolist(), tree.right.tolist()
         stack = [(0, (np.arange(len(enc_users)), np.arange(len(enc_items))))]
         while stack:
@@ -762,7 +754,7 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> ForestModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json_object(path, "model")
     if payload.get("kind") != "forest_model":
         raise ValueError(f"{path} is not a serialized forest model")
     specs = tuple(

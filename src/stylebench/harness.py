@@ -69,7 +69,13 @@ SEGMENT_ROWS = ("sale_users", "view_users", "new_users", "average")
 METRICS = ("ndcg", "ad", "rp")
 # CF cannot cover new users, so its cells in these rows are null
 CF_NULL_ROWS = ("new_users", "average")
-REPORT_FORMATS = ("json", "csv", "markdown")
+# each report format and the files it writes, relative to the output directory
+REPORT_FILES = {
+    "json": ("report.json",),
+    "csv": tuple(f"tables/{metric}.csv" for metric in METRICS),
+    "markdown": ("report.md",),
+}
+REPORT_FORMATS = tuple(REPORT_FILES)
 
 # flat config key -> (EvalConfig attribute holding the field, or None for
 # EvalConfig itself; field name). Defaults live only in the dataclasses.
@@ -653,25 +659,21 @@ def render_report(
     unknown = formats - set(REPORT_FORMATS)
     if unknown:
         raise ValueError(f"unknown report formats {sorted(unknown)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    texts = []  # in REPORT_FILES order
     if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        written.append(path)
+        texts.append(report.to_json())
     if "csv" in formats:
-        tables = out_dir / "tables"
-        tables.mkdir(exist_ok=True)
         for metric in METRICS:
-            path = tables / f"{metric}.csv"
             lines = [",".join(r) for r in _metric_table_rows(report, metric)]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
+            texts.append("\n".join(lines) + "\n")
     if "markdown" in formats:
-        path = out_dir / "report.md"
-        path.write_text(_render_markdown(report), encoding="utf-8")
-        written.append(path)
+        texts.append(_render_markdown(report))
+    written = [
+        Path(out_dir) / name for f in REPORT_FORMATS if f in formats for name in REPORT_FILES[f]
+    ]
+    for path, text in zip(written, texts, strict=True):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     return written
 
 

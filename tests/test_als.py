@@ -2,6 +2,7 @@
 monotonicity, determinism, ranking quality on synthetic factors."""
 
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -37,7 +38,7 @@ from stylebench.als import (
     save_model,
 )
 from stylebench.data import Dataset, InteractionEvent, Kind
-from stylebench.errors import EmptyTraining, SingularSystem, UnknownItem
+from stylebench.errors import DataError, EmptyTraining, SingularSystem, UnknownItem
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -530,3 +531,21 @@ class TestSerialization:
         assert again.items == model.items
         assert again.loss_trace == model.loss_trace
         assert again.config == model.config
+
+    def test_loads_past_a_byte_order_mark(self, tmp_path):
+        model = fit_als(small_confidence(), AlsConfig(factors=5, iterations=4, seed=2))
+        path, marked = tmp_path / "model.json", tmp_path / "marked.json"
+        save_model(model, path)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, again = load_model(path), load_model(marked)
+        for field in ("user_factors", "item_factors"):
+            assert np.array_equal(getattr(again, field), getattr(plain, field))
+        for field in ("users", "items", "loss_trace", "config"):
+            assert getattr(again, field) == getattr(plain, field)
+
+    def test_unreadable_file_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"kind": "als_factor_model", "kind": "forest_model"}')
+        fault = f"model {re.escape(str(path))}: key 'kind' appears twice"
+        with pytest.raises(DataError, match=fault):
+            load_model(path)

@@ -93,6 +93,25 @@ class TestStats:
         _, config, data_path = workspace
         assert dispatch(["stats", "--config", str(config), "--data", str(data_path)]) == EXIT_OK
 
+    def test_config_with_a_byte_order_mark(self, workspace, tmp_path, capsys):
+        # as a spreadsheet program or Notepad may save it: the same summary
+        # and the same report as the config without the mark
+        _, config, data_path = workspace
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        printed, reports = [], []
+        for path in (config, marked):
+            capsys.readouterr()
+            assert dispatch(["stats", "--config", str(path), "--data", str(data_path)]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+            out = tmp_path / path.stem
+            assert dispatch([
+                "evaluate", "--config", str(path), "--data", str(data_path), "--out", str(out),
+            ]) == EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert printed[0] == printed[1]
+        assert reports[0] == reports[1]
+
     def test_missing_data_file(self, workspace, tmp_path, capsys):
         _, config, _ = workspace
         missing = tmp_path / "nope.csv"
@@ -477,6 +496,24 @@ class TestReportCommand:
                 (again / "tables" / f"{metric}.csv").read_text()
                 == (out / "tables" / f"{metric}.csv").read_text()
             )
+
+    def test_never_writes_over_the_report_it_reads(self, tmp_path, capsys):
+        # with no --out the files go beside the report: report.json there is
+        # the input itself, whatever its spelling
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(report_payload(["MP"]), indent=4))
+        before = report.read_bytes()
+        for argv in (
+            ["--format", "json"],
+            ["--format", "csv,json", "--out", f"{tmp_path}/../{tmp_path.name}"],
+        ):
+            assert dispatch(["report", "--report", str(report), *argv]) == EXIT_USAGE
+            assert "would write over the input file" in capsys.readouterr().err
+            assert report.read_bytes() == before
+            assert sorted(tmp_path.iterdir()) == [report]
+        assert dispatch(["report", "--report", str(report), "--format", "csv,markdown"]) == EXIT_OK
+        assert report.read_bytes() == before
+        assert (tmp_path / "report.md").exists()
 
     def test_report_missing_a_row_is_data_error(self, tmp_path, capsys):
         payload = report_payload(["MP"])

@@ -1,11 +1,14 @@
 """Forest engine: label augmentation, variance-reducing splits, ensemble
 prediction, determinism, serialization."""
 
+import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -18,12 +21,19 @@ from hypothesis import strategies as st
 from stylebench import forest
 from stylebench.als import AlsConfig, FactorModel, build_confidence
 from stylebench.data import Dataset, FeatureColumn, FeatureTable, InteractionEvent, Kind
-from stylebench.errors import DegenerateTableWarning, MissingFeatures, SchemaMismatch
+from stylebench.errors import (
+    DataError,
+    DegenerateTableWarning,
+    MissingFeatures,
+    SchemaMismatch,
+)
 from stylebench.forest import (
     AugmentedTable,
     FeatureSchema,
     FeatureSpec,
     ForestConfig,
+    ForestModel,
+    Tree,
     _mask_seed,
     augment_labels,
     encode_entities,
@@ -510,15 +520,17 @@ class TestPredictForestGrid:
         )
         model = fit_forest(table_from(np.array(columns).T, y, schema), cfg)
 
-        # entity values come from the training values and the split thresholds
+        # entity values come from the training values and the split thresholds,
+        # and a numeric column may also hold NaN (which goes right) and ±inf
         def entities(side):
             cols = [f for f, spec in enumerate(specs) if spec.side == side]
             pools = []
             for f in cols:
-                pool = set(columns[f])
+                pool, extra = set(columns[f]), []
                 if specs[f].kind == "numeric":
                     pool.update(float(v) for t in model.trees for v in t.threshold[t.feature == f])
-                pools.append(sorted(pool))
+                    extra = [np.nan, -np.inf, np.inf]
+                pools.append(sorted(pool) + extra)
             count = case.draw(st.integers(0, 6), label=f"{side}s")
             rows = [[case.draw(st.sampled_from(pool)) for pool in pools] for _ in range(count)]
             return np.array(rows, dtype=np.float64).reshape(count, len(cols))
@@ -534,6 +546,39 @@ class TestPredictForestGrid:
         for m in (model, loaded):
             grid = predict_forest_grid(m, users, items)
             assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
+
+    def test_decision_tables_need_no_entity_by_node_gather(self):
+        # a complete tree of depth 10 over 4 user columns: 1,023 user-side
+        # nodes, decided for 3,000 users
+        rng = np.random.default_rng(31)
+        n_users, n_internal, p = 3000, 2**10 - 1, 4
+        n_nodes = 2 * n_internal + 1
+        internal = np.arange(n_nodes) < n_internal
+        left = np.where(internal, 2 * np.arange(n_nodes) + 1, -1)
+        tree = Tree(
+            feature=np.where(internal, rng.integers(0, p, n_nodes), -1),
+            threshold=np.where(internal, rng.uniform(size=n_nodes), np.nan),
+            left=left,
+            right=np.where(internal, left + 1, -1),
+            value=np.where(internal, np.nan, rng.uniform(size=n_nodes)),
+            is_cat=np.zeros(n_nodes, dtype=bool),
+            members=np.zeros((n_nodes, 1), dtype=bool),
+        )
+        specs = tuple(FeatureSpec(f"user.x{j}", "user", f"x{j}", "numeric") for j in range(p))
+        model = ForestModel(
+            trees=(tree,), schema=FeatureSchema(specs), config=ForestConfig(n_trees=1)
+        )
+        users = rng.uniform(size=(n_users, p))
+        tracemalloc.start()
+        try:
+            grid = predict_forest_grid(model, users, np.empty((2, 0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a users x nodes float64 gather alone would take 24.6 MB
+        assert peak < n_users * n_internal * 8 / 2
+        expected = np.repeat(forest_mean(model, users)[:, None], 2, axis=1)
+        assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
 
     def test_schema_mismatch(self):
         x, schema = numeric_table(100, seed=17)
@@ -575,6 +620,35 @@ class TestForestSerialization:
         )
         assert again.schema == model.schema
         assert again.config == model.config
+
+    def test_loads_past_a_byte_order_mark(self, tmp_path):
+        x = np.hstack([
+            np.random.default_rng(24).uniform(size=(60, 1)),
+            np.arange(60).reshape(-1, 1) % 3.0,
+        ])
+        schema = FeatureSchema(specs=(
+            FeatureSpec(name="user.x", side="user", column="x", kind="numeric"),
+            FeatureSpec(name="item.c", side="item", column="c", kind="categorical",
+                        levels=("p", "q", "r")),
+        ))
+        model = fit_forest(table_from(x, x[:, 0], schema), ForestConfig(n_trees=3, seed=25))
+        path, marked = tmp_path / "forest.json", tmp_path / "marked.json"
+        save_forest(model, path)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, again = load_forest(path), load_forest(marked)
+        assert (again.schema, again.config) == (plain.schema, plain.config)
+        for tree, want in zip(again.trees, plain.trees, strict=True):
+            for field in dataclasses.fields(Tree):
+                got, expected = getattr(tree, field.name), getattr(want, field.name)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected, equal_nan=got.dtype.kind == "f")
+
+    def test_unreadable_file_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "forest.json"
+        path.write_text("[1, 2]")
+        fault = f"model {re.escape(str(path))} must hold a JSON object"
+        with pytest.raises(DataError, match=fault):
+            load_forest(path)
 
     def test_file_keys_and_older_label_range_keys(self, tmp_path):
         # the file holds no label range; one written with it still loads

@@ -337,9 +337,11 @@ def _best_prefixes(seg, kn, ks, seg_n, seg_s, min_leaf):
     left_s = cum_s - np.concatenate(([0.0], cum_s))[first][run]
     right_n = seg_n[seg] - left_n
     ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-    crit = np.full(len(seg), -np.inf)
-    ls = left_s[ok]
-    crit[ok] = ls**2 / left_n[ok] + (seg_s[seg[ok]] - ls) ** 2 / right_n[ok]
+    # every key's criterion, then -inf where a side is short of min_leaf; the
+    # prefix that takes a whole segment divides by zero, and is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crit = left_s**2 / left_n + (seg_s[seg] - left_s) ** 2 / right_n
+    crit[~ok] = -np.inf
     top = np.maximum.reduceat(crit, first)
     hit = np.flatnonzero(crit == top[run])
     hit_run = run[hit]
@@ -395,9 +397,10 @@ def _best_subsets(seg, code, kn, ks, seg_n, seg_s, min_leaf):
             & (n_left >= min_leaf)
             & (right_n >= min_leaf)
         )
-        crit = np.full(n_left.shape, -np.inf)
-        sl = s_left[ok]
-        crit[ok] = sl**2 / n_left[ok] + (seg_s[segs, None] - s_left)[ok] ** 2 / right_n[ok]
+        # the empty subset and a side with no rows divide by zero, and are masked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crit = s_left**2 / n_left + (seg_s[segs, None] - s_left) ** 2 / right_n
+        crit[~ok] = -np.inf
         choice = crit.argmax(axis=1)
         best[segs] = crit[np.arange(len(runs)), choice]
         left[member] = ((choice[row] >> bit[member]) & 1).astype(bool)
@@ -435,7 +438,7 @@ def _count_keys(state: _FitState, chosen, rows, slot, w, wy):
     # than a 2-d fancy index, and the weights become a tile, not a repeat
     feat = np.take(chosen.T, slot, axis=1)
     codes = np.take(state.codes, feat * state.codes.shape[1] + rows)
-    w, wy = np.tile(w, m), np.tile(wy, m)
+    w, wy = np.concatenate((w,) * m), np.concatenate((wy,) * m)
     seg_cat = state.is_cat[seg_feat]
     order = np.argsort(seg_cat, kind="stable")  # segments in key order
     start = np.concatenate(([0], np.cumsum(state.code_width[seg_feat[order]])))
@@ -444,7 +447,7 @@ def _count_keys(state: _FitState, chosen, rows, slot, w, wy):
     bins = (np.take(base.reshape(n_cand, m).T, slot, axis=1) + codes).ravel()
     if start[-1] <= _DENSE_BINS_PER_KEY * codes.size:
         kn = np.bincount(bins, w, start[-1])
-        key = np.flatnonzero(kn)
+        key = np.flatnonzero(kn != 0)
         kn, ks = kn[key], np.bincount(bins, wy, start[-1])[key]
     else:
         key, inv = np.unique(bins, return_inverse=True)
@@ -470,7 +473,7 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
     p, n = state.codes.shape
     m = state.n_split_features
     mult = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    rows = np.flatnonzero(mult)
+    rows = np.flatnonzero(mult != 0)
     w = mult[rows].astype(np.float64)
     wy = w * state.y[rows]
     wyy = wy * state.y[rows]
@@ -495,11 +498,12 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
             break
         n_cand = len(cand)
         chosen = np.argsort(rng.random((n_cand, p)), axis=1, kind="stable")[:, :m]
-        cand_of_node = np.full(n_open, -1, dtype=np.int64)
-        cand_of_node[cand] = np.arange(n_cand)
-        keep = cand_of_node[slot] >= 0
-        rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
-        slot = cand_of_node[slot[keep]]
+        if n_cand < n_open:  # drop the rows of nodes that cannot split
+            cand_of_node = np.full(n_open, -1, dtype=np.int64)
+            cand_of_node[cand] = np.arange(n_cand)
+            keep = cand_of_node[slot] >= 0
+            rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
+            slot = cand_of_node[slot[keep]]
 
         n_seg = n_cand * m
         seg, code, kn, ks, n_num = _count_keys(state, chosen, rows, slot, w, wy)
@@ -542,15 +546,16 @@ def _fit_tree(state: _FitState, tree_index: int) -> Tree:
         children[nodes] = np.arange(0, 2 * len(nodes), 2)
 
         # route the rows of split nodes to their children
-        split_of_cand = np.cumsum(split) - 1
-        keep = split[slot]
-        rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
-        slot = split_of_cand[slot[keep]]
+        if not split.all():
+            split_of_cand = np.cumsum(split) - 1
+            keep = split[slot]
+            rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
+            slot = split_of_cand[slot[keep]]
         f_row = feature[nodes][slot]
-        row_code = state.codes[f_row, rows]
+        row_code = np.take(state.codes, f_row * n + rows)
         go_left = row_code <= split_code[slot]
         cat = np.flatnonzero(state.is_cat[f_row])
-        go_left[cat] = split_members[slot[cat], row_code[cat]]
+        go_left[cat] = np.take(split_members, slot[cat] * state.max_levels + row_code[cat])
         slot = 2 * slot + ~go_left
         n_open = 2 * len(nodes)
 
@@ -618,8 +623,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# (row, node) decisions per tree that predict_forest makes at once: 1M
-# keeps a chunk's boolean decision table at 1 MiB per tree.
+# (row, internal node) decisions per tree that predict_forest makes at
+# once: 1M keeps a chunk's boolean decision table at 1 MiB per tree.
 _ROW_NODE_BUDGET = 1 << 20
 
 
@@ -627,16 +632,18 @@ def predict_forest(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     """Mean of per-tree predictions for each encoded feature row: the grid
     walk with every column on the user side and one featureless item.
 
-    The walk decides every node for every row, so rows go in chunks of at
-    most ``_ROW_NODE_BUDGET`` (row, node) decisions per tree. A row's score
-    does not depend on the other rows, so the chunks change no bit.
+    The walk decides every internal node for every row, so rows go in
+    chunks of at most ``_ROW_NODE_BUDGET`` (row, internal node) decisions per
+    tree. A row's score does not depend on the other rows, so the chunks
+    change no bit.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.schema.n_features:
         raise SchemaMismatch(
             f"expected rows of width {model.schema.n_features}, got {rows.shape}"
         )
-    step = max(1, _ROW_NODE_BUDGET // max(t.n_nodes for t in model.trees))
+    internal = max(int(np.count_nonzero(t.feature >= 0)) for t in model.trees)
+    step = max(1, _ROW_NODE_BUDGET // max(internal, 1))
     no_item = np.empty((1, 0))
     return np.concatenate([
         _co_partition(model, rows.shape[1], rows[start : start + step], no_item)[:, 0]
@@ -692,33 +699,37 @@ def _co_partition(model, n_user, enc_users, enc_items):
     total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
     leaf = np.empty(total.shape, dtype=np.intp)
     for tree in model.trees:
-        # side 0 decides users, side 1 items, -1 is a leaf; goes[s][node, e]
-        # is whether entity e of side s takes the left branch at node
+        # side 0 decides users, side 1 items, -1 is a leaf; the nodes of side
+        # s are rows 0, 1, ... of its table, in node order, and
+        # goes[s][row[node], e] is whether entity e takes the left branch
         side = np.where(tree.feature < 0, -1, tree.feature >= n_user)
-        goes = [np.empty((tree.n_nodes, len(enc)), dtype=bool) for enc in (enc_users, enc_items)]
+        row = np.zeros(tree.n_nodes, dtype=np.int64)
+        goes = []
+        for s, enc in enumerate((enc_users, enc_items)):
+            nodes = np.flatnonzero(side == s)
+            row[nodes] = np.arange(len(nodes))
+            goes.append(np.empty((len(nodes), len(enc)), dtype=bool))
         for f in np.unique(tree.feature[side >= 0]).tolist():
             nodes = np.flatnonzero(tree.feature == f)
             if model.schema.specs[f].kind == "categorical":
-                goes[f >= n_user][nodes] = tree.members[nodes][:, columns[f]]
+                goes[f >= n_user][row[nodes]] = tree.members[nodes][:, columns[f]]
             else:
                 with np.errstate(invalid="ignore"):  # NaN goes right
-                    goes[f >= n_user][nodes] = columns[f] <= tree.threshold[nodes, None]
-        side, lefts, rights = side.tolist(), tree.left.tolist(), tree.right.tolist()
-        stack = [(0, (np.arange(len(enc_users)), np.arange(len(enc_items))))]
+                    goes[f >= n_user][row[nodes]] = columns[f] <= tree.threshold[nodes, None]
+        side, row = side.tolist(), row.tolist()
+        lefts, rights = tree.left.tolist(), tree.right.tolist()
+        stack = [(0, np.arange(len(enc_users)), np.arange(len(enc_items)))]
         while stack:
-            node, (users, items) = stack.pop()
+            node, users, items = stack.pop()
             s = side[node]
             if s < 0:
                 leaf[users[:, None], items] = node
                 continue
             subset = users if s == 0 else items
-            left = goes[s][node].take(subset)
-            for child, part in (
-                (lefts[node], subset.compress(left)),
-                (rights[node], subset.compress(~left)),
-            ):
+            left = goes[s][row[node]][subset]
+            for child, part in ((lefts[node], subset[left]), (rights[node], subset[~left])):
                 if len(part):
-                    stack.append((child, (part, items) if s == 0 else (users, part)))
+                    stack.append((child, part, items) if s == 0 else (child, users, part))
         total += tree.value[leaf]
     return total / len(model.trees)
 

@@ -32,7 +32,17 @@ from stylebench.data import (
 from stylebench import synth
 from stylebench.errors import InfeasibleTargets, MalformedRecord
 from stylebench.errors import EmptyTraining, MissingFeatures, UnknownItem
-from stylebench.forest import AugmentedTable, FeatureSchema, _mask_seed, encode_entities
+from stylebench.forest import (
+    _DENSE_BINS_PER_KEY,
+    _EXACT_SUBSET_LEVELS,
+    _ZERO_SSE,
+    AugmentedTable,
+    FeatureSchema,
+    Tree,
+    _FitState,
+    _mask_seed,
+    encode_entities,
+)
 from stylebench.errors import TooFewUsers, ZeroPopularity
 from stylebench.metrics import GRADING_MODES, _summarize
 
@@ -881,3 +891,274 @@ def event_loop_generate_dataset(cfg):
             emit_views(u, n_test_views, boundary, end, can_buy=True)
 
     return Dataset.from_events(events, user_features, item_features)
+
+
+# ``forest._fit_tree`` and its helpers as they stood before their numpy
+# passes were trimmed (the split criterion through boolean gathers, row
+# filters at every depth, routing by 2-d fancy indexing), kept verbatim
+# apart from the ``ref`` prefix of their names. ``fit_forest``'s trees must
+# equal theirs as arrays.
+
+
+def ref_runs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index of each run of equal values in sorted ``seg``, and the
+    run number of every element."""
+    starts = np.empty(len(seg), dtype=bool)
+    starts[:1] = True
+    np.not_equal(seg[1:], seg[:-1], out=starts[1:])
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
+
+
+def ref_best_prefixes(seg, kn, ks, seg_n, seg_s, min_leaf):
+    """Best "keys up to t go left" split within each run of equal ``seg``.
+
+    ``kn``/``ks`` are the weighted row count and label sum of each key,
+    ``seg_n``/``seg_s`` those of each segment. Returns per segment the
+    criterion S_L^2/n_L + S_R^2/n_R (-inf when no prefix leaves ``min_leaf``
+    rows on both sides) and the index of the last key sent left (-1 when
+    there is none); ties go to the shortest prefix.
+    """
+    best = np.full(len(seg_n), -np.inf)
+    pos = np.full(len(seg_n), -1, dtype=np.int64)
+    if len(seg) == 0:
+        return best, pos
+    first, run = ref_runs(seg)
+    cum_n = np.cumsum(kn)
+    cum_s = np.cumsum(ks)
+    left_n = cum_n - (cum_n[first] - kn[first])[run]
+    left_s = cum_s - np.concatenate(([0.0], cum_s))[first][run]
+    right_n = seg_n[seg] - left_n
+    ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+    crit = np.full(len(seg), -np.inf)
+    ls = left_s[ok]
+    crit[ok] = ls**2 / left_n[ok] + (seg_s[seg[ok]] - ls) ** 2 / right_n[ok]
+    top = np.maximum.reduceat(crit, first)
+    hit = np.flatnonzero(crit == top[run])
+    hit_run = run[hit]
+    hit = hit[np.concatenate(([True], hit_run[1:] != hit_run[:-1]))]
+    best[seg[first]] = top
+    pos[seg[first]] = np.where(top > -np.inf, hit, -1)
+    return best, pos
+
+
+def ref_best_subsets(seg, code, kn, ks, seg_n, seg_s, min_leaf):
+    """Best level-subset split within each run of equal ``seg``, whose keys
+    are sorted by level code.
+
+    A run with at most ``_EXACT_SUBSET_LEVELS`` present levels tries every
+    subset that leaves out its top present level, in increasing bitmask
+    order over the present levels; a longer run scans prefixes of its levels
+    ordered by mean label, ties by code. Returns per segment the criterion
+    (-inf when none) and, per key, whether the best subset sends it left.
+    """
+    best = np.full(len(seg_n), -np.inf)
+    left = np.zeros(len(seg), dtype=bool)
+    if len(seg) == 0:
+        return best, left
+    first, run = ref_runs(seg)
+    k = np.diff(np.append(first, len(seg)))
+    bit = np.arange(len(seg)) - first[run]
+    small = np.flatnonzero((k >= 2) & (k <= _EXACT_SUBSET_LEVELS))
+    # bound each chunk's runs x bitmasks tables to about 2^18 cells
+    step = max(1, (1 << 18) >> (int(k[small].max(initial=1)) - 1))
+    for lo in range(0, len(small), step):
+        runs = small[lo : lo + step]
+        width = int(k[runs].max())
+        row_of_run = np.full(len(first), -1)
+        row_of_run[runs] = np.arange(len(runs))
+        member = np.flatnonzero(row_of_run[run] >= 0)
+        row = row_of_run[run[member]]
+        level_n = np.zeros((len(runs), width))
+        level_s = np.zeros((len(runs), width))
+        level_n[row, bit[member]] = kn[member]
+        level_s[row, bit[member]] = ks[member]
+        # column b of n_left/s_left sums the levels whose bit is set in b
+        n_left = np.zeros((len(runs), 1 << (width - 1)))
+        s_left = np.zeros_like(n_left)
+        for b in range(width - 1):
+            n_left[:, 1 << b : 2 << b] = n_left[:, : 1 << b] + level_n[:, b, None]
+            s_left[:, 1 << b : 2 << b] = s_left[:, : 1 << b] + level_s[:, b, None]
+        segs = seg[first[runs]]
+        right_n = seg_n[segs, None] - n_left
+        masks = np.arange(n_left.shape[1])
+        ok = (
+            (masks > 0)
+            & (masks < (1 << (k[runs] - 1))[:, None])
+            & (n_left >= min_leaf)
+            & (right_n >= min_leaf)
+        )
+        crit = np.full(n_left.shape, -np.inf)
+        sl = s_left[ok]
+        crit[ok] = sl**2 / n_left[ok] + (seg_s[segs, None] - s_left)[ok] ** 2 / right_n[ok]
+        choice = crit.argmax(axis=1)
+        best[segs] = crit[np.arange(len(runs)), choice]
+        left[member] = ((choice[row] >> bit[member]) & 1).astype(bool)
+    big = np.flatnonzero(k[run] > _EXACT_SUBSET_LEVELS)
+    if len(big):
+        order = big[np.lexsort((code[big], ks[big] / kn[big], seg[big]))]
+        top, last = ref_best_prefixes(seg[order], kn[order], ks[order], seg_n, seg_s, min_leaf)
+        has = top > -np.inf
+        best[has] = top[has]
+        left[order] = np.arange(len(order)) <= last[seg[order]]
+    return best, left
+
+
+def ref_count_keys(state: _FitState, chosen, rows, slot, w, wy):
+    """Weighted row count and label sum of every (segment, code) key of one
+    depth, in key order.
+
+    Row ``r`` and choice position ``j`` give one key: its segment is
+    ``slot[r] * m + j``, its code that of feature ``chosen[slot[r], j]``.
+    Keys sort by segment, numeric segments before categorical ones, then by
+    code. Returns each key's segment and code, ``kn`` and ``ks``, and the
+    number of numeric keys.
+
+    Each segment gets a run of bins as wide as its feature's code range, so
+    bins increase in key order, and as every drawn row weighs at least 1 the
+    keys present are the non-empty bins. ``np.bincount`` fills them densely; a depth with more than
+    ``_DENSE_BINS_PER_KEY`` bins per key finds them with ``np.unique``
+    instead. Either way a key's weights are added in row order, so both give
+    the same sums, bit for bit.
+    """
+    n_cand, m = chosen.shape
+    n_seg = n_cand * m
+    seg_feat = chosen.ravel()
+    # (m, rows) arrays, one row per choice position: flat takes are cheaper
+    # than a 2-d fancy index, and the weights become a tile, not a repeat
+    feat = np.take(chosen.T, slot, axis=1)
+    codes = np.take(state.codes, feat * state.codes.shape[1] + rows)
+    w, wy = np.tile(w, m), np.tile(wy, m)
+    seg_cat = state.is_cat[seg_feat]
+    order = np.argsort(seg_cat, kind="stable")  # segments in key order
+    start = np.concatenate(([0], np.cumsum(state.code_width[seg_feat[order]])))
+    base = np.empty(n_seg, dtype=np.int64)
+    base[order] = start[:-1] - state.code_lo[seg_feat[order]]
+    bins = (np.take(base.reshape(n_cand, m).T, slot, axis=1) + codes).ravel()
+    if start[-1] <= _DENSE_BINS_PER_KEY * codes.size:
+        kn = np.bincount(bins, w, start[-1])
+        key = np.flatnonzero(kn)
+        kn, ks = kn[key], np.bincount(bins, wy, start[-1])[key]
+    else:
+        key, inv = np.unique(bins, return_inverse=True)
+        kn, ks = np.bincount(inv, w), np.bincount(inv, wy)
+    seg = order[np.searchsorted(start, key, side="right") - 1]
+    n_num = int(np.searchsorted(key, start[n_seg - seg_cat.sum()]))
+    return seg, key - base[seg], kn, ks, n_num
+
+
+def ref_fit_tree(state: _FitState, tree_index: int) -> Tree:
+    """Grow one tree level by level, searching all open nodes of a depth at
+    once; nodes are numbered breadth-first.
+
+    The tree's RNG stream draws the bootstrap first, then one feature-subset
+    matrix per depth for that depth's splittable nodes in node order. The
+    bootstrap becomes per-row multiplicity weights, so each depth only
+    touches the distinct rows drawn.
+    """
+    cfg = state.cfg
+    rng = np.random.default_rng(
+        np.random.SeedSequence([_mask_seed(cfg.seed), 1, tree_index])
+    )
+    p, n = state.codes.shape
+    m = state.n_split_features
+    mult = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    rows = np.flatnonzero(mult)
+    w = mult[rows].astype(np.float64)
+    wy = w * state.y[rows]
+    wyy = wy * state.y[rows]
+    slot = np.zeros(len(rows), dtype=np.int64)  # each row's node within its depth
+    n_open = 1
+    levels = []
+    for depth in range(cfg.max_depth + 1):
+        node_n = np.bincount(slot, w, n_open)
+        node_s = np.bincount(slot, wy, n_open)
+        value = node_s / node_n
+        baseline = node_s * value
+        sse = np.bincount(slot, wyy, n_open) - baseline
+        feature = np.full(n_open, -1, dtype=np.int64)
+        threshold = np.full(n_open, np.nan)
+        members = np.zeros((n_open, state.max_levels), dtype=bool)
+        children = np.full(n_open, -1, dtype=np.int64)
+        levels.append((feature, threshold, members, value, children))
+        if depth == cfg.max_depth:
+            break
+        cand = np.flatnonzero((node_n >= 2 * cfg.min_leaf) & (sse > _ZERO_SSE))
+        if len(cand) == 0:
+            break
+        n_cand = len(cand)
+        chosen = np.argsort(rng.random((n_cand, p)), axis=1, kind="stable")[:, :m]
+        cand_of_node = np.full(n_open, -1, dtype=np.int64)
+        cand_of_node[cand] = np.arange(n_cand)
+        keep = cand_of_node[slot] >= 0
+        rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
+        slot = cand_of_node[slot[keep]]
+
+        n_seg = n_cand * m
+        seg, code, kn, ks, n_num = ref_count_keys(state, chosen, rows, slot, w, wy)
+        seg_n, seg_s = np.repeat(node_n[cand], m), np.repeat(node_s[cand], m)
+        crit_num, last = ref_best_prefixes(
+            seg[:n_num], kn[:n_num], ks[:n_num], seg_n, seg_s, cfg.min_leaf
+        )
+        cat_seg, cat_code = seg[n_num:], code[n_num:]
+        crit_cat, left = ref_best_subsets(
+            cat_seg, cat_code, kn[n_num:], ks[n_num:], seg_n, seg_s, cfg.min_leaf
+        )
+        crit = np.maximum(crit_num, crit_cat).reshape(n_cand, m)
+        choice = crit.argmax(axis=1)  # first chosen feature wins ties
+        split = crit[np.arange(n_cand), choice] > baseline[cand] + _ZERO_SSE
+        if not split.any():
+            break
+        won = np.flatnonzero(split) * m + choice[split]
+        t = last[won]
+        numeric = t >= 0
+        # the threshold lies in [below, above), so a row goes left exactly
+        # when its code is at most ``code[t]`` (unused at categorical nodes)
+        split_code = code[t]
+        t = t[numeric]
+        split_threshold = np.full(len(won), np.nan)
+        below, above = state.values[code[t]], state.values[code[t + 1]]
+        mid = (below + above) / 2.0
+        # between adjacent doubles the midpoint can round up to ``above``
+        split_threshold[numeric] = np.where(mid < above, mid, below)
+        won_cat = np.zeros(n_seg, dtype=bool)
+        won_cat[won] = True
+        won_cat = left & won_cat[cat_seg]
+        split_members = np.zeros((n_cand, state.max_levels), dtype=bool)
+        split_members[cat_seg[won_cat] // m, cat_code[won_cat]] = True
+        split_members = split_members[split]
+        nodes = cand[split]
+        feature[nodes] = chosen.ravel()[won]
+        threshold[nodes] = split_threshold
+        members[nodes] = split_members
+        value[nodes] = np.nan
+        children[nodes] = np.arange(0, 2 * len(nodes), 2)
+
+        # route the rows of split nodes to their children
+        split_of_cand = np.cumsum(split) - 1
+        keep = split[slot]
+        rows, w, wy, wyy = rows[keep], w[keep], wy[keep], wyy[keep]
+        slot = split_of_cand[slot[keep]]
+        f_row = feature[nodes][slot]
+        row_code = state.codes[f_row, rows]
+        go_left = row_code <= split_code[slot]
+        cat = np.flatnonzero(state.is_cat[f_row])
+        go_left[cat] = split_members[slot[cat], row_code[cat]]
+        slot = 2 * slot + ~go_left
+        n_open = 2 * len(nodes)
+
+    feature, threshold, members, value, children = (
+        np.concatenate(parts) for parts in zip(*levels)
+    )
+    sizes = [len(level[0]) for level in levels]
+    next_depth_start = np.repeat(np.cumsum(sizes), sizes)
+    internal = feature >= 0
+    left = np.where(internal, next_depth_start + children, -1)
+    return Tree(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=np.where(internal, left + 1, -1),
+        value=value,
+        is_cat=state.is_cat[np.maximum(feature, 0)] & internal,
+        members=members,
+    )

@@ -44,7 +44,13 @@ from stylebench.forest import (
     save_forest,
 )
 
-from oracles import forest_mean, loop_augment_labels, per_node_best_split, tree_predict
+from oracles import (
+    forest_mean,
+    loop_augment_labels,
+    per_node_best_split,
+    ref_fit_tree,
+    tree_predict,
+)
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -481,11 +487,21 @@ class TestPredictForest:
         model, _ = self._model(n_trees=5)
         rows = np.random.default_rng(20).uniform(-1.0, 2.0, size=(37, 1))
         whole = predict_forest(model, rows)
-        nodes = max(t.n_nodes for t in model.trees)
-        # one row per chunk, three rows per chunk (the last chunk short)
-        for budget in (1, 3 * nodes):
+        co_partition, chunks = forest._co_partition, []
+
+        def recording(model, n_user, rows, items):
+            chunks.append(len(rows))
+            return co_partition(model, n_user, rows, items)
+
+        monkeypatch.setattr(forest, "_co_partition", recording)
+        # the budget counts (row, internal node) decisions: one row per chunk,
+        # three rows per chunk (the last chunk short)
+        internal = max(int(np.count_nonzero(t.feature >= 0)) for t in model.trees)
+        for budget, sizes in ((1, [1] * 37), (3 * internal, [3] * 12 + [1])):
             monkeypatch.setattr(forest, "_ROW_NODE_BUDGET", budget)
+            chunks.clear()
             got = predict_forest(model, rows)
+            assert chunks == sizes
             assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
         assert predict_forest(model, rows[:0]).shape == (0,)
 
@@ -547,9 +563,11 @@ class TestPredictForestGrid:
             grid = predict_forest_grid(m, users, items)
             assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
 
-    def test_decision_tables_need_no_entity_by_node_gather(self):
-        # a complete tree of depth 10 over 4 user columns: 1,023 user-side
-        # nodes, decided for 3,000 users
+    @staticmethod
+    def _complete_tree_peak():
+        """The tracemalloc peak of one predict_forest_grid call on a complete
+        tree of depth 10 over 4 user columns (1,023 user-side internal nodes
+        and 1,024 leaves), for 3,000 users and 2 featureless items."""
         rng = np.random.default_rng(31)
         n_users, n_internal, p = 3000, 2**10 - 1, 4
         n_nodes = 2 * n_internal + 1
@@ -575,10 +593,20 @@ class TestPredictForestGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a users x nodes float64 gather alone would take 24.6 MB
-        assert peak < n_users * n_internal * 8 / 2
         expected = np.repeat(forest_mean(model, users)[:, None], 2, axis=1)
         assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
+        return peak, n_users, n_internal
+
+    def test_decision_tables_need_no_entity_by_node_gather(self):
+        peak, n_users, n_internal = self._complete_tree_peak()
+        # a users x nodes float64 gather alone would take 24.6 MB
+        assert peak < n_users * n_internal * 8 / 2
+
+    def test_decision_tables_hold_internal_nodes_only(self):
+        peak, n_users, n_internal = self._complete_tree_peak()
+        # a users x all-nodes boolean table alone would take 6.1 MB; the
+        # users x internal-nodes one takes 3.1 MB
+        assert peak < n_users * (2 * n_internal + 1)
 
     def test_schema_mismatch(self):
         x, schema = numeric_table(100, seed=17)
@@ -794,12 +822,52 @@ class TestLevelwiseSearch:
             for x_a, x_b in zip(a, b):
                 assert x_a.dtype == x_b.dtype and np.array_equal(x_a.view(np.uint64), x_b.view(np.uint64))
         for ta, tb in zip(*(model.trees for model in models)):
-            for name in ("feature", "left", "right", "is_cat", "members"):
-                assert np.array_equal(getattr(ta, name), getattr(tb, name))
-            for name in ("threshold", "value"):
-                assert np.array_equal(
-                    getattr(ta, name).view(np.uint64), getattr(tb, name).view(np.uint64)
+            _assert_equal_trees(ta, tb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data())
+    def test_trees_equal_the_reference_fit(self, case):
+        n = case.draw(st.integers(12, 200), label="rows")
+        rng = np.random.default_rng(case.draw(st.integers(0, 2**32), label="data seed"))
+        columns, specs = [], []
+        # about one value per row, so deep depths count keys by np.unique
+        if case.draw(st.booleans(), label="all-distinct numeric column"):
+            columns.append(rng.permutation(n) * 0.37 - 5.0)
+            specs.append(FeatureSpec(name="user.d", side="user", column="d", kind="numeric"))
+        for j in range(case.draw(st.integers(0, 2), label="few-valued numeric columns")):
+            columns.append(rng.integers(0, case.draw(st.integers(1, 8)), n) * 0.5)
+            specs.append(FeatureSpec(name=f"user.n{j}", side="user", column=f"n{j}", kind="numeric"))
+        # up to _EXACT_SUBSET_LEVELS levels every subset is tried, above it
+        # prefixes of the levels by mean label
+        n_levels = case.draw(st.lists(st.integers(2, 20), max_size=2), label="categorical levels")
+        for j, width in enumerate(n_levels):
+            columns.append(rng.integers(0, width, n))
+            specs.append(
+                FeatureSpec(
+                    name=f"item.c{j}", side="item", column=f"c{j}", kind="categorical",
+                    levels=tuple(f"lv{c}" for c in range(width)),
                 )
+            )
+        assume(columns)
+        x = np.array(columns, dtype=np.float64).T
+        # quarter-step labels tie many keys and criteria
+        table = table_from(x, rng.integers(0, 21, n) / 4.0, FeatureSchema(specs=tuple(specs)))
+        # a min_leaf near n / 2 leaves depths where no node can split, or only
+        # the root; a small one depths where every node splits
+        min_leaf = case.draw(
+            st.one_of(st.integers(1, 4), st.integers(n // 4, n // 2)), label="min_leaf"
+        )
+        cfg = ForestConfig(
+            n_trees=3,
+            max_depth=case.draw(st.integers(1, 8), label="max_depth"),
+            min_leaf=min_leaf,
+            features_per_split=case.draw(st.integers(1, x.shape[1]), label="features_per_split"),
+            seed=case.draw(st.integers(0, 2**32), label="seed"),
+        )
+        model = fit_forest(table, cfg)
+        state = forest._FitState.build(table, cfg)
+        for t, tree in enumerate(model.trees):
+            _assert_equal_trees(tree, ref_fit_tree(state, t))
 
     def test_all_distinct_column_falls_back_to_sorted_keys(self, monkeypatch):
         # one np.unique call ranks the numeric column; any more count keys
@@ -944,6 +1012,14 @@ def serial_pool(monkeypatch) -> list:
 
     monkeypatch.setattr(forest, "ProcessPoolExecutor", SerialPool)
     return started
+
+
+def _assert_equal_trees(ta, tb):
+    """Equal as arrays, thresholds and values bit for bit."""
+    for name in ("feature", "left", "right", "is_cat", "members"):
+        assert np.array_equal(getattr(ta, name), getattr(tb, name))
+    for name in ("threshold", "value"):
+        assert np.array_equal(getattr(ta, name).view(np.uint64), getattr(tb, name).view(np.uint64))
 
 
 def _goes_left(tree, node, rows):

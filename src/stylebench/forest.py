@@ -261,6 +261,8 @@ class _FitState:
     (node, code) keys, a threshold is the midpoint of two adjacent values
     present in the node, and rows are routed by comparing codes. Feature
     ``f``'s codes lie in ``code_lo[f]`` up to ``code_lo[f] + code_width[f]``.
+    Codes are int32: each is below the table's rows x features, which passes
+    2**31 only for a float64 table of more than 16 GiB.
     """
 
     y: np.ndarray
@@ -276,19 +278,18 @@ class _FitState:
     @classmethod
     def build(cls, table: AugmentedTable, cfg: ForestConfig) -> "_FitState":
         x = table.features
-        codes = np.empty(x.shape[::-1], dtype=np.int64)
+        codes = np.empty(x.shape[::-1], dtype=np.int32)
         code_lo = np.zeros(x.shape[1], dtype=np.int64)
         code_width = np.empty(x.shape[1], dtype=np.int64)
         values: list[np.ndarray] = []
         n_values = 0
         for f, spec in enumerate(table.schema.specs):
             if spec.kind == "categorical":
-                codes[f] = x[:, f]
                 code_width[f] = len(spec.levels or ())
-                if np.any(codes[f] != x[:, f]) or not (
-                    0 <= codes[f].min() and codes[f].max() < code_width[f]
-                ):
+                # checked as floats: a cast first would wrap or warn on 1e20
+                if not np.isin(x[:, f], np.arange(code_width[f])).all():
                     raise ValueError(f"feature {spec.name!r} holds values that are not level codes")
+                codes[f] = x[:, f]
             else:
                 distinct, rank = np.unique(x[:, f], return_inverse=True)
                 codes[f] = n_values + rank
@@ -683,9 +684,15 @@ def _co_partition(model, n_user, enc_users, enc_items):
     SIGIR 2015), never once per pair. Each tree then co-partitions the users
     and the items from the root down: a user-side node splits the user
     subset, an item-side node the item subset, and a leaf is the answer for
-    its whole block of pairs. A categorical value that is not one of its
-    feature's level codes raises SchemaMismatch.
+    its whole block of pairs, and a twig (a node whose two children are
+    leaves) writes its block once, each entity taking its child's id. Users
+    and items are walked in ``entity_order``, so entities with equal rows
+    share every path and a leaf's block is near-contiguous; the totals go
+    back to the given order before the division. A categorical value that
+    is not one of its feature's level codes raises SchemaMismatch.
     """
+    order = entity_order(enc_users), entity_order(enc_items)
+    enc_users, enc_items = enc_users[order[0]], enc_items[order[1]]
     # each feature's column over its side's entities: a numeric feature's
     # values, a categorical feature's level codes
     columns = []
@@ -727,11 +734,25 @@ def _co_partition(model, n_user, enc_users, enc_items):
                 continue
             subset = users if s == 0 else items
             left = goes[s][row[node]][subset]
+            if side[lefts[node]] < 0 and side[rights[node]] < 0:
+                twig = np.where(left[:, None] if s == 0 else left, lefts[node], rights[node])
+                leaf[users[:, None], items] = twig
+                continue
             for child, part in ((lefts[node], subset[left]), (rights[node], subset[~left])):
                 if len(part):
                     stack.append((child, part, items) if s == 0 else (child, users, part))
         total += tree.value[leaf]
-    return total / len(model.trees)
+    mean = np.empty_like(total)
+    mean[np.ix_(*order)] = total
+    mean /= len(model.trees)
+    return mean
+
+
+def entity_order(enc: np.ndarray) -> np.ndarray:
+    """The order of an entity side's encoded feature rows, by ``np.lexsort``
+    over the columns (the last column primary, equal rows in the given
+    order); a side with no columns keeps the given order."""
+    return np.lexsort(enc.T) if enc.shape[1] else np.arange(len(enc))
 
 
 # ---------------------------------------------------------------------------

@@ -506,52 +506,62 @@ class TestPredictForest:
         assert predict_forest(model, rows[:0]).shape == (0,)
 
 
+def _grid_case(case):
+    """A fitted forest over drawn user and item columns (either side may
+    have none) and drawn user and item feature rows, from Hypothesis's
+    ``case``."""
+    n = case.draw(st.integers(12, 60), label="rows")
+    columns, specs = [], []
+    for side in ("user", "item"):
+        for j in range(case.draw(st.integers(0, 2), label=f"{side} numeric columns")):
+            distinct = case.draw(st.integers(1, 8))
+            values = case.draw(st.lists(st.integers(0, distinct), min_size=n, max_size=n))
+            columns.append(np.array(values) * 0.5)
+            specs.append(FeatureSpec(f"{side}.n{j}", side, f"n{j}", "numeric"))
+        for j in range(case.draw(st.integers(0, 2), label=f"{side} categorical columns")):
+            n_levels = case.draw(st.integers(2, 8))
+            values = case.draw(st.lists(st.integers(0, n_levels - 1), min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=np.float64))
+            levels = tuple(f"lv{c}" for c in range(n_levels))
+            specs.append(FeatureSpec(f"{side}.c{j}", side, f"c{j}", "categorical", levels))
+    assume(columns)
+    y = np.array(case.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))) / 4.0
+    assume(np.ptp(y) > 0)
+    schema = FeatureSchema(specs=tuple(specs))
+    cfg = ForestConfig(
+        n_trees=case.draw(st.integers(1, 3), label="trees"),
+        max_depth=case.draw(st.integers(1, 6), label="max_depth"),
+        min_leaf=case.draw(st.integers(1, 8), label="min_leaf"),
+        seed=case.draw(st.integers(0, 2**32), label="seed"),
+    )
+    model = fit_forest(table_from(np.array(columns).T, y, schema), cfg)
+
+    # entity values come from the training values and the split thresholds,
+    # and a numeric column may also hold NaN (which goes right) and ±inf
+    def entities(side):
+        cols = [f for f, spec in enumerate(specs) if spec.side == side]
+        pools = []
+        for f in cols:
+            pool, extra = set(columns[f]), []
+            if specs[f].kind == "numeric":
+                pool.update(float(v) for t in model.trees for v in t.threshold[t.feature == f])
+                extra = [np.nan, -np.inf, np.inf]
+            pools.append(sorted(pool) + extra)
+        count = case.draw(st.integers(0, 6), label=f"{side}s")
+        rows = [[case.draw(st.sampled_from(pool)) for pool in pools] for _ in range(count)]
+        # repeated rows, which tie in the walk's feature order
+        if count:
+            rows += case.draw(st.lists(st.sampled_from(rows), max_size=3), label=f"repeated {side}s")
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
+
+    return model, entities("user"), entities("item")
+
+
 class TestPredictForestGrid:
     @settings(max_examples=60, deadline=None)
     @given(case=st.data())
     def test_equals_predict_forest_on_concatenated_rows(self, case):
-        n = case.draw(st.integers(12, 60), label="rows")
-        columns, specs = [], []
-        for side in ("user", "item"):
-            for j in range(case.draw(st.integers(0, 2), label=f"{side} numeric columns")):
-                distinct = case.draw(st.integers(1, 8))
-                values = case.draw(st.lists(st.integers(0, distinct), min_size=n, max_size=n))
-                columns.append(np.array(values) * 0.5)
-                specs.append(FeatureSpec(f"{side}.n{j}", side, f"n{j}", "numeric"))
-            for j in range(case.draw(st.integers(0, 2), label=f"{side} categorical columns")):
-                n_levels = case.draw(st.integers(2, 8))
-                values = case.draw(st.lists(st.integers(0, n_levels - 1), min_size=n, max_size=n))
-                columns.append(np.array(values, dtype=np.float64))
-                levels = tuple(f"lv{c}" for c in range(n_levels))
-                specs.append(FeatureSpec(f"{side}.c{j}", side, f"c{j}", "categorical", levels))
-        assume(columns)
-        y = np.array(case.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))) / 4.0
-        assume(np.ptp(y) > 0)
-        schema = FeatureSchema(specs=tuple(specs))
-        cfg = ForestConfig(
-            n_trees=case.draw(st.integers(1, 3), label="trees"),
-            max_depth=case.draw(st.integers(1, 6), label="max_depth"),
-            min_leaf=case.draw(st.integers(1, 8), label="min_leaf"),
-            seed=case.draw(st.integers(0, 2**32), label="seed"),
-        )
-        model = fit_forest(table_from(np.array(columns).T, y, schema), cfg)
-
-        # entity values come from the training values and the split thresholds,
-        # and a numeric column may also hold NaN (which goes right) and ±inf
-        def entities(side):
-            cols = [f for f, spec in enumerate(specs) if spec.side == side]
-            pools = []
-            for f in cols:
-                pool, extra = set(columns[f]), []
-                if specs[f].kind == "numeric":
-                    pool.update(float(v) for t in model.trees for v in t.threshold[t.feature == f])
-                    extra = [np.nan, -np.inf, np.inf]
-                pools.append(sorted(pool) + extra)
-            count = case.draw(st.integers(0, 6), label=f"{side}s")
-            rows = [[case.draw(st.sampled_from(pool)) for pool in pools] for _ in range(count)]
-            return np.array(rows, dtype=np.float64).reshape(count, len(cols))
-
-        users, items = entities("user"), entities("item")
+        model, users, items = _grid_case(case)
         rows = np.hstack([np.repeat(users, len(items), axis=0), np.tile(items, (len(users), 1))])
         expected = forest_mean(model, rows).reshape(len(users), len(items))
         flat = predict_forest(model, rows).reshape(expected.shape)
@@ -562,6 +572,57 @@ class TestPredictForestGrid:
         for m in (model, loaded):
             grid = predict_forest_grid(m, users, items)
             assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data())
+    def test_walk_order_changes_no_bit(self, case):
+        # the walk sorts each side by its feature rows and puts the scores
+        # back, so entities given in any order score the same, bit for bit
+        model, users, items = _grid_case(case)
+        p = np.array(case.draw(st.permutations(range(len(users)))), dtype=np.int64)
+        q = np.array(case.draw(st.permutations(range(len(items)))), dtype=np.int64)
+        whole = predict_forest_grid(model, users, items)
+        got = predict_forest_grid(model, users[p], items[q])
+        assert np.array_equal(got.view(np.uint64), whole[p][:, q].view(np.uint64))
+        rows = np.hstack([np.repeat(users, len(items), axis=0), np.tile(items, (len(users), 1))])
+        r = np.array(case.draw(st.permutations(range(len(rows)))), dtype=np.int64)
+        got = predict_forest(model, rows[r])
+        assert np.array_equal(got.view(np.uint64), predict_forest(model, rows)[r].view(np.uint64))
+
+    def test_twig_nodes_on_both_sides(self):
+        # nodes 1 (depth 1, an item column) and 5 (depth 2, a user column)
+        # have two leaf children, so each writes its block in one go
+        feature = np.array([0, 2, 1, -1, -1, 0, -1, -1, -1])
+        threshold = np.array([0.5, 0.3, np.nan, np.nan, np.nan, 0.8, np.nan, np.nan, np.nan])
+        left = np.array([1, 3, 5, -1, -1, 7, -1, -1, -1])
+        is_cat = np.arange(9) == 2
+        members = np.zeros((9, 3), dtype=bool)
+        members[2, [0, 2]] = True
+        tree = Tree(
+            feature=feature,
+            threshold=threshold,
+            left=left,
+            right=np.where(left >= 0, left + 1, -1),
+            value=np.where(feature >= 0, np.nan, np.arange(9) / 7.0),
+            is_cat=is_cat,
+            members=members,
+        )
+        specs = (
+            FeatureSpec("user.x", "user", "x", "numeric"),
+            FeatureSpec("item.c", "item", "c", "categorical", ("a", "b", "c")),
+            FeatureSpec("item.z", "item", "z", "numeric"),
+        )
+        model = ForestModel(
+            trees=(tree, tree), schema=FeatureSchema(specs), config=ForestConfig(n_trees=2)
+        )
+        users = np.array([[0.9], [0.2], [0.6], [np.nan], [0.5], [0.8], [-np.inf], [0.6]])
+        items = np.array([[2, 0.1], [1, 0.4], [0, 0.3], [1, np.inf], [0, np.nan], [2, 0.3]])
+        rows = np.hstack([np.repeat(users, len(items), axis=0), np.tile(items, (len(users), 1))])
+        expected = forest_mean(model, rows)
+        assert set(tree_predict(tree, rows)) == set(tree.value[[3, 4, 6, 7, 8]])
+        grid = predict_forest_grid(model, users, items)
+        assert np.array_equal(grid.ravel().view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(predict_forest(model, rows).view(np.uint64), expected.view(np.uint64))
 
     @staticmethod
     def _complete_tree_peak():
@@ -934,7 +995,8 @@ class TestFitForestInput:
         with pytest.raises(ValueError, match=message):
             fit_forest(table_from(x, y, schema), ForestConfig(n_trees=2, seed=0))
 
-    @pytest.mark.parametrize("code", [-1.0, 4.0, 1.5])
+    # 1e20 does not fit an integer code, 2**40 does not fit an int32 one
+    @pytest.mark.parametrize("code", [-1.0, 4.0, 1.5, 1e20, 2.0**40])
     def test_categorical_values_must_be_level_codes(self, code):
         x = np.tile(np.arange(4.0), 5).reshape(-1, 1)
         x[7, 0] = code

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from stylebench import harness
-from stylebench.data import PopularityTable
+from stylebench import harness, recommend
+from stylebench.data import PopularityTable, temporal_split
 from stylebench.errors import InvalidReport, ZeroSales
 from stylebench.harness import (
     EvalConfig,
@@ -112,6 +112,26 @@ class TestReportGrid:
         assert coverage["CB"]["covered"] == total
         assert coverage["MP"]["covered"] == total
         assert coverage["CF"]["covered"] + coverage["CF"]["uncovered"] == total
+
+    def test_one_user_per_cb_batch_changes_no_byte(self, small_report, monkeypatch):
+        cfg, report = small_report
+        _, data = small_eval_setup()
+        # a budget of one candidate row: each CB block is one user, and the
+        # blocks come in the users' feature order, not in test-row order
+        candidates = temporal_split(data, cfg.boundary).train.item_ids
+        monkeypatch.setattr(recommend, "_PAIR_BUDGET", len(candidates))
+        score, batches = harness.score_cb_users, []
+
+        def recorded(*args):
+            for rows, block in score(*args):
+                batches.append(rows)
+                yield rows, block
+
+        monkeypatch.setattr(harness, "score_cb_users", recorded)
+        assert run_evaluation(cfg, data).to_json() == report.to_json()
+        assert all(len(rows) == 1 for rows in batches)
+        order = np.concatenate(batches)
+        assert sorted(order) == list(range(len(order))) and np.any(np.diff(order) < 0)
 
     def test_segment_counts_partition_test_users(self, small_report):
         _, report = small_report

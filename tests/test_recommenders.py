@@ -259,11 +259,14 @@ class TestCandidateSetDiscipline:
             return grid(*args)
 
         def score():
+            # blocks come in the users' feature order, so each goes to its rows
             calls.clear()
-            out = recommend.score_cb_users(
+            out = np.full((len(users), len(candidates)), np.nan)
+            for rows, block in recommend.score_cb_users(
                 model, users, candidates, train.user_features, train.item_features
-            )
-            return np.concatenate([block for _, block in out])
+            ):
+                out[rows] = block
+            return out
 
         grid = recommend.predict_forest_grid
         monkeypatch.setattr(recommend, "predict_forest_grid", counted)

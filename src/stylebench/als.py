@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, read_json_object
-from .errors import EmptyTraining, SingularSystem
+from .errors import DataError, EmptyTraining, SingularSystem
 
 
 @dataclass(frozen=True)
@@ -313,16 +314,40 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FactorModel:
+    """The factor model saved at ``path``. A file that lacks a key
+    ``save_model`` writes, whose factor lists are not its ids x
+    ``factors`` long, or that repeats a user or item id raises DataError
+    naming the file."""
     payload = read_json_object(path, "model")
     if payload.get("kind") != "als_factor_model":
         raise ValueError(f"{path} is not a serialized factor model")
-    cfg = AlsConfig(**payload["config"])
-    n_users, n_items, n_f = payload["n_users"], payload["n_items"], payload["factors"]
+    keys = "users items n_users n_items factors user_factors item_factors loss_trace config"
+    missing = [key for key in keys.split() if key not in payload]
+    if missing:
+        raise DataError(f"model {path} has no {missing[0]!r}")
+    n_f = payload["factors"]
+    if type(n_f) is not int or n_f < 1:
+        raise DataError(f"model {path}: 'factors' = {n_f!r} is not a positive integer")
+    ids, factors = {}, {}
+    for side in ("user", "item"):
+        ids[side] = tuple(payload[f"{side}s"])
+        flat = np.array(payload[f"{side}_factors"], dtype=np.float64)
+        if payload[f"n_{side}s"] != len(ids[side]):
+            raise DataError(f"model {path}: n_{side}s is not the {len(ids[side])} {side}s it lists")
+        if flat.shape != (len(ids[side]) * n_f,):
+            raise DataError(
+                f"model {path}: {side}_factors holds {flat.size} values, "
+                f"not {len(ids[side])} {side}s x {n_f} factors"
+            )
+        repeated = [eid for eid, count in Counter(ids[side]).items() if count > 1]
+        if repeated:
+            raise DataError(f"model {path} lists {side} {repeated[0]!r} more than once")
+        factors[side] = flat.reshape(len(ids[side]), n_f)
     return FactorModel(
-        user_factors=np.array(payload["user_factors"], dtype=np.float64).reshape(n_users, n_f),
-        item_factors=np.array(payload["item_factors"], dtype=np.float64).reshape(n_items, n_f),
-        users=tuple(payload["users"]),
-        items=tuple(payload["items"]),
+        user_factors=factors["user"],
+        item_factors=factors["item"],
+        users=ids["user"],
+        items=ids["item"],
         loss_trace=tuple(payload["loss_trace"]),
-        config=cfg,
+        config=AlsConfig(**payload["config"]),
     )

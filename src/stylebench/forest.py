@@ -24,7 +24,7 @@ import numpy as np
 
 from .als import ConfidenceMatrix, FactorModel
 from .data import Dataset, FeatureTable, id_rows, read_json_object
-from .errors import DegenerateTableWarning, MissingFeatures, SchemaMismatch
+from .errors import DataError, DegenerateTableWarning, MissingFeatures, SchemaMismatch
 
 # Exhaustive level-subset search is exponential; above this many levels a
 # split scans prefixes of the levels ordered by mean label instead.
@@ -625,7 +625,7 @@ def _usable_cpus() -> int:
 
 
 # (row, internal node) decisions per tree that predict_forest makes at
-# once: 1M keeps a chunk's boolean decision table at 1 MiB per tree.
+# once: 1M keeps a batch's boolean decision table at 1 MiB per tree.
 _ROW_NODE_BUDGET = 1 << 20
 
 
@@ -633,10 +633,10 @@ def predict_forest(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     """Mean of per-tree predictions for each encoded feature row: the grid
     walk with every column on the user side and one featureless item.
 
-    The walk decides every internal node for every row, so rows go in
-    chunks of at most ``_ROW_NODE_BUDGET`` (row, internal node) decisions per
-    tree. A row's score does not depend on the other rows, so the chunks
-    change no bit.
+    The walk decides every internal node for every row of a batch, so it
+    takes batches of at most ``_ROW_NODE_BUDGET`` (row, internal node)
+    decisions per tree. A row's score does not depend on the other rows,
+    so the batches change no bit.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.schema.n_features:
@@ -644,12 +644,11 @@ def predict_forest(model: ForestModel, rows: np.ndarray) -> np.ndarray:
             f"expected rows of width {model.schema.n_features}, got {rows.shape}"
         )
     internal = max(int(np.count_nonzero(t.feature >= 0)) for t in model.trees)
-    step = max(1, _ROW_NODE_BUDGET // max(internal, 1))
-    no_item = np.empty((1, 0))
-    return np.concatenate([
-        _co_partition(model, rows.shape[1], rows[start : start + step], no_item)[:, 0]
-        for start in range(0, max(len(rows), 1), step)
-    ])
+    batch = max(1, _ROW_NODE_BUDGET // max(internal, 1))
+    out = np.empty(len(rows))
+    for at, block in _co_partition(model, rows, np.empty((1, 0)), batch):
+        out[at] = block[:, 0]
+    return out
 
 
 def predict_forest_grid(
@@ -671,12 +670,17 @@ def predict_forest_grid(
             f"expected user and item rows of widths {widths}, "
             f"got {enc_users.shape} and {enc_items.shape}"
         )
-    return _co_partition(model, n_user, enc_users, enc_items)
+    grid = np.empty((len(enc_users), len(enc_items)))
+    for rows, block in _co_partition(model, enc_users, enc_items, max(1, len(enc_users))):
+        grid[rows] = block
+    return grid
 
 
-def _co_partition(model, n_user, enc_users, enc_items):
-    """The forest's mean leaf value for every (user, item) pair, where a
-    pair's feature row is the user's ``n_user`` columns and then the item's.
+def _co_partition(model, enc_users, enc_items, batch):
+    """Yield (rows, block): the forest's mean leaf value for every pair of a
+    batch of at most ``batch`` users and every item, a pair's feature row
+    being the user's columns and then the item's. ``rows`` are the batch's
+    positions in ``enc_users``; the block's columns follow ``enc_items``.
 
     Each pair gets one leaf value per tree and trees are summed in order.
     Every node tests either a user column or an item column, so each node is
@@ -685,74 +689,73 @@ def _co_partition(model, n_user, enc_users, enc_items):
     and the items from the root down: a user-side node splits the user
     subset, an item-side node the item subset, and a leaf is the answer for
     its whole block of pairs, and a twig (a node whose two children are
-    leaves) writes its block once, each entity taking its child's id. Users
-    and items are walked in ``entity_order``, so entities with equal rows
-    share every path and a leaf's block is near-contiguous; the totals go
-    back to the given order before the division. A categorical value that
-    is not one of its feature's level codes raises SchemaMismatch.
+    leaves) writes its block once, each entity taking its child's id. Each
+    side is sorted once by ``np.lexsort`` of its rows (the last column
+    primary, equal rows in the given order), so entities with equal rows
+    share every path and a leaf's block is near-contiguous; the batches are
+    cut from the sorted users. A categorical value that is not one of its
+    feature's level codes raises SchemaMismatch.
     """
-    order = entity_order(enc_users), entity_order(enc_items)
-    enc_users, enc_items = enc_users[order[0]], enc_items[order[1]]
-    # each feature's column over its side's entities: a numeric feature's
-    # values, a categorical feature's level codes
+    n_user = enc_users.shape[1]
+    order = [np.lexsort(e.T) if e.shape[1] else np.arange(len(e)) for e in (enc_users, enc_items)]
+    back = np.empty_like(order[1])  # each given item's position in the sorted items
+    back[order[1]] = np.arange(len(back))
+    # each feature's column over its side's sorted entities: a numeric
+    # feature's values, a categorical feature's level codes
     columns = []
     for f, spec in enumerate(model.schema.specs):
-        column = enc_users[:, f] if f < n_user else enc_items[:, f - n_user]
+        column = enc_users[order[0], f] if f < n_user else enc_items[order[1], f - n_user]
         if spec.kind == "categorical":
             if not np.isin(column, np.arange(len(spec.levels or ()))).all():
                 raise SchemaMismatch(f"feature {spec.name!r} holds values that are not level codes")
             column = column.astype(np.int64)
         columns.append(column)
-    total = np.zeros((len(enc_users), len(enc_items)), dtype=np.float64)
-    leaf = np.empty(total.shape, dtype=np.intp)
-    for tree in model.trees:
-        # side 0 decides users, side 1 items, -1 is a leaf; the nodes of side
-        # s are rows 0, 1, ... of its table, in node order, and
-        # goes[s][row[node], e] is whether entity e takes the left branch
-        side = np.where(tree.feature < 0, -1, tree.feature >= n_user)
-        row = np.zeros(tree.n_nodes, dtype=np.int64)
-        goes = []
-        for s, enc in enumerate((enc_users, enc_items)):
-            nodes = np.flatnonzero(side == s)
-            row[nodes] = np.arange(len(nodes))
-            goes.append(np.empty((len(nodes), len(enc)), dtype=bool))
-        for f in np.unique(tree.feature[side >= 0]).tolist():
-            nodes = np.flatnonzero(tree.feature == f)
-            if model.schema.specs[f].kind == "categorical":
-                goes[f >= n_user][row[nodes]] = tree.members[nodes][:, columns[f]]
-            else:
-                with np.errstate(invalid="ignore"):  # NaN goes right
-                    goes[f >= n_user][row[nodes]] = columns[f] <= tree.threshold[nodes, None]
-        side, row = side.tolist(), row.tolist()
-        lefts, rights = tree.left.tolist(), tree.right.tolist()
-        stack = [(0, np.arange(len(enc_users)), np.arange(len(enc_items)))]
-        while stack:
-            node, users, items = stack.pop()
-            s = side[node]
-            if s < 0:
-                leaf[users[:, None], items] = node
-                continue
-            subset = users if s == 0 else items
-            left = goes[s][row[node]][subset]
-            if side[lefts[node]] < 0 and side[rights[node]] < 0:
-                twig = np.where(left[:, None] if s == 0 else left, lefts[node], rights[node])
-                leaf[users[:, None], items] = twig
-                continue
-            for child, part in ((lefts[node], subset[left]), (rights[node], subset[~left])):
-                if len(part):
-                    stack.append((child, part, items) if s == 0 else (child, users, part))
-        total += tree.value[leaf]
-    mean = np.empty_like(total)
-    mean[np.ix_(*order)] = total
-    mean /= len(model.trees)
-    return mean
-
-
-def entity_order(enc: np.ndarray) -> np.ndarray:
-    """The order of an entity side's encoded feature rows, by ``np.lexsort``
-    over the columns (the last column primary, equal rows in the given
-    order); a side with no columns keeps the given order."""
-    return np.lexsort(enc.T) if enc.shape[1] else np.arange(len(enc))
+    for start in range(0, len(enc_users), batch):
+        rows = order[0][start : start + batch]
+        total = np.zeros((len(rows), len(enc_items)), dtype=np.float64)
+        leaf = np.empty(total.shape, dtype=np.intp)
+        for tree in model.trees:
+            # side 0 decides users, side 1 items, -1 is a leaf; the nodes of
+            # side s are rows 0, 1, ... of its table, in node order, and
+            # goes[s][row[node], e] is whether entity e takes the left branch
+            side = np.where(tree.feature < 0, -1, tree.feature >= n_user)
+            row = np.zeros(tree.n_nodes, dtype=np.int64)
+            goes = []
+            for s, width in enumerate(total.shape):
+                nodes = np.flatnonzero(side == s)
+                row[nodes] = np.arange(len(nodes))
+                goes.append(np.empty((len(nodes), width), dtype=bool))
+            for f in np.unique(tree.feature[side >= 0]).tolist():
+                nodes = np.flatnonzero(tree.feature == f)
+                column = columns[f][start : start + batch] if f < n_user else columns[f]
+                if model.schema.specs[f].kind == "categorical":
+                    goes[f >= n_user][row[nodes]] = tree.members[nodes][:, column]
+                else:
+                    with np.errstate(invalid="ignore"):  # NaN goes right
+                        goes[f >= n_user][row[nodes]] = column <= tree.threshold[nodes, None]
+            side, row = side.tolist(), row.tolist()
+            lefts, rights = tree.left.tolist(), tree.right.tolist()
+            stack = [(0, np.arange(len(rows)), np.arange(len(enc_items)))]
+            while stack:
+                node, users, items = stack.pop()
+                s = side[node]
+                if s < 0:
+                    leaf[users[:, None], items] = node
+                    continue
+                subset = users if s == 0 else items
+                left = goes[s][row[node]][subset]
+                if side[lefts[node]] < 0 and side[rights[node]] < 0:
+                    twig = np.where(left[:, None] if s == 0 else left, lefts[node], rights[node])
+                    leaf[users[:, None], items] = twig
+                    continue
+                for child, part in ((lefts[node], subset[left]), (rights[node], subset[~left])):
+                    if len(part):
+                        stack.append((child, part, items) if s == 0 else (child, users, part))
+            total += tree.value[leaf]
+        block = total.take(back, axis=1)
+        del total, leaf  # the caller holds the block alone while it ranks
+        block /= len(model.trees)
+        yield rows, block
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +789,9 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> ForestModel:
+    """The forest saved at ``path``. A file that the walk could not follow
+    raises DataError naming the file and the tree (see ``_load_tree``), and
+    so does one with no trees."""
     payload = read_json_object(path, "model")
     if payload.get("kind") != "forest_model":
         raise ValueError(f"{path} is not a serialized forest model")
@@ -794,25 +800,66 @@ def load_forest(path: str | Path) -> ForestModel:
         for s in payload["schema"]
     )
     schema = FeatureSchema(specs=specs)
-    max_levels = schema.max_levels()
-    trees = []
-    for t in payload["trees"]:
-        n_nodes = len(t["feature"])
-        feature = np.array(t["feature"], dtype=np.int64)
-        members = np.zeros((n_nodes, max_levels), dtype=bool)
-        is_cat = np.zeros(n_nodes, dtype=bool)
-        for key, codes in t["cat_left"].items():
-            members[int(key), codes] = True
-            is_cat[int(key)] = True
-        trees.append(
-            Tree(
-                feature=feature,
-                threshold=np.array(t["threshold"], dtype=np.float64),
-                left=np.array(t["left"], dtype=np.int64),
-                right=np.array(t["right"], dtype=np.int64),
-                value=np.array(t["value"], dtype=np.float64),
-                is_cat=is_cat,
-                members=members,
-            )
+    if not payload["trees"]:
+        raise DataError(f"model {path} holds no trees")
+    trees = tuple(
+        _load_tree(t, schema, f"model {path} tree {i}") for i, t in enumerate(payload["trees"])
+    )
+    return ForestModel(trees=trees, schema=schema, config=ForestConfig(**payload["config"]))
+
+
+def _load_tree(t: dict, schema: FeatureSchema, where: str) -> Tree:
+    """One tree of a model file. Raises DataError naming ``where`` unless
+    its node lists have one length above 0, every feature is the schema's,
+    each internal node's children are later nodes of the tree, each
+    categorical node has its left levels (codes of its feature) and no
+    other node any, numeric nodes have finite thresholds and leaves finite
+    values."""
+    try:
+        feature, left, right = (
+            np.array(t[k], dtype=np.int64) for k in ("feature", "left", "right")
         )
-    return ForestModel(trees=tuple(trees), schema=schema, config=ForestConfig(**payload["config"]))
+        threshold, value = (np.array(t[k], dtype=np.float64) for k in ("threshold", "value"))
+        cat_left = {int(k): np.array(codes, dtype=np.int64) for k, codes in t["cat_left"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{where} is not a tree: {exc!r}") from None
+    n_nodes = len(feature)
+    if not n_nodes or feature.ndim != 1 or any(
+        a.shape != (n_nodes,) for a in (threshold, left, right, value)
+    ):
+        raise DataError(f"{where}: its node lists are empty or differ in length")
+    bad = np.flatnonzero((feature < -1) | (feature >= schema.n_features))
+    if len(bad):
+        raise DataError(f"{where}: node {bad[0]} tests feature {feature[bad[0]]}, not the schema's")
+    internal = feature >= 0
+    nodes = np.arange(n_nodes)
+    later = (left > nodes) & (left < n_nodes) & (right > nodes) & (right < n_nodes)
+    bad = np.flatnonzero(internal & ~later)
+    if len(bad):
+        raise DataError(f"{where}: node {bad[0]} has a child that is not a later node of the tree")
+    # a leaf's feature, -1, reads the appended False
+    is_cat = np.array([s.kind == "categorical" for s in schema.specs] + [False])[feature]
+    members = np.zeros((n_nodes, schema.max_levels()), dtype=bool)
+    for node in np.flatnonzero(is_cat).tolist():
+        codes = cat_left.pop(node, None)
+        n_levels = len(schema.specs[feature[node]].levels or ())
+        if codes is None or codes.ndim != 1 or not np.isin(codes, np.arange(n_levels)).all():
+            raise DataError(f"{where}: categorical node {node} has no valid cat_left level codes")
+        members[node, codes] = True
+    if cat_left:
+        raise DataError(f"{where}: cat_left names node {min(cat_left)}, which is not categorical")
+    bad = np.flatnonzero(internal & ~is_cat & ~np.isfinite(threshold))
+    if len(bad):
+        raise DataError(f"{where}: numeric node {bad[0]} has no finite threshold")
+    bad = np.flatnonzero(~internal & ~np.isfinite(value))
+    if len(bad):
+        raise DataError(f"{where}: leaf {bad[0]} has no finite value")
+    return Tree(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        value=value,
+        is_cat=is_cat,
+        members=members,
+    )

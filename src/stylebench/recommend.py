@@ -21,7 +21,7 @@ import numpy as np
 from .als import FactorModel
 from .data import FeatureTable, PopularityTable, id_rows, take_rows
 from .errors import UnknownItem
-from .forest import ForestModel, encode_entities, entity_order, predict_forest_grid
+from .forest import ForestModel, _co_partition, encode_entities
 
 ALGORITHMS = ("MP", "CF", "CB")
 
@@ -157,17 +157,14 @@ def score_cb_users(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (rows, score block over candidates) from the forest.
 
-    Encodes each side once and scores the user x candidate grid in user
-    batches. A batch holds as many users as fit ``_PAIR_BUDGET`` pairs,
-    which bounds its leaf ids and score totals. Batches are cut from the
-    users in ``entity_order`` of their feature rows, so a batch holds
-    users whose paths through the trees are alike, and ``rows`` are that
-    batch's users.
+    Encodes each side once and scores the user x candidate grid in the
+    forest walk's user batches, each holding as many users as fit
+    ``_PAIR_BUDGET`` pairs, which bounds its leaf ids and score totals. The
+    walk cuts its batches from the users sorted by their feature rows, so a
+    batch holds users whose paths through the trees are alike, and ``rows``
+    are that batch's users.
     """
     enc_items = encode_entities(model.schema, item_features, "item", candidates)
     enc_users = encode_entities(model.schema, user_features, "user", users)
     batch = max(1, _PAIR_BUDGET // max(1, len(candidates)))
-    order = entity_order(enc_users)
-    for start in range(0, len(users), batch):
-        rows = order[start : start + batch]
-        yield rows, predict_forest_grid(model, enc_users[rows], enc_items)
+    yield from _co_partition(model, enc_users, enc_items, batch)

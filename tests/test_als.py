@@ -1,6 +1,7 @@
 """ALS engine: confidence construction, exact subproblem solves, loss
 monotonicity, determinism, ranking quality on synthetic factors."""
 
+import json
 import math
 import re
 from datetime import datetime, timedelta, timezone
@@ -548,4 +549,31 @@ class TestSerialization:
         path.write_text('{"kind": "als_factor_model", "kind": "forest_model"}')
         fault = f"model {re.escape(str(path))}: key 'kind' appears twice"
         with pytest.raises(DataError, match=fault):
+            load_model(path)
+
+    # each edit leaves valid JSON that would otherwise fail as a KeyError or
+    # a reshape ValueError, or (a repeated id) load a model whose lookups of
+    # that id all land on its last row
+    @pytest.mark.parametrize("edit, fault", [
+        pytest.param(lambda p: p.pop("items"), "has no 'items'", id="missing-key"),
+        pytest.param(
+            lambda p: p["user_factors"].pop(), "user_factors holds", id="short-factor-list"
+        ),
+        pytest.param(
+            lambda p: p.update(users=[p["users"][0]] * len(p["users"])),
+            "lists user 'u1' more than once", id="repeated-user",
+        ),
+        pytest.param(
+            lambda p: p.update(items=p["items"][:-1] + p["items"][:1]),
+            "lists item 'iA' more than once", id="repeated-item",
+        ),
+    ])
+    def test_malformed_file_is_data_error_naming_it(self, tmp_path, edit, fault):
+        model = fit_als(small_confidence(), AlsConfig(factors=5, iterations=4, seed=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"model {re.escape(str(path))}.*{fault}"):
             load_model(path)

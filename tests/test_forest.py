@@ -487,21 +487,22 @@ class TestPredictForest:
         model, _ = self._model(n_trees=5)
         rows = np.random.default_rng(20).uniform(-1.0, 2.0, size=(37, 1))
         whole = predict_forest(model, rows)
-        co_partition, chunks = forest._co_partition, []
+        co_partition, batches = forest._co_partition, []
 
-        def recording(model, n_user, rows, items):
-            chunks.append(len(rows))
-            return co_partition(model, n_user, rows, items)
+        def recording(*args):
+            for at, block in co_partition(*args):
+                batches.append(len(at))
+                yield at, block
 
         monkeypatch.setattr(forest, "_co_partition", recording)
-        # the budget counts (row, internal node) decisions: one row per chunk,
-        # three rows per chunk (the last chunk short)
+        # the budget counts (row, internal node) decisions: one row per
+        # batch, three rows per batch (the last batch short)
         internal = max(int(np.count_nonzero(t.feature >= 0)) for t in model.trees)
         for budget, sizes in ((1, [1] * 37), (3 * internal, [3] * 12 + [1])):
             monkeypatch.setattr(forest, "_ROW_NODE_BUDGET", budget)
-            chunks.clear()
+            batches.clear()
             got = predict_forest(model, rows)
-            assert chunks == sizes
+            assert batches == sizes
             assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
         assert predict_forest(model, rows[:0]).shape == (0,)
 
@@ -737,6 +738,62 @@ class TestForestSerialization:
         path.write_text("[1, 2]")
         fault = f"model {re.escape(str(path))} must hold a JSON object"
         with pytest.raises(DataError, match=fault):
+            load_forest(path)
+
+    # each edit of tree 0 (given with its first leaf and its first nodes on
+    # the numeric and the categorical feature) leaves valid JSON from which
+    # arrays could be built, but a forest that the walk would fail on or
+    # score wrongly
+    @pytest.mark.parametrize("edit, fault", [
+        pytest.param(lambda p, t, n: p.update(trees=[]), "holds no trees", id="no-trees"),
+        pytest.param(lambda p, t, n: t["value"].pop(), "differ in length", id="unequal-lists"),
+        pytest.param(
+            lambda p, t, n: p["trees"].__setitem__(0, {k: type(v)() for k, v in t.items()}),
+            "are empty", id="no-nodes",
+        ),
+        pytest.param(
+            lambda p, t, n: t["left"].__setitem__(0, 10**6), "not a later node", id="past-the-end"
+        ),
+        pytest.param(lambda p, t, n: t["right"].__setitem__(0, 0), "not a later node", id="loop"),
+        pytest.param(lambda p, t, n: t["feature"].__setitem__(0, 9), "feature 9", id="feature"),
+        pytest.param(lambda p, t, n: t["cat_left"].clear(), "no valid cat_left", id="no-cat-left"),
+        pytest.param(
+            lambda p, t, n: t["cat_left"][str(n["categorical"])].append(7),
+            "no valid cat_left", id="cat-left-code-7",
+        ),
+        pytest.param(
+            lambda p, t, n: t["cat_left"].update({str(n["numeric"]): [0]}),
+            "which is not categorical", id="cat-left-at-numeric",
+        ),
+        pytest.param(
+            lambda p, t, n: t["threshold"].__setitem__(n["numeric"], None),
+            "no finite threshold", id="null-threshold",
+        ),
+        pytest.param(
+            lambda p, t, n: t["value"].__setitem__(n["leaf"], None),
+            "no finite value", id="null-leaf-value",
+        ),
+    ])
+    def test_file_the_walk_cannot_follow_is_data_error(self, tmp_path, edit, fault):
+        rng = np.random.default_rng(26)
+        x = np.hstack([rng.uniform(size=(120, 1)), np.arange(120).reshape(-1, 1) % 3.0])
+        schema = FeatureSchema(specs=(
+            FeatureSpec(name="user.x", side="user", column="x", kind="numeric"),
+            FeatureSpec(name="item.c", side="item", column="c", kind="categorical",
+                        levels=("p", "q", "r")),
+        ))
+        y = x[:, 0] + (x[:, 1] == 1)
+        model = fit_forest(table_from(x, y, schema), ForestConfig(n_trees=2, seed=27))
+        path = tmp_path / "forest.json"
+        save_forest(model, path)
+        payload = json.loads(path.read_text())
+        tree = payload["trees"][0]
+        node = {kind: tree["feature"].index(f) for kind, f in
+                (("leaf", -1), ("numeric", 0), ("categorical", 1))}
+        edit(payload, tree, node)
+        path.write_text(json.dumps(payload))
+        where = re.escape(f"model {path}") + ("" if fault == "holds no trees" else " tree 0")
+        with pytest.raises(DataError, match=f"{where}.*{fault}"):
             load_forest(path)
 
     def test_file_keys_and_older_label_range_keys(self, tmp_path):

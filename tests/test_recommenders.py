@@ -252,29 +252,24 @@ class TestCandidateSetDiscipline:
         model = fit_forest(augment_labels(train, cm, fit_als(cm, als_cfg), cfg), cfg)
         users = ["u1", "u2", "u3", "u9"]
         candidates = sorted(train.items)
-        calls = []
-
-        def counted(*args):
-            calls.append(len(args[1]))
-            return grid(*args)
+        batches = []
 
         def score():
             # blocks come in the users' feature order, so each goes to its rows
-            calls.clear()
+            batches.clear()
             out = np.full((len(users), len(candidates)), np.nan)
             for rows, block in recommend.score_cb_users(
                 model, users, candidates, train.user_features, train.item_features
             ):
+                batches.append(len(rows))
                 out[rows] = block
             return out
 
-        grid = recommend.predict_forest_grid
-        monkeypatch.setattr(recommend, "predict_forest_grid", counted)
         single = score()
-        assert calls == [len(users)]
+        assert batches == [len(users)]
         monkeypatch.setattr(recommend, "_PAIR_BUDGET", len(candidates))
         batched = score()
-        assert calls == [1] * len(users)
+        assert batches == [1] * len(users)
         assert np.array_equal(batched.view(np.uint64), single.view(np.uint64))
 
         enc_users = encode_entities(model.schema, train.user_features, "user", users)

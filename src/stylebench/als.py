@@ -314,13 +314,27 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FactorModel:
-    """The factor model saved at ``path``. A file that lacks a key
-    ``save_model`` writes, whose factor lists are not its ids x
-    ``factors`` long, or that repeats a user or item id raises DataError
-    naming the file."""
+    """The factor model saved at ``path``. A file of another kind, or one
+    that lacks a key ``save_model`` writes, whose ids are not a list of
+    strings, whose factor lists and loss trace are not lists of numbers,
+    whose factor lists are not its ids x ``factors`` long, that repeats a
+    user or item id, or whose loss trace or config is not one a fit of
+    ``factors`` gives raises DataError naming the file."""
     payload = read_json_object(path, "model")
+
+    def numbers(key: str) -> np.ndarray:
+        # read without a dtype, a list holding a string ("1.5" too), a null
+        # or a list is not numeric, where float64 would convert some of them
+        try:
+            values = np.array(payload[key])
+        except ValueError:  # lists nested to unequal depths
+            values = None
+        if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
+            raise DataError(f"model {path}: {key} is not a list of numbers")
+        return values.astype(np.float64)
+
     if payload.get("kind") != "als_factor_model":
-        raise ValueError(f"{path} is not a serialized factor model")
+        raise DataError(f"model {path} is not a serialized factor model")
     keys = "users items n_users n_items factors user_factors item_factors loss_trace config"
     missing = [key for key in keys.split() if key not in payload]
     if missing:
@@ -330,8 +344,11 @@ def load_model(path: str | Path) -> FactorModel:
         raise DataError(f"model {path}: 'factors' = {n_f!r} is not a positive integer")
     ids, factors = {}, {}
     for side in ("user", "item"):
-        ids[side] = tuple(payload[f"{side}s"])
-        flat = np.array(payload[f"{side}_factors"], dtype=np.float64)
+        ids[side] = payload[f"{side}s"]
+        if not isinstance(ids[side], list) or not all(isinstance(e, str) for e in ids[side]):
+            raise DataError(f"model {path}: {side}s is not a list of id strings")
+        ids[side] = tuple(ids[side])
+        flat = numbers(f"{side}_factors")
         if payload[f"n_{side}s"] != len(ids[side]):
             raise DataError(f"model {path}: n_{side}s is not the {len(ids[side])} {side}s it lists")
         if flat.shape != (len(ids[side]) * n_f,):
@@ -343,11 +360,19 @@ def load_model(path: str | Path) -> FactorModel:
         if repeated:
             raise DataError(f"model {path} lists {side} {repeated[0]!r} more than once")
         factors[side] = flat.reshape(len(ids[side]), n_f)
-    return FactorModel(
-        user_factors=factors["user"],
-        item_factors=factors["item"],
-        users=ids["user"],
-        items=ids["item"],
-        loss_trace=tuple(payload["loss_trace"]),
-        config=AlsConfig(**payload["config"]),
-    )
+    loss_trace = tuple(numbers("loss_trace").tolist())
+    try:
+        config = AlsConfig(**payload["config"])
+        model = FactorModel(
+            user_factors=factors["user"],
+            item_factors=factors["item"],
+            users=ids["user"],
+            items=ids["item"],
+            loss_trace=loss_trace,
+            config=config,
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model {path} is not a factor model a fit gives: {exc}") from None
+    if config.factors != n_f:
+        raise DataError(f"model {path}: its config has {config.factors!r} factors, not {n_f}")
+    return model

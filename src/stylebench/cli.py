@@ -44,10 +44,8 @@ from .harness import (
     REPORT_FORMATS,
     EvalConfig,
     EvaluationReport,
-    check_forest_inputs,
     check_payload,
-    fit_cb_forest,
-    fit_factor_model,
+    fit_models,
     render_report,
     run_evaluation,
     typed_config_value,
@@ -289,13 +287,12 @@ def _cmd_train(args) -> int:
     data_path, data, boundary = _inputs(settings, args.config)
     cfg = _eval_config(settings, boundary)
     train = temporal_split(data, boundary).train
-    if args.algo == "forest":
-        check_forest_inputs(cfg, data, train)
-    confidence, model = fit_factor_model(cfg, train)
-    if args.algo == "forest":
-        model = fit_cb_forest(cfg, train, confidence, model)
+    factor_model, forest = fit_models(cfg, data, train, ["CF" if args.algo == "als" else "CB"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    (als_mod.save_model if args.algo == "als" else forest_mod.save_forest)(model, out_path)
+    if forest is None:
+        als_mod.save_model(factor_model, out_path)
+    else:
+        forest_mod.save_forest(forest, out_path)
     _write_manifest(
         manifest_path,
         {

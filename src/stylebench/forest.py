@@ -791,21 +791,43 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 def load_forest(path: str | Path) -> ForestModel:
     """The forest saved at ``path``. A file that the walk could not follow
     raises DataError naming the file and the tree (see ``_load_tree``), and
-    so does one with no trees."""
+    so does one of another kind, one with no trees, and one whose schema
+    (see ``_load_schema``) or config is not one ``save_forest`` writes."""
     payload = read_json_object(path, "model")
     if payload.get("kind") != "forest_model":
-        raise ValueError(f"{path} is not a serialized forest model")
-    specs = tuple(
-        FeatureSpec(**{**s, "levels": tuple(s["levels"]) if s["levels"] else None})
-        for s in payload["schema"]
-    )
-    schema = FeatureSchema(specs=specs)
-    if not payload["trees"]:
-        raise DataError(f"model {path} holds no trees")
-    trees = tuple(
-        _load_tree(t, schema, f"model {path} tree {i}") for i, t in enumerate(payload["trees"])
-    )
-    return ForestModel(trees=trees, schema=schema, config=ForestConfig(**payload["config"]))
+        raise DataError(f"model {path} is not a serialized forest model")
+    try:
+        schema = _load_schema(payload["schema"])
+        config = ForestConfig(**payload["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model {path} has no valid schema and config: {exc!r}") from None
+    trees = payload.get("trees")
+    if not isinstance(trees, list) or not trees:
+        raise DataError(f"model {path} holds no trees: 'trees' must be a non-empty list")
+    trees = tuple(_load_tree(t, schema, f"model {path} tree {i}") for i, t in enumerate(trees))
+    return ForestModel(trees=trees, schema=schema, config=config)
+
+
+def _load_schema(entries: list) -> FeatureSchema:
+    """The schema a model file lists. Raises KeyError, TypeError or
+    ValueError unless each entry holds the fields of a FeatureSpec, with a
+    user or item side, a numeric or categorical kind and a list of level
+    strings or null, and the user features come first."""
+    specs = []
+    for s in entries:
+        levels = s["levels"]
+        if levels is not None and not (
+            isinstance(levels, list) and all(isinstance(v, str) for v in levels)
+        ):
+            raise ValueError(f"levels {levels!r} are not a list of strings")
+        spec = FeatureSpec(**{**s, "levels": tuple(levels) if levels else None})
+        if spec.side not in ("user", "item") or spec.kind not in ("numeric", "categorical"):
+            raise ValueError(f"feature {spec.name!r} has side {spec.side!r}, kind {spec.kind!r}")
+        specs.append(spec)
+    sides = [spec.side for spec in specs]
+    if sides != sorted(sides, key=("user", "item").index):
+        raise ValueError("an item feature comes before a user feature")
+    return FeatureSchema(specs=tuple(specs))
 
 
 def _load_tree(t: dict, schema: FeatureSchema, where: str) -> Tree:

@@ -285,13 +285,6 @@ def purchase_masks(train: Dataset, user_ids: Sequence[str]) -> tuple[np.ndarray,
     return take_rows(indptr, id_rows(train.user_ids, user_ids), items)
 
 
-def fit_factor_model(cfg: EvalConfig, train: Dataset):
-    """The run's confidence matrix and ALS factor model."""
-    als_cfg = dataclasses.replace(cfg.als, seed=derive_seed(cfg.seed, "als"))
-    confidence = als_mod.build_confidence(train, als_cfg)
-    return confidence, als_mod.fit_als(confidence, als_cfg)
-
-
 def check_forest_inputs(cfg: EvalConfig, data: Dataset, train: Dataset) -> None:
     """Reject, as a data error, data the CB forest cannot be fitted and
     scored on, so nothing is fitted for a forest that cannot be: no user or
@@ -331,11 +324,29 @@ def check_forest_inputs(cfg: EvalConfig, data: Dataset, train: Dataset) -> None:
         raise DataError(f"config key 'forest_features_per_split': {exc}") from None
 
 
-def fit_cb_forest(cfg: EvalConfig, train: Dataset, confidence, factor_model):
-    """The run's ALS-augmented content-based forest."""
-    forest_cfg = dataclasses.replace(cfg.forest, seed=derive_seed(cfg.seed, "forest"))
-    table = forest_mod.augment_labels(train, confidence, factor_model, forest_cfg)
-    return forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
+def fit_models(cfg: EvalConfig, data: Dataset, train: Dataset, algorithms: Sequence[str]):
+    """The ALS factor model (for CF or CB) and the ALS-augmented forest
+    (for CB) that ``algorithms`` score with, fitted on ``train``, the
+    training split of ``data``; None for a model no strategy asked for.
+    An empty ``train``, and data :func:`check_forest_inputs` refuses, are
+    data errors raised before anything is fitted."""
+    with _stage("temporal_split"):
+        if not train.n_events:
+            raise DataError("no training events before the boundary")
+    if "CB" in algorithms:
+        check_forest_inputs(cfg, data, train)
+    factor_model = forest = None
+    if "CF" in algorithms or "CB" in algorithms:
+        with _stage("fit_als"):
+            als_cfg = dataclasses.replace(cfg.als, seed=derive_seed(cfg.seed, "als"))
+            confidence = als_mod.build_confidence(train, als_cfg)
+            factor_model = als_mod.fit_als(confidence, als_cfg)
+    if "CB" in algorithms:
+        with _stage("fit_forest"):
+            forest_cfg = dataclasses.replace(cfg.forest, seed=derive_seed(cfg.seed, "forest"))
+            table = forest_mod.augment_labels(train, confidence, factor_model, forest_cfg)
+            forest = forest_mod.fit_forest(table, forest_cfg, threads=cfg.threads)
+    return factor_model, forest
 
 
 def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
@@ -344,12 +355,9 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         raise DataError("evaluation requires a split boundary timestamp")
     with _stage("temporal_split"):
         split = temporal_split(data, cfg.boundary)
-        if not split.train.n_events:
-            raise DataError("no training events before the boundary")
         if not split.test.n_events:
             raise DataError("no test events at or after the boundary")
-    if "CB" in cfg.algorithms:
-        check_forest_inputs(cfg, data, split.train)
+    factor_model, forest_model = fit_models(cfg, data, split.train, cfg.algorithms)
     with _stage("segment_users"):
         segments = segment_users(split)
         stats = dataset_stats(split, segments)
@@ -365,14 +373,6 @@ def run_evaluation(cfg: EvalConfig, data: Dataset) -> EvaluationReport:
         indptr, positions, grades = build_relevance(split.test, candidates, cfg.grading)
 
     masks = purchase_masks(split.train, test_users) if cfg.exclude_purchased else None
-
-    factor_model = forest_model = None
-    if "CF" in cfg.algorithms or "CB" in cfg.algorithms:
-        with _stage("fit_als"):
-            confidence, factor_model = fit_factor_model(cfg, split.train)
-    if "CB" in cfg.algorithms:
-        with _stage("fit_forest"):
-            forest_model = fit_cb_forest(cfg, split.train, confidence, factor_model)
 
     scorers = {
         "MP": lambda: score_mp_users(pop, test_users, candidates),

@@ -567,6 +567,42 @@ class TestSerialization:
             lambda p: p.update(items=p["items"][:-1] + p["items"][:1]),
             "lists item 'iA' more than once", id="repeated-item",
         ),
+        pytest.param(
+            lambda p: p.update(users="".join(chr(97 + i) for i in range(p["n_users"]))),
+            "users is not a list of id strings", id="users-a-string",
+        ),
+        pytest.param(
+            lambda p: p["user_factors"].__setitem__(0, "x"),
+            "user_factors is not a list of numbers", id="string-factor",
+        ),
+        pytest.param(
+            lambda p: p["item_factors"].__setitem__(0, "1.5"),
+            "item_factors is not a list of numbers", id="numeric-string-factor",
+        ),
+        pytest.param(
+            lambda p: p["loss_trace"].__setitem__(0, "x"),
+            "loss_trace is not a list of numbers", id="string-loss",
+        ),
+        pytest.param(
+            lambda p: p["loss_trace"].__setitem__(0, [1.0]),
+            "loss_trace is not a list of numbers", id="nested-loss",
+        ),
+        pytest.param(
+            lambda p: p["loss_trace"].reverse(),
+            "not a factor model a fit gives.*non-increasing", id="rising-loss",
+        ),
+        pytest.param(
+            lambda p: p["config"].update(factors=3),
+            "config has 3 factors, not 5", id="config-factors",
+        ),
+        pytest.param(
+            lambda p: p["config"].update(factor=p["config"].pop("factors")),
+            "not a factor model a fit gives.*'factor'", id="misspelt-config-key",
+        ),
+        pytest.param(
+            lambda p: p.update(kind="forest_model"),
+            "is not a serialized factor model", id="other-kind",
+        ),
     ])
     def test_malformed_file_is_data_error_naming_it(self, tmp_path, edit, fault):
         model = fit_als(small_confidence(), AlsConfig(factors=5, iterations=4, seed=2))

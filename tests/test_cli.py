@@ -6,12 +6,13 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
-from stylebench import cli, harness
+from stylebench import als, cli, forest, harness
 from stylebench.als import load_model
 from stylebench.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
-from stylebench.data import format_timestamp, load_events
+from stylebench.data import format_timestamp, load_events, temporal_split
 from stylebench.errors import StylebenchError
 from stylebench.forest import load_forest
 
@@ -205,15 +206,16 @@ class TestTrain:
         def fails(*args, **kwargs):
             raise StylebenchError("fit failed")
 
-        for algo, fit in (("als", "fit_factor_model"), ("forest", "fit_cb_forest")):
-            monkeypatch.setattr(cli, fit, fails)
+        # the forest's fit fails once ALS has run
+        for algo, module, fit in (("als", als, "fit_als"), ("forest", forest, "fit_forest")):
+            monkeypatch.setattr(module, fit, fails)
             out = tmp_path / algo / "model.json"
             rc = dispatch([
                 "train", "--config", str(config), "--data", str(data_path),
                 "--algo", algo, "--out", str(out),
             ])
             assert rc == EXIT_INTERNAL
-            assert "fit failed" in capsys.readouterr().err
+            assert f"stage {fit}: fit failed" in capsys.readouterr().err
             assert not out.parent.exists()
             monkeypatch.undo()
 
@@ -241,6 +243,41 @@ class TestTrain:
             name: digest(data_dir / name)
             for name in ("interactions.csv", "interactions.users.csv", "interactions.items.csv")
         }
+
+    def test_writes_the_models_evaluate_fits(self, workspace, tmp_path):
+        # the model files hold, bit for bit, the models the shared fit stage
+        # gives for the config the train manifest records
+        _, config, data_path = workspace
+        files = {}
+        for algo in ("als", "forest"):
+            files[algo] = tmp_path / f"{algo}.json"
+            assert dispatch([
+                "train", "--config", str(config), "--data", str(data_path),
+                "--algo", algo, "--out", str(files[algo]),
+            ]) == EXIT_OK
+        manifest = json.loads((tmp_path / "forest.manifest.json").read_text())
+        cfg = harness.EvalConfig.from_dict(manifest["config"])
+        data = load_events(data_path)
+        factor_model, forest_model = harness.fit_models(
+            cfg, data, temporal_split(data, cfg.boundary).train, ["CB"]
+        )
+
+        def bits(array):
+            return array.view(np.uint64) if array.dtype == np.float64 else array
+
+        def assert_same(got, want):
+            assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+
+        saved = load_model(files["als"])
+        for field in ("user_factors", "item_factors"):
+            assert_same(getattr(saved, field), getattr(factor_model, field))
+        for field in ("users", "items", "loss_trace", "config"):
+            assert getattr(saved, field) == getattr(factor_model, field)
+        saved = load_forest(files["forest"])
+        assert (saved.schema, saved.config) == (forest_model.schema, forest_model.config)
+        for tree, want in zip(saved.trees, forest_model.trees, strict=True):
+            for field in dataclasses.fields(tree):
+                assert_same(getattr(tree, field.name), getattr(want, field.name))
 
     def test_forest_model_round_trips(self, workspace, tmp_path):
         _, config, data_path = workspace
@@ -956,6 +993,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("cannot keep" if where == "infeasible" else "seed must be non-negative") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case", ["boundary-before-every-event", "no-item-sidecar", "features-per-split-99"]
+    )
+    def test_train_refuses_what_evaluate_refuses(self, workspace, tmp_path, capsys, case):
+        # one fit stage: the same exit code and message, stage tag and all,
+        # from evaluate and from each train --algo the input concerns (ALS
+        # reads no feature table and no forest setting)
+        algos = ["als", "forest"] if case == "boundary-before-every-event" else ["forest"]
+        _, config, data_path = workspace
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in data_path.parent.iterdir():  # the manifest holds the boundary
+            if not (case == "no-item-sidecar" and path.name.endswith(".items.csv")):
+                (data / path.name).write_bytes(path.read_bytes())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **json.loads(config.read_text()),
+            **({"forest_features_per_split": 99} if case == "features-per-split-99" else {}),
+        }))
+        common = ["--config", str(cfg), "--data", str(data / "interactions.csv")]
+        if case == "boundary-before-every-event":
+            common += ["--boundary", "2020-01-01T00:00:00Z"]
+        outcomes = []
+        for extra in [["evaluate"], *(["train", "--algo", algo] for algo in algos)]:
+            out = tmp_path / "out" / extra[-1]
+            rc = dispatch([*extra, *common, "--out", str(out / "model.json")])
+            outcomes.append((rc, capsys.readouterr().err))
+            assert not out.exists()
+        assert outcomes[0][0] == EXIT_DATA
+        assert outcomes == [outcomes[0]] * len(outcomes)
+        if case == "boundary-before-every-event":
+            assert "stage temporal_split: no training events before the boundary" in outcomes[0][1]
 
     @pytest.mark.parametrize("command", ["evaluate", "train"])
     def test_over_wide_features_per_split_is_data_error(

@@ -773,6 +773,36 @@ class TestForestSerialization:
             lambda p, t, n: t["value"].__setitem__(n["leaf"], None),
             "no finite value", id="null-leaf-value",
         ),
+        pytest.param(lambda p, t, n: p.update(trees=5), "holds no trees", id="trees-not-a-list"),
+        pytest.param(
+            lambda p, t, n: p.update(kind="als_factor_model"),
+            "is not a serialized forest model", id="other-kind",
+        ),
+        # the schema and config, which every tree is read against
+        pytest.param(
+            lambda p, t, n: p["schema"][0].pop("levels"),
+            "has no valid schema and config: KeyError", id="no-levels",
+        ),
+        pytest.param(
+            lambda p, t, n: p.update(schema=5),
+            "has no valid schema and config: TypeError", id="schema-not-a-list",
+        ),
+        pytest.param(
+            lambda p, t, n: p["schema"][1].update(levels="pqr"),
+            "has no valid schema and config.*not a list of strings", id="levels-a-string",
+        ),
+        pytest.param(
+            lambda p, t, n: p["schema"].reverse(),
+            "has no valid schema and config.*item feature comes before", id="item-first",
+        ),
+        pytest.param(
+            lambda p, t, n: p["config"].update(n_tres=p["config"].pop("n_trees")),
+            "has no valid schema and config: TypeError.*n_tres", id="misspelt-config-key",
+        ),
+        pytest.param(
+            lambda p, t, n: p["config"].update(n_trees=0),
+            "has no valid schema and config: ValueError.*n_trees", id="no-trees-in-config",
+        ),
     ])
     def test_file_the_walk_cannot_follow_is_data_error(self, tmp_path, edit, fault):
         rng = np.random.default_rng(26)
@@ -792,7 +822,9 @@ class TestForestSerialization:
                 (("leaf", -1), ("numeric", 0), ("categorical", 1))}
         edit(payload, tree, node)
         path.write_text(json.dumps(payload))
-        where = re.escape(f"model {path}") + ("" if fault == "holds no trees" else " tree 0")
+        # a fault outside the trees names only the file
+        in_file = fault.startswith(("holds no trees", "is not a", "has no valid"))
+        where = re.escape(f"model {path}") + ("" if in_file else " tree 0")
         with pytest.raises(DataError, match=f"{where}.*{fault}"):
             load_forest(path)
 
